@@ -11,12 +11,17 @@ pointers, counter-based PRNG intrinsics) defined in
   analogue in this reproduction.
 * :mod:`repro.backends.multicore` — partitions grid-search parallel regions
   across processes/threads.
-* :mod:`repro.backends.gpu_sim` — SIMT execution simulator with an
-  occupancy/latency model (stands in for the NVPTX/CUDA path).
+* :mod:`repro.backends.lane` — the lane code generator's runtime: numpy
+  array programs over a lane axis (SIMT lanes), plus the ``lane`` engine
+  that maps ``run_batch`` elements onto it.
+* :mod:`repro.backends.gpu_sim` — SIMT execution simulator (stands in for
+  the NVPTX/CUDA path): runs the grid-search kernel through the lane code
+  generator with one lane per grid point, plus an analytical
+  occupancy/latency model.
 
 Each backend module registers an :class:`repro.driver.ExecutionEngine` with
 the driver's backend registry (``compiled``, ``per-node``, ``ir-interp``,
-``mcpu``, ``gpu-sim``); ``repro.list_engines()`` enumerates them and
+``mcpu``, ``gpu-sim``, ``lane``); ``repro.list_engines()`` enumerates them and
 ``repro.compile(model, target=...)`` dispatches through the registry.
 """
 

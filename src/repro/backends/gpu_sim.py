@@ -3,11 +3,12 @@
 No GPU is available in this environment, so the NVPTX/PyCUDA path is replaced
 by two cooperating pieces (documented as a substitution in DESIGN.md):
 
-* **Functional SIMT execution** — :class:`VectorizedKernelExecutor` runs the
-  straight-line grid-search evaluation kernel *data-parallel*: every IR value
-  becomes a NumPy array with one lane per grid point, PRNG draws use the
-  vectorised counter-based generator, and per-lane "local memory" (the
-  replicated PRNG state) is an array per slot.  This is exactly the mapping
+* **Functional SIMT execution** — the ``gpu-sim`` engine runs the grid-search
+  evaluation kernel *data-parallel* through the lane code generator
+  (:func:`repro.backends.lane.compile_lane_program`) with the lane axis being
+  the grid: one lane per grid point, every IR value a NumPy array, PRNG draws
+  through the vectorised counter-based generator, and each lane's replicated
+  PRNG state in its own row of the lane frame.  This is exactly the mapping
   the paper's generated CUDA kernel uses (one thread per grid point,
   replicated read-write state), and it produces bit-identical results to the
   serial engine.
@@ -22,192 +23,13 @@ by two cooperating pieces (documented as a substitution in DESIGN.md):
 
 from __future__ import annotations
 
-import math
-import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..cogframe import prng
-from ..ir.instructions import (
-    GEP,
-    Alloca,
-    BinaryOp,
-    Call,
-    Cast,
-    FCmp,
-    ICmp,
-    Load,
-    Return,
-    Select,
-    Store,
-)
-from ..ir.module import Function
-from ..ir.values import Argument, Constant, UndefValue, Value
-from . import runtime
-from .grid_driver import run_with_grid_driver
-
-
-class VectorizedKernelExecutor:
-    """Execute a straight-line IR function over many lanes at once."""
-
-    def __init__(self, kernel: Function):
-        if len(kernel.blocks) != 1:
-            raise ValueError(
-                f"kernel @{kernel.name} has control flow; the SIMT executor "
-                f"requires a straight-line evaluation kernel"
-            )
-        self.kernel = kernel
-
-    def __call__(self, scalar_args: Sequence[object], lane_args: Dict[int, np.ndarray], lanes: int):
-        """Run the kernel.
-
-        ``scalar_args`` holds one entry per kernel argument (pointer arguments
-        as ``(buffer, offset)``); ``lane_args`` maps argument *indices* to
-        per-lane arrays overriding the scalar value.
-        """
-        env: Dict[int, object] = {}
-        for i, arg in enumerate(self.kernel.args):
-            env[id(arg)] = lane_args.get(i, scalar_args[i])
-
-        local_buffers: Dict[int, list] = {}
-
-        def value_of(value: Value):
-            if isinstance(value, Constant):
-                return value.value
-            if isinstance(value, UndefValue):
-                return 0.0
-            return env[id(value)]
-
-        result = None
-        for instr in self.kernel.blocks[0].instructions:
-            if isinstance(instr, Return):
-                result = value_of(instr.value) if instr.value is not None else None
-                break
-            env[id(instr)] = self._execute(instr, value_of, local_buffers, lanes)
-        if result is None:
-            raise ValueError(f"kernel @{self.kernel.name} did not return a value")
-        return np.broadcast_to(np.asarray(result, dtype=float), (lanes,)).copy()
-
-    # -- instruction semantics (vectorised) -----------------------------------------
-    def _execute(self, instr, value_of, local_buffers, lanes):
-        if isinstance(instr, BinaryOp):
-            a, b = value_of(instr.lhs), value_of(instr.rhs)
-            return self._binop(instr.opcode, a, b)
-        if isinstance(instr, FCmp):
-            return self._fcmp(instr.predicate, value_of(instr.lhs), value_of(instr.rhs))
-        if isinstance(instr, ICmp):
-            return self._fcmp(
-                {"eq": "oeq", "ne": "one", "slt": "olt", "sle": "ole", "sgt": "ogt", "sge": "oge"}[
-                    instr.predicate
-                ],
-                value_of(instr.lhs),
-                value_of(instr.rhs),
-            )
-        if isinstance(instr, Select):
-            return np.where(
-                np.asarray(value_of(instr.condition)) != 0,
-                value_of(instr.true_value),
-                value_of(instr.false_value),
-            )
-        if isinstance(instr, Cast):
-            value = value_of(instr.value)
-            if instr.opcode == "sitofp":
-                return np.asarray(value, dtype=float)
-            if instr.opcode == "fptosi":
-                return np.asarray(value).astype(np.int64)
-            return value
-        if isinstance(instr, Alloca):
-            buffer = [0.0] * max(instr.allocated_type.slot_count(), 1)
-            local_buffers[id(instr)] = buffer
-            return (buffer, 0)
-        if isinstance(instr, GEP):
-            buffer, offset = value_of(instr.pointer)
-            indices = [int(np.asarray(value_of(i)).ravel()[0]) if not isinstance(i, Constant) else int(i.value) for i in instr.indices]
-            return (buffer, offset + runtime.gep_offset(instr.pointer.type.pointee, indices))
-        if isinstance(instr, Load):
-            buffer, offset = value_of(instr.pointer)
-            return buffer[offset]
-        if isinstance(instr, Store):
-            buffer, offset = value_of(instr.pointer)
-            buffer[offset] = value_of(instr.value)
-            return None
-        if isinstance(instr, Call):
-            return self._call(instr, value_of)
-        raise NotImplementedError(f"SIMT executor: unsupported instruction {instr.opcode}")
-
-    @staticmethod
-    def _binop(opcode: str, a, b):
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        if opcode in ("fadd", "add"):
-            return a + b
-        if opcode in ("fsub", "sub"):
-            return a - b
-        if opcode in ("fmul", "mul"):
-            return a * b
-        if opcode in ("fdiv",):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return a / b
-        if opcode == "sdiv":
-            return (a / b).astype(np.int64)
-        if opcode in ("frem", "srem"):
-            return np.fmod(a, b)
-        raise NotImplementedError(f"SIMT binop {opcode}")
-
-    @staticmethod
-    def _fcmp(predicate: str, a, b):
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        table = {
-            "oeq": a == b,
-            "one": a != b,
-            "olt": a < b,
-            "ole": a <= b,
-            "ogt": a > b,
-            "oge": a >= b,
-        }
-        return table[predicate].astype(np.int64)
-
-    def _call(self, instr: Call, value_of):
-        name = instr.callee.intrinsic_name
-        if name is None:
-            raise NotImplementedError(
-                "SIMT executor cannot call non-intrinsic functions; run the "
-                "inliner (opt_level >= 2) before using the GPU engine"
-            )
-        if name in ("rng_uniform", "rng_normal"):
-            buffer, offset = value_of(instr.args[0])
-            draw = prng.vectorized_uniform if name == "rng_uniform" else prng.vectorized_normal
-            values, new_counters = draw(buffer[offset], buffer[offset + 1])
-            buffer[offset + 1] = new_counters
-            return values
-        args = [np.asarray(value_of(a), dtype=float) for a in instr.args]
-        vector_table = {
-            "exp": np.exp,
-            "log": np.log,
-            "log1p": np.log1p,
-            "sqrt": np.sqrt,
-            "sin": np.sin,
-            "cos": np.cos,
-            "tanh": np.tanh,
-            "fabs": np.abs,
-            "floor": np.floor,
-            "ceil": np.ceil,
-        }
-        with np.errstate(all="ignore"):
-            if name in vector_table:
-                return vector_table[name](args[0])
-            if name == "pow":
-                return np.power(args[0], args[1])
-            if name == "fmin":
-                return np.minimum(args[0], args[1])
-            if name == "fmax":
-                return np.maximum(args[0], args[1])
-            if name == "copysign":
-                return np.copysign(args[0], args[1])
-        raise NotImplementedError(f"SIMT intrinsic {name}")
+from .grid_driver import drive_elements
+from .lane import LaneProgram, compile_lane_program
 
 
 # ---------------------------------------------------------------------------
@@ -275,48 +97,34 @@ class GpuOccupancyModel:
         return spilled_registers * 8.0
 
     def estimate(self, max_registers: int, precision: str = "fp64", grid_size: int = 1_000_000) -> ThrottlePoint:
-        device = self.device
-        occupancy = self.occupancy(max_registers)
-        spill = self.spill_bytes(max_registers)
-
-        # Compute time: more resident warps hide more latency, but the kernel
-        # is memory-bound so the effect saturates quickly.
-        throughput = device.fp32_throughput if precision == "fp32" else device.fp64_throughput
-        compute_seconds = (
-            self.kernel_flops * grid_size / (occupancy * device.sm_count * 1.5e12 * throughput)
-        )
-
-        # Memory time: every thread streams its private state (PRNG replicas)
-        # plus whatever the register cap forced it to spill.
-        private_bytes = self.private_bytes_per_thread * (0.85 if precision == "fp32" else 1.0)
-        bytes_moved = grid_size * (private_bytes + spill * 4.0)
-        memory_seconds = bytes_moved / (self.device.dram_bandwidth_gbps * 1e9)
-        # Low occupancy cannot saturate DRAM bandwidth.
-        memory_seconds /= max(min(occupancy * 4.0, 1.0), 0.05)
-
-        total = max(compute_seconds, memory_seconds)
+        total = self.estimate_raw(max_registers, precision, grid_size)
         # Anchor the scale to the measured/paper reference point (256 regs, fp64).
         anchor = self.estimate_raw(256, "fp64", grid_size)
         scale = self.measured_reference_seconds / anchor if anchor > 0 else 1.0
         return ThrottlePoint(
             max_registers=max_registers,
             precision=precision,
-            occupancy=occupancy,
+            occupancy=self.occupancy(max_registers),
             estimated_seconds=total * scale,
-            spill_bytes_per_thread=spill,
+            spill_bytes_per_thread=self.spill_bytes(max_registers),
         )
 
     def estimate_raw(self, max_registers: int, precision: str, grid_size: int) -> float:
         device = self.device
         occupancy = self.occupancy(max_registers)
         spill = self.spill_bytes(max_registers)
+        # Compute time: more resident warps hide more latency, but the kernel
+        # is memory-bound so the effect saturates quickly.
         throughput = device.fp32_throughput if precision == "fp32" else device.fp64_throughput
         compute_seconds = (
             self.kernel_flops * grid_size / (occupancy * device.sm_count * 1.5e12 * throughput)
         )
+        # Memory time: every thread streams its private state (PRNG replicas)
+        # plus whatever the register cap forced it to spill.
         private_bytes = self.private_bytes_per_thread * (0.85 if precision == "fp32" else 1.0)
         bytes_moved = grid_size * (private_bytes + spill * 4.0)
         memory_seconds = bytes_moved / (device.dram_bandwidth_gbps * 1e9)
+        # Low occupancy cannot saturate DRAM bandwidth.
         memory_seconds /= max(min(occupancy * 4.0, 1.0), 0.05)
         return max(compute_seconds, memory_seconds)
 
@@ -335,63 +143,63 @@ class GpuOccupancyModel:
 # ---------------------------------------------------------------------------
 
 
-class GpuSimEvaluator:
-    """Persistent vectorised state for the SIMT engine.
+def launch_grid_kernel(kernel: Callable, args: Sequence[object], lanes: int) -> np.ndarray:
+    """Run a lane-compiled kernel over ``lanes`` grid points at once.
 
-    Building a :class:`VectorizedKernelExecutor` and the per-lane allocation
-    and counter arrays is pure layout work — it depends only on the compiled
-    kernel and the level tables, not on the trial being evaluated — so the
-    evaluator derives them once per grid-search region and reuses them across
-    every ``run()`` / ``run_batch()`` call of the owning engine instance.
+    ``args`` are the kernel's arguments: pointers as ``(2-D buffer, offset)``,
+    per-lane values as ``(lanes,)`` arrays, lane-uniform values as scalars.
+    Returns the ``(lanes,)`` cost vector (a lane-uniform result broadcast).
+    """
+    with np.errstate(all="ignore"):
+        costs = kernel(*args, np.ones(lanes, dtype=bool))
+    return np.broadcast_to(np.asarray(costs, dtype=float), (lanes,))
+
+
+class GpuSimEvaluator:
+    """Persistent SIMT state for the ``gpu-sim`` engine.
+
+    The lane program is built once per binding.  The allocation-level
+    columns and per-lane counter offsets of a grid region are pure layout
+    work — they depend only on the kernel and the level tables, not on the
+    trial being evaluated — so they are derived once per region and reused
+    across every ``run()`` / ``run_batch()`` call of the owning instance.
     """
 
     def __init__(self, compiled):
         self._compiled = compiled
-        self._lanes: Dict[str, tuple] = {}
+        self._program: Optional[LaneProgram] = None
+        self._regions: Dict[str, tuple] = {}
 
-    def _lane_state(self, prepared) -> tuple:
-        cached = self._lanes.get(prepared.control_name)
+    def _region(self, prepared) -> tuple:
+        cached = self._regions.get(prepared.control_name)
         if cached is None:
-            kernel = self._compiled.module.get_function(prepared.kernel_name)
-            executor = VectorizedKernelExecutor(kernel)
+            if self._program is None:
+                self._program = compile_lane_program(
+                    self._compiled.module, self._compiled.function
+                )
             indices = np.arange(prepared.grid_size)
-            arg_base = 1 + prepared.input_size  # params + true inputs come first
-            alloc_lanes: Dict[int, np.ndarray] = {}
-            for signal, (levels, stride) in enumerate(
-                zip(prepared.levels, prepared.strides)
-            ):
-                table = np.asarray(levels, dtype=float)
-                alloc_lanes[arg_base + signal] = table[(indices // stride) % table.size]
-            counter_arg = 1 + prepared.input_size + len(prepared.levels) + 1
+            columns = [
+                np.asarray(levels, dtype=float)[(indices // stride) % len(levels)]
+                for levels, stride in zip(prepared.levels, prepared.strides)
+            ]
             counter_lanes = indices.astype(np.float64) * prepared.counter_stride
-            cached = (executor, alloc_lanes, counter_arg, counter_lanes)
-            self._lanes[prepared.control_name] = cached
+            cached = (self._program.functions[prepared.kernel_name], columns, counter_lanes)
+            self._regions[prepared.control_name] = cached
         return cached
 
     def evaluate(self, request) -> np.ndarray:
         prepared = request.prepared
-        executor, alloc_lanes, counter_arg, counter_lanes = self._lane_state(prepared)
-        lane_args: Dict[int, np.ndarray] = dict(alloc_lanes)
-        lane_args[counter_arg] = request.counter_base + counter_lanes
-        scalar_args: List[object] = [(request.params, 0)]
-        scalar_args += [float(v) for v in request.true_input]
-        scalar_args += [0.0] * len(prepared.levels)
-        scalar_args += [float(request.key), 0.0]
-        return executor(scalar_args, lane_args, prepared.grid_size)
+        kernel, columns, counter_lanes = self._region(prepared)
+        lanes = prepared.grid_size
+        params = np.asarray(request.params, dtype=float)
+        args: List[object] = [(np.broadcast_to(params, (lanes, params.size)), 0)]
+        args += [float(v) for v in request.true_input]
+        args += columns
+        args += [float(request.key), request.counter_base + counter_lanes]
+        return launch_grid_kernel(kernel, args, lanes)
 
     def evaluate_batch(self, compiled, requests) -> List[np.ndarray]:
         return [self.evaluate(request) for request in requests]
-
-
-def run_gpu_sim(compiled, buffers, num_trials: int) -> None:
-    """One-shot entry point (persistent callers go through the engine instance)."""
-    if not compiled.grid_searches:
-        compiled._run_whole_compiled(buffers, num_trials)
-        return
-    evaluator = GpuSimEvaluator(compiled)
-    run_with_grid_driver(
-        compiled, buffers, num_trials, batch_evaluator=evaluator.evaluate_batch
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -402,27 +210,16 @@ from ..driver.engines import EngineCapabilities, EngineInstance, register_engine
 
 
 class _GpuSimInstance(EngineInstance):
-    """A gpu-sim binding that keeps the vectorised lane state alive."""
+    """A gpu-sim binding that keeps the lane program and region state alive."""
 
     def __init__(self, engine_name: str, model):
         super().__init__(engine_name, model)
         self._evaluator = GpuSimEvaluator(model)
 
     def execute(self, buffers, num_trials, **options):
-        if not self.model.grid_searches:
-            self.model._run_whole_compiled(buffers, num_trials)
-            return
-        run_with_grid_driver(
-            self.model, buffers, num_trials, batch_evaluator=self._evaluator.evaluate_batch
-        )
+        drive_elements(self.model, [(buffers, num_trials)], self._evaluator.evaluate_batch)
 
     def execute_batch(self, elements, **options):
-        if not self.model.grid_searches:
-            for buffers, num_trials in elements:
-                self.model._run_whole_compiled(buffers, num_trials)
-            return
-        from .grid_driver import drive_elements
-
         drive_elements(self.model, elements, self._evaluator.evaluate_batch)
 
 

@@ -5,7 +5,7 @@ describes for parallel execution (section 3.6): everything *except* the
 grid-search evaluations runs through the same compiled code as the serial
 engine; the evaluations themselves — one independent kernel invocation per
 grid point, each with its own replicated PRNG state — are dispatched by the
-driver to a pool of workers or to the data-parallel executor.  The driver
+driver to a pool of workers or to the data-parallel grid kernel.  The driver
 below owns the trial/pass loop, the double-buffer swap, monitor recording and
 the reservoir-sampling reduction; engines plug in a *batch* evaluator that
 receives whole lists of :class:`GridRequest` objects at once.
@@ -29,7 +29,7 @@ with the serial scan (they are neither new minima nor ties), so replaying
 the reservoir over the candidate events alone reproduces the serial scan —
 same winner, same number of uniform draws, same final counter — while
 shipping only a handful of floats per chunk.  Full cost arrays (as produced
-by the vectorised SIMT executor) are reduced to candidate events with a
+by the ``gpu-sim`` grid kernel) are reduced to candidate events with a
 NumPy prefix-minimum before selection, so every engine funnels through the
 same replay code.
 
@@ -50,10 +50,6 @@ from ..cogframe import conditions as cond
 from ..cogframe.mechanisms import GridSearchControlMechanism
 from ..cogframe.prng import uniform_from_state
 from ..errors import EngineError
-
-#: Signature of the legacy per-evaluation grid evaluator:
-#: (compiled, grid_info, params_buffer, true_input, key, counter_base) -> costs
-GridEvaluator = Callable[[object, object, List[float], List[float], int, int], np.ndarray]
 
 
 # ---------------------------------------------------------------------------
@@ -489,27 +485,7 @@ def run_with_grid_driver(
     compiled,
     buffers: Dict[str, object],
     num_trials: int,
-    evaluate_grid: Optional[GridEvaluator] = None,
-    batch_evaluator: Optional[BatchGridEvaluator] = None,
+    batch_evaluator: BatchGridEvaluator,
 ) -> None:
-    """Execute the model with grid-search evaluations delegated to an engine.
-
-    Engines normally pass ``batch_evaluator``; the legacy per-evaluation
-    ``evaluate_grid`` callable is still accepted and wrapped.
-    """
-    if batch_evaluator is None:
-        if evaluate_grid is None:
-            raise ValueError("run_with_grid_driver needs an evaluator")
-
-        def batch_evaluator(model, requests):
-            return [
-                np.asarray(
-                    evaluate_grid(
-                        model, r.info, r.params, r.true_input, r.key, r.counter_base
-                    ),
-                    dtype=float,
-                )
-                for r in requests
-            ]
-
+    """Execute one element with grid-search evaluations delegated to an engine."""
     drive_elements(compiled, [(buffers, num_trials)], batch_evaluator)

@@ -42,7 +42,7 @@ import math
 import multiprocessing as mp
 import os
 import weakref
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -341,6 +341,50 @@ LANE_NAMESPACE: Dict[str, object] = {
 }
 
 
+class LaneProgram(NamedTuple):
+    """A module lane-compiled by :func:`compile_lane_program`."""
+
+    #: IR function name -> lane callable (trailing ``_m`` mask argument).
+    functions: Dict[str, Callable]
+    source: str
+    #: IR function name -> its Python name in :attr:`source`.
+    py_names: Dict[str, str]
+    #: exec symbol -> Python name of the scalar callable it must be bound
+    #: to (how a worker relinks the per-lane fallbacks from source).
+    scalar_links: Dict[str, str]
+    #: Functions emitted as per-lane scalar-dispatch wrappers, with reasons.
+    fallbacks: List[str]
+    fallback_reasons: Dict[str, str]
+
+
+def compile_lane_program(module, scalar_function: Callable[[str], Callable]) -> LaneProgram:
+    """Lane-compile ``module``: generate the source, link the scalar
+    fallbacks, exec.
+
+    ``scalar_function`` maps an IR function name to its scalar compiled
+    callable (e.g. :meth:`CompiledModel.function`); functions the lane
+    emitter cannot lower dispatch to it lane by lane (:func:`_per_lane`).
+    """
+    from .pycodegen import LanePythonCodeGenerator
+
+    generator = LanePythonCodeGenerator(module)
+    source = generator.generate_source()
+    links = generator.scalar_symbols
+    functions = generator.exec_source(
+        source, {symbol: scalar_function(name) for symbol, name in links.items()}
+    )
+    return LaneProgram(
+        functions=functions,
+        source=source,
+        py_names={fn.name: generator._py_name(fn) for fn in module.defined_functions()},
+        scalar_links={
+            symbol: f"ir_{name}".replace(".", "_") for symbol, name in links.items()
+        },
+        fallbacks=list(generator.lane_fallbacks),
+        fallback_reasons=dict(generator.lane_fallback_reasons),
+    )
+
+
 # ---------------------------------------------------------------------------
 # Worker-side machinery for lane-chunk execution (persistent process pool)
 # ---------------------------------------------------------------------------
@@ -406,10 +450,7 @@ class _LaneInstance(EngineInstance):
 
     def __init__(self, engine_name: str, model):
         super().__init__(engine_name, model)
-        self._run_fn = None
-        self._lane_source: Optional[str] = None
-        self._run_py_name: Optional[str] = None
-        self._scalar_links: Dict[str, str] = {}
+        self._program: Optional[LaneProgram] = None
         #: Functions emitted as per-lane scalar-dispatch wrappers (the lane
         #: analogue of ``CompileStats.dispatch_fallbacks``).
         self.lane_fallbacks: List[str] = []
@@ -431,28 +472,11 @@ class _LaneInstance(EngineInstance):
 
     # -- lane compilation ------------------------------------------------
     def _ensure_compiled(self):
-        if self._run_fn is None:
-            from .pycodegen import LanePythonCodeGenerator
-
-            generator = LanePythonCodeGenerator(self.model.module)
-            source = generator.generate_source()
-            extra = {
-                symbol: self.model._compiled[ir_name]
-                for symbol, ir_name in generator.scalar_symbols.items()
-            }
-            fns = generator.exec_source(source, extra)
-            self.lane_fallbacks = list(generator.lane_fallbacks)
-            self.lane_fallback_reasons = dict(generator.lane_fallback_reasons)
-            self._lane_source = source
-            self._run_py_name = generator._py_name(
-                self.model.module.functions["run_model"]
-            )
-            self._scalar_links = {
-                symbol: f"ir_{ir_name}".replace(".", "_")
-                for symbol, ir_name in generator.scalar_symbols.items()
-            }
-            self._run_fn = fns["run_model"]
-        return self._run_fn
+        if self._program is None:
+            self._program = compile_lane_program(self.model.module, self.model.function)
+            self.lane_fallbacks = list(self._program.fallbacks)
+            self.lane_fallback_reasons = dict(self._program.fallback_reasons)
+        return self._program.functions["run_model"]
 
     # -- buffer stacking -------------------------------------------------
     def _stack(self, elements) -> Dict[str, np.ndarray]:
@@ -712,12 +736,13 @@ class _LaneInstance(EngineInstance):
             return pool
         if pool is not None:
             _close_pool(self._pool_holder)
+        program = self._program
         payload = (
-            self._lane_source,
+            program.source,
             self.model.source,
-            self._scalar_links,
+            program.scalar_links,
             self.model.module.name,
-            self._run_py_name,
+            program.py_names["run_model"],
         )
         context = mp.get_context("spawn" if os.name == "nt" else "fork")
         pool = context.Pool(

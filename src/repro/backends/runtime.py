@@ -50,8 +50,8 @@ def store_slot(ptr: Pointer, value) -> None:
 
 #: Memoization tables for :func:`gep_offset` / :func:`gep_strides`.  Both
 #: helpers are pure functions of ``(type, indices)`` and sit on the
-#: per-instruction hot path of the IR interpreter and the gpu-sim executor,
-#: which re-walk the same aggregate types millions of times per run.  The
+#: per-instruction hot path of the IR interpreter, which re-walks the same
+#: aggregate types millions of times per run.  The
 #: tables key on ``id(pointee)`` (O(1), no recursive type hashing) and pin
 #: the type object in the entry so the id cannot be recycled.  Cached
 #: offsets depend on ``slot_count()``, which in-place type mutation

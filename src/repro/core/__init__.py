@@ -5,21 +5,19 @@
 * :mod:`repro.core.codegen` — whole-model code generation, compiled
   scheduling and grid-search regions (§3.4–3.6).
 * :mod:`repro.core.reservoir` — reservoir sampling over equal-cost minima.
-* :mod:`repro.core.distill` — the public API (:func:`compile_model`,
-  :class:`CompiledModel`).
+* :mod:`repro.core.distill` — the compilation stages
+  (:func:`compile_composition`, :class:`CompiledModel`).
 """
 
 from .codegen import CompiledArtifacts, GridSearchInfo, generate_model_ir
-from .distill import ENGINES, CompiledModel, CompileStats, compile_composition, compile_model
+from .distill import CompiledModel, CompileStats, compile_composition
 from .reservoir import merge_chunk_minima, reservoir_argmin
 from .structs import StaticLayout, build_layout
 
 __all__ = [
     "compile_composition",
-    "compile_model",
     "CompiledModel",
     "CompileStats",
-    "ENGINES",
     "StaticLayout",
     "build_layout",
     "generate_model_ir",

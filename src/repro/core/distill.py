@@ -11,8 +11,7 @@ Typical usage goes through the driver facade (see DESIGN.md)::
 
 This module holds the actual compilation stages
 (:func:`compile_composition`) and the :class:`CompiledModel` artifact
-bundle.  :func:`compile_model` remains as a deprecated shim over
-:func:`compile_composition`.
+bundle.
 
 The compiled model exposes the same result structure as the interpretive
 reference runner, so downstream analysis code does not care which engine
@@ -23,7 +22,6 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -41,11 +39,6 @@ from ..driver.pipeline import resolve_pipeline
 from ..passes.pass_manager import PassManager
 from .codegen import CompiledArtifacts, generate_model_ir
 from .structs import StaticLayout, build_layout
-
-#: Deprecated: the built-in engine names.  Backends now self-register with
-#: :mod:`repro.driver.engines`; use :func:`repro.list_engines` instead.
-ENGINES = ("compiled", "ir-interp", "per-node", "mcpu", "gpu-sim")
-
 
 @dataclass
 class CompileStats:
@@ -107,7 +100,6 @@ class CompiledModel:
         stats: CompileStats,
         compiled_functions: Dict[str, object],
         pipeline: Optional[PassManager] = None,
-        opt_level: Optional[int] = None,
         flags: Optional[Dict[str, object]] = None,
         seed: int = 0,
     ):
@@ -118,7 +110,6 @@ class CompiledModel:
         self.module = artifacts.module
         self.pipeline = pipeline
         self.pipeline_text = pipeline.describe() if pipeline is not None else ""
-        self.opt_level = opt_level
         self.flags = dict(flags or {})
         self.seed = int(seed)
         self.stats = stats
@@ -232,7 +223,7 @@ class CompiledModel:
 
         Engine bindings are memoized per model (:meth:`engine_instance`), so
         consecutive ``run`` calls reuse persistent engine state — notably the
-        mcpu worker pool and the gpu-sim vectorised lane arrays.
+        mcpu worker pool and the gpu-sim lane program.
         """
         instance = self.engine_instance(engine)
         options: Dict[str, object] = {}
@@ -457,7 +448,6 @@ def compile_composition(
     seed: int = 0,
     verify: Union[str, bool, None] = None,
     flags: Optional[Dict[str, object]] = None,
-    opt_level: Optional[int] = None,
     store=None,
 ) -> CompiledModel:
     """Compile ``composition`` with Distill.
@@ -488,8 +478,7 @@ def compile_composition(
 
     ``flags`` is an optional mapping of auxiliary compilation options; it is
     recorded on the returned model and participates in
-    :class:`repro.Session` cache keys.  ``opt_level`` is informational (set
-    by the deprecated :func:`compile_model` shim).
+    :class:`repro.Session` cache keys.
 
     Each compile owns one :class:`repro.analysis.manager.AnalysisManager`:
     analyses (dominator trees, loop info, ...) computed by one pass are
@@ -535,7 +524,6 @@ def compile_composition(
                 entry,
                 composition=composition,
                 pipeline=pipeline,
-                opt_level=opt_level,
                 flags=flags,
                 seed=seed,
                 stats=stats,
@@ -650,7 +638,6 @@ def compile_composition(
         stats,
         compiled_functions,
         pipeline=pipeline,
-        opt_level=opt_level,
         flags=flags,
         seed=seed,
     )
@@ -685,7 +672,6 @@ def _model_from_store_entry(
     entry,
     composition: Composition,
     pipeline: PassManager,
-    opt_level: Optional[int],
     flags: Optional[Dict[str, object]],
     seed: int,
     stats: CompileStats,
@@ -732,7 +718,6 @@ def _model_from_store_entry(
         stats,
         compiled_functions,
         pipeline=pipeline,
-        opt_level=opt_level,
         flags=flags,
         seed=seed,
     )
@@ -740,31 +725,3 @@ def _model_from_store_entry(
     model.unit_fingerprints = dict(entry["unit_fingerprints"])
     model.function_fingerprints = dict(entry["function_fingerprints"])
     return model
-
-
-def compile_model(
-    composition: Composition,
-    opt_level: int = 2,
-    seed: int = 0,
-    verify: bool = True,
-) -> CompiledModel:
-    """Deprecated: use :func:`repro.compile` / :meth:`repro.Session.compile`
-    (or :func:`compile_composition` for the low-level path) instead.
-
-    Kept as a thin shim so pre-driver call sites continue to work; it maps
-    ``opt_level`` onto the ``default<Ok>`` pipeline alias.
-    """
-    warnings.warn(
-        "repro.core.distill.compile_model() is deprecated; use repro.compile()"
-        " or repro.Session.compile() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    level = max(0, min(int(opt_level), 3))
-    return compile_composition(
-        composition,
-        pipeline=f"default<O{level}>",
-        seed=seed,
-        verify="boundary" if verify else "off",
-        opt_level=opt_level,
-    )

@@ -218,7 +218,6 @@ def _adopt(model, fresh) -> None:
     model.module = fresh.module
     model.pipeline = fresh.pipeline
     model.pipeline_text = fresh.pipeline_text
-    model.opt_level = fresh.opt_level
     model.flags = fresh.flags
     model.seed = fresh.seed
     model.stats = fresh.stats
@@ -242,7 +241,6 @@ def _full_recompile(model, composition, store, started, reason: str) -> Dict[str
         seed=model.seed,
         verify=None,  # a prebuilt manager keeps its own policy
         flags=model.flags or None,
-        opt_level=model.opt_level,
         store=store,
     )
     _invalidate_engines(model)

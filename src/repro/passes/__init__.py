@@ -25,7 +25,6 @@ from .pass_manager import (
     build_standard_pipeline,
     coerce_verify_policy,
     describe_pass,
-    standard_pipeline,
 )
 from .simplifycfg import SimplifyCFG
 
@@ -42,7 +41,6 @@ __all__ = [
     "coerce_verify_policy",
     "describe_pass",
     "build_standard_pipeline",
-    "standard_pipeline",
     "DominatorTree",
     "Loop",
     "LoopInfo",

@@ -10,8 +10,8 @@ compilation-cost study (Figure 7):
   across node and scheduler boundaries).
 
 They are exposed to textual pipeline descriptions as the ``default<Ok>``
-alias (``parse_pipeline("default<O2>")``); :func:`standard_pipeline` remains
-as a deprecated shim over :func:`build_standard_pipeline`.
+alias (``parse_pipeline("default<O2>")``) and built directly by
+:func:`build_standard_pipeline`.
 
 Verification is governed by a policy instead of the historical
 verify-after-every-pass behaviour:
@@ -27,7 +27,6 @@ verify-after-every-pass behaviour:
 from __future__ import annotations
 
 import time
-import warnings
 from typing import List, Optional, Sequence, Union
 
 from ..driver.registry import create_pass, register_pipeline_alias
@@ -392,15 +391,3 @@ def _default_alias(variant: Optional[str]) -> List[Pass]:
     if level > 3:
         raise ValueError(f"expected an optimisation level O0..O3, got {variant!r}")
     return _standard_passes(level)
-
-
-def standard_pipeline(opt_level: int = 2, verify: Union[str, bool, None] = None) -> PassManager:
-    """Deprecated: use ``repro.parse_pipeline(f"default<O{k}>")`` or
-    :func:`build_standard_pipeline` instead."""
-    warnings.warn(
-        "standard_pipeline() is deprecated; use repro.parse_pipeline"
-        "(\"default<Ok>\") or build_standard_pipeline() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return build_standard_pipeline(opt_level, verify=coerce_verify_policy(verify))

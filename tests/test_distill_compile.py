@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.cogframe import ReferenceRunner
-from repro.core.distill import ENGINES, compile_composition
+from repro.core.distill import compile_composition
+from repro.driver.engines import list_engines
 from repro.errors import EngineError
 from repro.models import multitasking, necker, predator_prey, stroop
 
@@ -138,6 +139,7 @@ class TestCompiledMatchesReference:
         assert not np.allclose(a.trials[0].outputs["action"], b.trials[0].outputs["action"])
 
     def test_unknown_engine_rejected(self):
+        assert "cuda" not in list_engines()
         compiled = compile_composition(stroop.build_botvinick_stroop(cycles=5))
         with pytest.raises(EngineError):
             compiled.run(stroop.default_inputs(), num_trials=1, engine="cuda")

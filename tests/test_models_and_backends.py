@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.backends.gpu_sim import GpuOccupancyModel, VectorizedKernelExecutor
+from repro.backends.gpu_sim import GpuOccupancyModel, launch_grid_kernel
 from repro.backends.interp import Interpreter
+from repro.backends.lane import compile_lane_program
 from repro.backends.pycodegen import PythonCodeGenerator, compile_module_to_python
 from repro.cogframe import CounterRNG, ReferenceRunner, sanitize
 from repro.core.distill import compile_composition
@@ -246,21 +247,41 @@ class TestReservoirSampling:
 
 
 class TestGpuSimulator:
-    def test_vectorized_executor_requires_straight_line(self):
-        module = Module("v")
-        fn = build_branchy_function(module)
-        with pytest.raises(ValueError, match="control flow"):
-            VectorizedKernelExecutor(fn)
+    @staticmethod
+    def _lane_and_scalar(module, name):
+        """The gpu-sim lane kernel and the scalar compiled callable of ``name``."""
+        verify_module(module)
+        scalar = compile_module_to_python(module)
+        program = compile_lane_program(module, scalar.__getitem__)
+        assert program.fallbacks == []
+        return program.functions[name], scalar[name]
 
-    def test_vectorized_executor_matches_scalar(self):
+    def test_kernel_path_runs_control_flow(self):
         module = Module("v")
-        fn = module.add_function("axpy", FunctionType(F64, [F64, F64, F64]), ["a", "x", "y"])
-        b = IRBuilder(fn.append_block("entry"))
-        b.ret(b.fadd(b.fmul(fn.args[0], fn.args[1]), b.tanh(fn.args[2])))
-        executor = VectorizedKernelExecutor(fn)
-        xs = np.linspace(-2, 2, 7)
-        out = executor([2.0, 0.0, 0.5], {1: xs}, lanes=7)
-        np.testing.assert_allclose(out, 2.0 * xs + math.tanh(0.5), rtol=1e-12)
+        build_branchy_function(module)
+        kernel, scalar = self._lane_and_scalar(module, "branchy")
+        xs = np.linspace(-2.0, 2.0, 9)
+        ys = np.linspace(1.5, -1.5, 9)
+        costs = launch_grid_kernel(kernel, [xs, ys], lanes=9)
+        assert costs.tolist() == [scalar(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+
+    def test_kernel_path_matches_guarded_intrinsics(self):
+        """fmin/fmax ignore a NaN operand and a finite overflowing pow is NaN,
+        exactly as in the scalar engines."""
+        module = Module("v")
+        for op in ("fmin", "fmax", "pow"):
+            fn = module.add_function(op, FunctionType(F64, [F64, F64]), ["x", "y"])
+            b = IRBuilder(fn.append_block("entry"))
+            b.ret(getattr(b, op)(fn.args[0], fn.args[1]))
+        nan = float("nan")
+        xs = np.array([nan, 2.0, 400.0, 1.5, -3.0])
+        ys = np.array([2.0, nan, 400.0, 3.0, 0.5])
+        for op in ("fmin", "fmax", "pow"):
+            kernel, scalar = self._lane_and_scalar(module, op)
+            costs = launch_grid_kernel(kernel, [xs, ys], lanes=len(xs))
+            expected = [scalar(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+            np.testing.assert_array_equal(costs, expected, err_msg=op)
+        assert math.isnan(compile_module_to_python(module)["pow"](400.0, 400.0))
 
     def test_occupancy_model_monotonic(self):
         model = GpuOccupancyModel()

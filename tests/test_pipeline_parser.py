@@ -2,7 +2,7 @@
 
 Covers the satellite requirements: ``describe()`` <-> ``parse_pipeline``
 round-trips, ``default<O0..O3>`` alias expansion (including the acceptance
-check that ``default<O2>`` reproduces the exact ``standard_pipeline(2)``
+check that ``default<O2>`` reproduces the exact ``build_standard_pipeline(2)``
 sequence), pass parameters, nesting, and clear ``PipelineParseError``
 messages on malformed input.
 """
@@ -23,7 +23,6 @@ from repro.passes import (
     PassManager,
     RepeatPass,
     build_standard_pipeline,
-    standard_pipeline,
 )
 
 
@@ -46,10 +45,9 @@ def flatten(passes):
 
 class TestAliasExpansion:
     def test_default_o2_matches_standard_pipeline_exactly(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = standard_pipeline(2)
+        reference = build_standard_pipeline(2)
         parsed = parse_pipeline("default<O2>")
-        assert flatten(parsed.passes) == flatten(legacy.passes)
+        assert flatten(parsed.passes) == flatten(reference.passes)
         assert len(parsed.passes) == 17
 
     @pytest.mark.parametrize("level", [0, 1, 2, 3])

@@ -1,22 +1,21 @@
-"""Tests for the caching Session, the engine registry and the deprecation
-shims (repro.driver.session / repro.driver.engines).
+"""Tests for the caching Session and the engine registry
+(repro.driver.session / repro.driver.engines).
 
 Covers the satellite requirements: a second compile of a structurally
 identical model is a cache hit; differing pipeline/target/seed/flags are
 misses; cached engines produce results identical to fresh compiles on the
-Stroop and predator-prey models; ``repro.compile`` works for every
-registered engine; and the legacy entry points emit ``DeprecationWarning``.
+Stroop and predator-prey models; and ``repro.compile`` works for every
+registered engine.
 """
 
 import numpy as np
 import pytest
 
 import repro
-from repro.core.distill import ENGINES, compile_composition, compile_model
+from repro.core.distill import compile_composition
 from repro.driver.session import Session, structural_fingerprint
 from repro.errors import EngineError
 from repro.models import predator_prey, stroop
-from repro.passes import standard_pipeline
 
 
 def assert_results_match(reference, candidate, rtol=1e-9, atol=1e-12):
@@ -170,7 +169,8 @@ class TestCompileFacade:
         assert "compiled" in str(excinfo.value)
 
     def test_list_engines_covers_legacy_tuple(self):
-        assert set(ENGINES) <= set(repro.list_engines())
+        builtins = {"compiled", "ir-interp", "per-node", "mcpu", "gpu-sim", "lane"}
+        assert builtins <= set(repro.list_engines())
 
     def test_engine_capabilities_exposed(self):
         caps = repro.engine_capabilities()
@@ -182,26 +182,3 @@ class TestCompileFacade:
         engine = session.compile(build_stroop(), pipeline="default<O1>,cse(iterations=2)")
         results = engine.run(stroop.default_inputs("congruent"), num_trials=2, seed=0)
         assert len(results.trials) == 2
-
-
-class TestDeprecatedShims:
-    def test_compile_model_warns_but_works(self):
-        with pytest.warns(DeprecationWarning, match="compile_model"):
-            compiled = compile_model(build_stroop(), opt_level=2)
-        results = compiled.run(stroop.default_inputs("incongruent"), num_trials=2, seed=0)
-        assert len(results.trials) == 2
-
-    def test_standard_pipeline_warns_but_works(self):
-        with pytest.warns(DeprecationWarning, match="standard_pipeline"):
-            pm = standard_pipeline(2)
-        assert len(pm.passes) == 17
-
-    def test_shim_matches_driver_output(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = compile_model(build_stroop(), opt_level=2)
-        modern = compile_composition(build_stroop(), pipeline="default<O2>")
-        assert legacy.pipeline_text == modern.pipeline_text
-        assert_results_match(
-            legacy.run(stroop.default_inputs("incongruent"), num_trials=2, seed=0),
-            modern.run(stroop.default_inputs("incongruent"), num_trials=2, seed=0),
-        )
