@@ -7,26 +7,62 @@ survivors with min-of-k timing and persists the winner keyed on
 (structural hash, engine, objective) so ``pipeline="auto"`` resolves it with
 zero search cost.
 
-The CI autotune-smoke job runs this module plus the JSON emitter::
-
-    python -m pytest -q benchmarks/bench_fig10_autotune.py
-    python -m repro.bench.json_out --benches fig10_autotune --quick \
-        --out-dir bench-json --assert-autotune
-
-``BENCH_fig10_autotune.json`` at the repo root holds the full-size rows; the
-acceptance floor is unconditional — the tuned objective must be <= the
-default<O2> objective on every gated workload (a fruitless search returns
-the incumbent, never something slower), with every raced candidate proven
-equivalent.
+``test_figure10_autotune_report`` carries the CI ``bench`` job's autotune
+floor (:func:`check_autotune_floor`), which is unconditional: the tuned
+objective must be <= the default<O2> objective on every gated workload (a
+fruitless search returns the incumbent, never something slower), and the
+candidate accounting must add up.  ``BENCH_fig10_autotune.json`` at the repo
+root holds the full-size rows (``python -m repro.bench.json_out --benches
+fig10_autotune``).
 """
 
-from repro.bench.harness import figure10_autotune_report
-from repro.bench.json_out import check_autotune_floor
+from repro.bench.harness import FigureReport, figure10_autotune_report
 from repro.driver.autotune import AutotuneConfig, run_autotune
 from repro.models import get_model
 
 #: The two quick-budget smoke models (small enough for CI wall clock).
 SMOKE_MODELS = ("necker_cube_s", "predator_prey_s")
+
+
+def check_autotune_floor(report: FigureReport) -> None:
+    """Raise ``AssertionError`` when a gated tuned row exceeds the default.
+
+    The autotuner's contract is unconditional on ``gate=True`` workloads: the
+    winner's measured objective must be <= the incumbent's, because the
+    incumbent is always raced and always eligible (a fruitless search returns
+    the incumbent, never something slower).  Rows where every non-incumbent
+    candidate was rejected must still satisfy this via
+    ``tuned_is_incumbent``.  There is no tunable factor — equality is the
+    floor.
+    """
+    gated = [row for row in report.rows if row.get("gate")]
+    if not gated:
+        raise AssertionError("autotune floor check found no gated rows")
+    offenders = [
+        row
+        for row in gated
+        if row["tuned_objective_s"] > row["default_objective_s"]
+        and not row["tuned_is_incumbent"]
+    ]
+    if offenders:
+        detail = ", ".join(
+            f"{row['workload']}: tuned {row['tuned_objective_s']:.4f}s vs "
+            f"default {row['default_objective_s']:.4f}s"
+            for row in offenders
+        )
+        raise AssertionError(
+            f"autotune floor failed: tuned objective exceeded default<O2> on {detail}"
+        )
+    unproven = [
+        row for row in gated if row["rejected"] + row["errored"] + row[
+            "proven_equivalent"
+        ] != row["candidates_searched"] + 1  # +1: the incumbent's own record
+    ]
+    if unproven:
+        detail = ", ".join(str(row["workload"]) for row in unproven)
+        raise AssertionError(
+            f"autotune floor failed: candidate accounting inconsistent on {detail}"
+        )
 
 
 def _tune(name, budget=6, repeats=2):
@@ -45,15 +81,12 @@ def bench_autotune_search(benchmark):
     benchmark.pedantic(lambda: _tune(SMOKE_MODELS[0]), rounds=1, iterations=1)
 
 
-def test_autotune_beats_default_on_smoke_models():
-    """The acceptance claim: on >= 2 registered models the tuned pipeline's
-    objective is <= default<O2>'s (or the winner *is* the incumbent), with
-    every raced candidate carrying the incumbent's equivalence proof hash."""
+def test_raced_candidates_carry_incumbent_proof():
+    """On two registered models every raced candidate carries the
+    incumbent's equivalence proof hash (the tuned <= default floor itself is
+    asserted once, by ``test_figure10_autotune_report``)."""
     for name in SMOKE_MODELS:
         result = _tune(name)
-        assert result.objective <= result.incumbent_objective or (
-            result.winner == result.incumbent
-        ), f"{name}: tuned {result.objective} vs default {result.incumbent_objective}"
         raced = [r for r in result.records if r.status in ("winner", "equivalent", "incumbent")]
         incumbent_proof = next(
             r.proof for r in result.records if r.status == "incumbent"
@@ -66,7 +99,7 @@ def test_autotune_beats_default_on_smoke_models():
 
 
 def test_figure10_autotune_report(print_report):
-    """The committed-JSON rows, quick variant, with the CI floor applied."""
+    """The committed-JSON rows, quick variant, with the tuned <= default floor."""
     report = figure10_autotune_report(quick=True)
     print_report(report)
     check_autotune_floor(report)

@@ -4,7 +4,9 @@ pytest-benchmark times the two headline configurations (reference runner and
 Distill whole-model compilation) on the Botvinick Stroop model — the model
 with the paper's largest speedup — while the full Figure 4 table (all eight
 models × four engines, normalised to the reference runner) is regenerated by
-``test_figure4_report``.
+``test_figure4_report``, which also carries the CI ``bench`` job's sanity
+floor: the compiled engine must beat the IR interpreter by >= 3x on
+predator_prey_s and necker_cube_s.
 """
 
 import pytest
@@ -16,6 +18,10 @@ from repro.models import stroop
 
 TRIALS = 10
 INPUTS = stroop.default_inputs("incongruent")
+
+#: Compiled must beat ir-interp by at least this factor on each floor model.
+INTERP_FLOOR = 3.0
+INTERP_FLOOR_MODELS = ("predator_prey_s", "necker_cube_s")
 
 
 @pytest.fixture(scope="module")
@@ -50,3 +56,8 @@ def test_figure4_report(print_report):
         assert row["distill_speedup"] > 1.0, f"{name}: Distill must beat the baseline"
     average = next(row for row in report.rows if row["model"] == "average")
     assert average["distill_speedup"] > 5.0
+    for name in INTERP_FLOOR_MODELS:
+        advantage = rows[name]["ir-interp_s"] / rows[name]["compiled_s"]
+        assert advantage >= INTERP_FLOOR, (
+            f"{name}: compiled beat ir-interp by only {advantage:.2f}x"
+        )

@@ -12,9 +12,9 @@ Also measures the two pipeline-cost optimisations layered on this path:
   consuming pass; invalidation correctness and the per-function
   construction bound are pinned by ``tests/test_analysis_manager.py``.
 
-``test_compile_cache_smoke`` is the CI compile-cost job's entry point: quick
-mode, asserts a nonzero analysis cache hit-rate at O2, and writes the
-pass-timing report to ``$FIG7_REPORT_PATH`` (uploaded as a CI artifact).
+``test_compile_cache_smoke`` runs in the CI ``bench`` job: quick mode,
+asserts a nonzero analysis cache hit-rate at O2, and writes the pass-timing
+report to ``$FIG7_REPORT_PATH`` (uploaded as a CI artifact).
 """
 
 import os

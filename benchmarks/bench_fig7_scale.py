@@ -1,29 +1,24 @@
 """Figure 7 (scale) — mega-model compile scaling and incremental recompilation.
 
 The scaling-workload generator (``repro.fuzz.gen.generate_scale_spec``) grows
-layered models to hundreds of mechanisms; this module is the CI compile-cost
-job's incremental leg:
+layered models to hundreds of mechanisms.  ``test_edit_recompile_beats_full``
+carries the CI ``bench`` job's incremental floor: on a generated
+200-mechanism model, a single-value edit pushed through
+``CompiledModel.recompile`` must cost less than 30% of the cold full
+compile, for both the params-only path (buffer-loaded parameter, no
+re-lowering) and the patched path (baked projection matrix, one compile unit
+re-lowered).
 
-* ``test_edit_recompile_beats_full`` — on a generated 200-mechanism model, a
-  single-value edit pushed through ``CompiledModel.recompile`` must cost less
-  than 30% of the cold full compile, for both the params-only path (buffer
-  loaded parameter, no re-lowering) and the patched path (baked projection
-  matrix, one compile unit re-lowered).
-* ``test_warm_store_hit_skips_stages`` — a warm-process artifact-store hit
-  must skip distill+optimize+codegen entirely: the stage timers that only the
-  cold path runs are exactly zero and the hit is counted in ``CompileStats``.
-
-``BENCH_fig7_scale.json`` at the repo root holds the full-size rows (up to
-500 mechanisms); the CI job regenerates the quick variant and uploads it as
-an artifact (``python -m repro.bench.json_out --benches fig7_scale --quick``).
+Cold compile time against mechanism count is measured by perfbench's
+``compile_scale`` workload (``python3 perfbench/run.py --workload
+compile_scale``); the zero-stage warm artifact-store hit is pinned by
+``tests/test_artifact_store.py``.
 """
 
 import time
 
-from repro.bench.harness import _scale_edit_specs, figure7_scale_report
 from repro.core.distill import compile_composition
-from repro.driver.artifacts import ArtifactStore
-from repro.fuzz.gen import generate_scale_spec
+from repro.fuzz.gen import generate_scale_spec, scale_edit_specs
 
 #: The acceptance point from the evaluation: one edit on a 200-mechanism
 #: model must recompile in under 30% of the cold full-compile time.
@@ -40,13 +35,13 @@ def bench_scale_compile_200(benchmark):
     )
 
 
-def test_edit_recompile_beats_full(print_report):
+def test_edit_recompile_beats_full():
     spec = generate_scale_spec(7, n_mechanisms=EDIT_POINT)
     started = time.perf_counter()
     compiled = compile_composition(spec.build(), pipeline="default<O2>", store=False)
     full_seconds = time.perf_counter() - started
     try:
-        (param_edit, _), (proj_edit, receiver) = _scale_edit_specs(spec)
+        (param_edit, _), (proj_edit, receiver) = scale_edit_specs(spec)
 
         started = time.perf_counter()
         report = compiled.recompile(composition=param_edit.build(), store=False)
@@ -71,43 +66,3 @@ def test_edit_recompile_beats_full(print_report):
         )
     finally:
         compiled.close_engines()
-
-
-def test_warm_store_hit_skips_stages(tmp_path):
-    """A warm artifact-store hit must bypass distill, optimize and codegen."""
-    store = ArtifactStore(tmp_path / "artifacts")
-    spec = generate_scale_spec(3, n_mechanisms=60)
-
-    cold = compile_composition(spec.build(), pipeline="default<O2>", store=store)
-    cold.close_engines()
-    assert cold.stats.artifact_hits == 0
-    assert cold.stats.artifact_writes >= 1
-    assert cold.stats.optimize_seconds > 0.0
-
-    started = time.perf_counter()
-    warm = compile_composition(spec.build(), pipeline="default<O2>", store=store)
-    warm_seconds = time.perf_counter() - started
-    warm.close_engines()
-    # The model-level entry was served whole: the only work left is decoding
-    # the stored module and exec'ing the stored source (booked as lowering).
-    assert warm.stats.artifact_hits == 1
-    assert warm.stats.artifact_misses == 0
-    assert warm.stats.sanitize_seconds == 0.0
-    assert warm.stats.optimize_seconds == 0.0
-    assert warm.stats.codegen_seconds == 0.0
-    assert warm.stats.lower_seconds > 0.0
-    assert warm_seconds < cold.stats.total_seconds
-    # And the restored artifact is the same program.
-    assert warm.stats.instructions_after == cold.stats.instructions_after
-
-
-def test_figure7_scale_report(print_report):
-    report = figure7_scale_report(sizes=(30, 60), edit_point=60)
-    print_report(report)
-    by_mode = {}
-    for row in report.rows:
-        by_mode.setdefault(row["mode"], row)
-    assert by_mode["edit/params-only"]["relowered"] == 0
-    assert by_mode["edit/patched"]["relowered"] >= 1
-    full_60 = [r for r in report.rows if r["mode"] == "full" and r["mechanisms"] == 60]
-    assert full_60 and full_60[0]["ir_instructions"] > 0

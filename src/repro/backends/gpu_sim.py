@@ -165,25 +165,21 @@ class GpuSimEvaluator:
     across every ``run()`` / ``run_batch()`` call of the owning instance.
     """
 
-    def __init__(self, compiled):
-        self._compiled = compiled
-        self._program: Optional[LaneProgram] = None
+    def __init__(self, program: Callable[[], LaneProgram]):
+        #: Returns the binding's lane program, building it on first use.
+        self._program = program
         self._regions: Dict[str, tuple] = {}
 
     def _region(self, prepared) -> tuple:
         cached = self._regions.get(prepared.control_name)
         if cached is None:
-            if self._program is None:
-                self._program = compile_lane_program(
-                    self._compiled.module, self._compiled.function
-                )
             indices = np.arange(prepared.grid_size)
             columns = [
                 np.asarray(levels, dtype=float)[(indices // stride) % len(levels)]
                 for levels, stride in zip(prepared.levels, prepared.strides)
             ]
             counter_lanes = indices.astype(np.float64) * prepared.counter_stride
-            cached = (self._program.functions[prepared.kernel_name], columns, counter_lanes)
+            cached = (self._program().functions[prepared.kernel_name], columns, counter_lanes)
             self._regions[prepared.control_name] = cached
         return cached
 
@@ -214,7 +210,19 @@ class _GpuSimInstance(EngineInstance):
 
     def __init__(self, engine_name: str, model):
         super().__init__(engine_name, model)
-        self._evaluator = GpuSimEvaluator(model)
+        self._program: Optional[LaneProgram] = None
+        #: Grid-kernel functions emitted as per-lane scalar-dispatch
+        #: wrappers, with reasons (as on the ``lane`` engine).
+        self.lane_fallbacks: List[str] = []
+        self.lane_fallback_reasons: Dict[str, str] = {}
+        self._evaluator = GpuSimEvaluator(self._ensure_program)
+
+    def _ensure_program(self) -> LaneProgram:
+        if self._program is None:
+            self._program = compile_lane_program(self.model.module, self.model.function)
+            self.lane_fallbacks = list(self._program.fallbacks)
+            self.lane_fallback_reasons = dict(self._program.fallback_reasons)
+        return self._program
 
     def execute(self, buffers, num_trials, **options):
         drive_elements(self.model, [(buffers, num_trials)], self._evaluator.evaluate_batch)

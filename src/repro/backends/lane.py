@@ -234,7 +234,8 @@ def _per_lane(scalar_fn, args, is_ptr, m):
     ``compiled`` engine uses, so results stay bitwise identical.  Pointer
     args are ``(buffer, offset)`` with 2-D lane buffers; each lane's row is
     extracted to a plain list (the scalar calling convention), mutated in
-    place, and written back.
+    place, and written back unless the buffer is read-only (gpu-sim's
+    params row, broadcast across the grid).
     """
     n = len(m)
     results: Dict[int, object] = {}
@@ -260,7 +261,8 @@ def _per_lane(scalar_fn, args, is_ptr, m):
                 call_args.append(arg)
         result = scalar_fn(*call_args)
         for buf, row in rows.values():
-            buf[i, :] = row
+            if buf.flags.writeable:
+                buf[i, :] = row
         if result is not None:
             results[i] = result
     int_like = results and all(

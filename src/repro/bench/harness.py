@@ -17,7 +17,6 @@ DESIGN.md, "Sessions and caching".
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
@@ -305,88 +304,6 @@ def figure5b_report(cycles: int = 100, trials: int = 20) -> FigureReport:
 
 
 # ---------------------------------------------------------------------------
-# Figure 5b (lanes) — batched execution: scalar compiled vs the lane engine
-# ---------------------------------------------------------------------------
-
-#: Workload table for :func:`figure5b_lane_report`.  Each entry is
-#: ``(name, build, inputs, lanes, trials, gate)``; ``gate=True`` rows are the
-#: loop-heavy grid-search workloads the CI speedup floor is asserted over,
-#: the rest are context (settling-style models vectorise less profitably).
-def _fig5b_lane_workloads(quick: bool):
-    from ..models import necker
-
-    pp_inputs = pp_model.default_inputs(1)
-    if quick:
-        return [
-            ("predator_prey_m", lambda: pp_model.build_predator_prey("m"), pp_inputs, 1024, 2, True),
-            ("predator_prey_l", lambda: pp_model.build_predator_prey("l"), pp_inputs, 512, 2, True),
-        ]
-    return [
-        ("predator_prey_m", lambda: pp_model.build_predator_prey("m"), pp_inputs, 1024, 2, True),
-        ("predator_prey_l", lambda: pp_model.build_predator_prey("l"), pp_inputs, 1024, 2, True),
-        ("predator_prey_l", lambda: pp_model.build_predator_prey("l"), pp_inputs, 8, 2, False),
-        ("necker_cube_s", necker.build_necker_cube_s, necker.default_inputs(3), 1024, 2, False),
-    ]
-
-
-def figure5b_lane_report(quick: bool = False) -> FigureReport:
-    """Batched ``run_batch``: scalar compiled vs the vectorised lane engine.
-
-    A repro-only extension of Figure 5: every batch element becomes one SIMT
-    lane of a numpy array program (see DESIGN.md, "Lane backend"), so the
-    speedup over the scalar compiled engine grows with the batch size.  The
-    8-lane predator-prey row documents the other side of the crossover — at
-    small batches the masked whole-batch sweeps cost more than they save, and
-    the row is flagged ``regression`` exactly like Figure 5a's S variant.
-    """
-    report = FigureReport(
-        "Figure 5b (lanes)",
-        "Batched grid-search execution: scalar compiled vs the lane engine",
-    )
-    for name, build, inputs, lanes, trials, gate in _fig5b_lane_workloads(quick):
-        compiled = SESSION.compile_model(build())
-        scalar = compiled.engine_instance("compiled")
-        lane = compiled.engine_instance("lane")
-        batch = [inputs] * lanes
-        seeds = list(range(lanes))
-        # Warm both engines (lane codegen is lazy; timing measures execution).
-        scalar.run_batch(batch[:2], num_trials=trials, seed=seeds[:2])
-        lane.run_batch(batch[:2], num_trials=trials, seed=seeds[:2])
-        scalar_s = _time_call(
-            lambda: scalar.run_batch(batch, num_trials=trials, seed=seeds)
-        )
-        lane_s = _time_call(
-            lambda: lane.run_batch(batch, num_trials=trials, seed=seeds)
-        )
-        speedup = scalar_s / lane_s
-        report.add(
-            workload=name,
-            lanes=lanes,
-            trials=trials,
-            compiled_s=scalar_s,
-            lane_s=lane_s,
-            speedup=speedup,
-            lane_fallbacks=len(lane.lane_fallbacks),
-            gate=gate,
-            regression=bool(speedup < 1.0),
-        )
-    report.note(
-        "Lanes are batch elements: the lane engine stacks every element's "
-        "buffers into (n_lanes, slots) arrays and runs the masked array "
-        "program once; rows with gate=true carry the CI speedup floor."
-    )
-    regressed = [
-        f"{row['workload']}@{row['lanes']}" for row in report.rows if row["regression"]
-    ]
-    if regressed:
-        report.note(
-            f"regression rows ({', '.join(regressed)}): below the batch-size "
-            "crossover the masked sweeps cost more than the per-element loop."
-        )
-    return report
-
-
-# ---------------------------------------------------------------------------
 # Figure 5c — parallel / GPU execution of Predator-Prey XL
 # ---------------------------------------------------------------------------
 
@@ -629,126 +546,6 @@ def figure7_cache_report(repeats: int = 3) -> FigureReport:
         "pipeline (cold build + one post-simplifycfg rebuild round, pinned by "
         "tests/test_analysis_manager.py); the cold path rebuilds it for every "
         "consuming pass."
-    )
-    return report
-
-
-def _scale_edit_specs(spec):
-    """Two deterministic single-edit copies of ``spec`` for recompile rows.
-
-    Returns ``((param_edit, mechanism_name), (projection_edit, receiver_name))``.
-    The param edit scales one mechanism function parameter — those load from
-    the params buffer, so ``recompile`` resolves it without re-lowering any
-    function ("params-only").  The projection edit scales one non-zero matrix,
-    which is baked into the receiver's node function, forcing the per-unit
-    re-lower + live-patch path ("patched").
-    """
-    import copy
-
-    param_edit = copy.deepcopy(spec)
-    param_target = None
-    for mech in param_edit.mechanisms:
-        if mech.is_input:
-            continue
-        for key, value in mech.function.params.items():
-            if key != "non_negative" and isinstance(value, float) and value:
-                mech.function.params[key] = round(value * 1.25, 9)
-                param_target = mech.name
-                break
-        if param_target:
-            break
-
-    proj_edit = copy.deepcopy(spec)
-    proj_target = None
-    for projection in proj_edit.projections:
-        if isinstance(projection.matrix, list) and any(
-            v for row in projection.matrix for v in row
-        ):
-            projection.matrix = [
-                [round(v * 1.25, 9) for v in row] for row in projection.matrix
-            ]
-            proj_target = projection.receiver
-            break
-    if param_target is None or proj_target is None:
-        raise ValueError("spec offers no editable parameter/projection site")
-    return (param_edit, param_target), (proj_edit, proj_target)
-
-
-def figure7_scale_report(
-    sizes: Sequence[int] = (50, 100, 200, 500),
-    edit_point: int = 200,
-    pipeline: str = "default<O2>",
-    spec_seed: int = 7,
-) -> FigureReport:
-    """Compile cost vs mechanism count, and edit-recompile vs full compile.
-
-    A repro-only extension of Figure 7: the scaling-workload generator
-    (:func:`repro.fuzz.gen.generate_scale_spec`) builds layered mega-models
-    of ``sizes`` mechanisms, each cold-compiled with the artifact store
-    disabled so the rows measure the real distill→optimize→codegen cost.  At
-    ``edit_point`` mechanisms two single-value edits are then pushed through
-    ``CompiledModel.recompile``: a buffer-loaded parameter (resolved without
-    re-lowering) and a baked projection matrix (re-lowers only the receiver's
-    compile unit).  ``recompile_pct`` is the headline number: the cost of an
-    edit relative to the cold full compile of the same model.
-    """
-    from ..fuzz.gen import generate_scale_spec
-
-    report = FigureReport(
-        "Figure 7 (scale)",
-        "Compile cost vs mechanism count; edit-recompile vs full compile",
-    )
-    for n in sizes:
-        spec = generate_scale_spec(spec_seed, n_mechanisms=n)
-        composition = spec.build()
-        n_projections = len(composition.projections)
-        started = time.perf_counter()
-        compiled = compile_composition(composition, pipeline=pipeline, store=False)
-        full_seconds = time.perf_counter() - started
-        stats = compiled.stats
-        report.add(
-            mechanisms=n,
-            projections=n_projections,
-            mode="full",
-            seconds=full_seconds,
-            pct_of_full=1.0,
-            relowered=len(list(compiled.module.defined_functions())),
-            sanitize_s=stats.sanitize_seconds,
-            optimize_s=stats.optimize_seconds,
-            lower_s=stats.lower_seconds,
-            ir_instructions=stats.instructions_after,
-        )
-        if n != edit_point:
-            compiled.close_engines()
-            continue
-        for label, (edited, _target) in zip(
-            ("edit/params-only", "edit/patched"), _scale_edit_specs(spec)
-        ):
-            started = time.perf_counter()
-            patch_report = compiled.recompile(
-                composition=edited.build(), store=False
-            )
-            seconds = time.perf_counter() - started
-            report.add(
-                mechanisms=n,
-                projections=n_projections,
-                mode=label,
-                seconds=seconds,
-                pct_of_full=seconds / full_seconds,
-                relowered=len(patch_report.get("relowered") or ()),
-                sanitize_s="-",
-                optimize_s="-",
-                lower_s="-",
-                ir_instructions=compiled.stats.instructions_after,
-            )
-            assert patch_report["mode"] in ("params-only", "patched"), patch_report
-        compiled.close_engines()
-    report.note(
-        "Edits re-lower only the compile units whose structural fingerprint "
-        "changed; a buffer-loaded parameter edit re-lowers none.  Cold compiles "
-        "run with the artifact store disabled (store=False) so the scaling rows "
-        "are cache-independent; warm-store behaviour is asserted separately by "
-        "benchmarks/bench_fig7_scale.py."
     )
     return report
 
@@ -1030,191 +827,6 @@ def figure8_report(
     return report
 
 
-# ---------------------------------------------------------------------------
-# Figure 9 — serving daemon: cold compile vs warm session vs coalesced load
-# ---------------------------------------------------------------------------
-
-#: Workloads for :func:`figure9_serving_report`.  ``gate=True`` rows carry the
-#: CI floor (served-warm p50 must beat the cold per-request compile by the
-#: asserted factor); both suite models here are compile-dominated at one
-#: trial, which is exactly the shape the warm daemon amortises.
-FIG9_WORKLOADS = (
-    ("necker_cube_s", 1, True),
-    ("botvinick_stroop", 1, True),
-)
-
-
-def _percentile_ms(latencies: Sequence[float], q: float) -> float:
-    ordered = sorted(latencies)
-    index = min(len(ordered) - 1, int(q * (len(ordered) - 1) + 0.5))
-    return ordered[index] * 1000.0
-
-
-def figure9_serving_report(
-    quick: bool = False,
-    load_clients: int = 4,
-    coalesce_window_ms: float = 2.0,
-) -> FigureReport:
-    """Serving daemon: cold per-request compile vs warm daemon vs coalesced load.
-
-    A repro-only extension of the evaluation: three ways to answer the same
-    stream of run requests.  ``cold`` pays a fresh ``compile_composition``
-    per request (the per-process baseline the daemon replaces — measured
-    in-process, i.e. *without* interpreter start-up, which only flatters the
-    baseline); ``served-warm`` sends sequential requests to a daemon whose
-    session already holds the compiled model; ``served-coalesced`` drives the
-    daemon with ``load_clients`` concurrent threads so same-key requests
-    coalesce into shared ``run_batch`` dispatches (a small linger window
-    makes the batching deterministic enough to benchmark).  Correctness of
-    the coalesced path is pinned bitwise by tests/test_serve.py; this report
-    only measures it.
-    """
-    import tempfile
-    import threading
-
-    from ..serve import ServeClient, ServeConfig, Server, wait_for_server
-
-    cold_repeats = 2 if quick else 3
-    warm_requests = 12 if quick else 40
-    load_requests = 5 if quick else 12  # per client
-
-    report = FigureReport(
-        "Figure 9", "Serving daemon: cold compile vs warm session vs coalesced load"
-    )
-    tmp = tempfile.mkdtemp(prefix="repro-serve-bench-")
-    sock = os.path.join(tmp, "bench.sock")
-    server = Server(
-        sock,
-        artifact_dir=False,
-        config=ServeConfig(
-            max_queue=256,
-            max_coalesce=64,
-            coalesce_window=coalesce_window_ms / 1000.0,
-        ),
-    )
-    server.start()
-    try:
-        wait_for_server(sock)
-        for name, trials, gate in FIG9_WORKLOADS:
-            entry = get_model(name)
-            inputs = entry.inputs()
-
-            cold = []
-            for repeat in range(cold_repeats):
-                start = time.perf_counter()
-                compiled = compile_composition(
-                    entry.build(), pipeline="default<O2>", store=False
-                )
-                compiled.run(inputs, num_trials=trials, seed=repeat, engine="compiled")
-                cold.append(time.perf_counter() - start)
-                compiled.close_engines()
-            cold_p50 = _percentile_ms(cold, 0.5)
-            report.add(
-                workload=name,
-                mode="cold",
-                requests=len(cold),
-                clients=1,
-                p50_ms=cold_p50,
-                p99_ms=_percentile_ms(cold, 0.99),
-                req_per_s=len(cold) / sum(cold),
-                coalesce_rate=0.0,
-                speedup_vs_cold=1.0,
-                gate=gate,
-            )
-
-            with ServeClient(sock, timeout=600.0) as client:
-                client.run(name, inputs, num_trials=trials, seed=0)  # warm the session
-                warm = []
-                warm_started = time.perf_counter()
-                for seed in range(warm_requests):
-                    start = time.perf_counter()
-                    client.run(name, inputs, num_trials=trials, seed=seed)
-                    warm.append(time.perf_counter() - start)
-                warm_elapsed = time.perf_counter() - warm_started
-            warm_p50 = _percentile_ms(warm, 0.5)
-            report.add(
-                workload=name,
-                mode="served-warm",
-                requests=warm_requests,
-                clients=1,
-                p50_ms=warm_p50,
-                p99_ms=_percentile_ms(warm, 0.99),
-                req_per_s=warm_requests / warm_elapsed,
-                coalesce_rate=0.0,
-                speedup_vs_cold=cold_p50 / warm_p50,
-                gate=gate,
-            )
-
-            before = server.stats()
-            latencies_lock = threading.Lock()
-            load_latencies: List[float] = []
-            errors: List[BaseException] = []
-
-            def load_client(worker: int):
-                try:
-                    with ServeClient(sock, timeout=600.0) as client:
-                        for request in range(load_requests):
-                            start = time.perf_counter()
-                            client.run(
-                                name,
-                                inputs,
-                                num_trials=trials,
-                                seed=worker * load_requests + request,
-                            )
-                            elapsed = time.perf_counter() - start
-                            with latencies_lock:
-                                load_latencies.append(elapsed)
-                except BaseException as exc:  # surfaced after join
-                    errors.append(exc)
-
-            threads = [
-                threading.Thread(target=load_client, args=(worker,))
-                for worker in range(load_clients)
-            ]
-            load_started = time.perf_counter()
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            load_elapsed = time.perf_counter() - load_started
-            if errors:
-                raise errors[0]
-            after = server.stats()
-            completed = (
-                after["requests"]["completed"] - before["requests"]["completed"]
-            )
-            coalesced = (
-                after["coalesce"]["coalesced_requests"]
-                - before["coalesce"]["coalesced_requests"]
-            )
-            load_p50 = _percentile_ms(load_latencies, 0.5)
-            report.add(
-                workload=name,
-                mode="served-coalesced",
-                requests=len(load_latencies),
-                clients=load_clients,
-                p50_ms=load_p50,
-                p99_ms=_percentile_ms(load_latencies, 0.99),
-                req_per_s=len(load_latencies) / load_elapsed,
-                coalesce_rate=(coalesced / completed) if completed else 0.0,
-                speedup_vs_cold=cold_p50 / load_p50,
-                gate=gate,
-            )
-    finally:
-        server.shutdown(drain=False)
-    report.note(
-        "cold = fresh compile_composition + run per request (store disabled), the "
-        "per-process baseline minus interpreter start-up; served rows include the "
-        "full socket round trip against one warm daemon session."
-    )
-    report.note(
-        f"served-coalesced drives {load_clients} concurrent clients with a "
-        f"{coalesce_window_ms:g} ms linger window; coalesce_rate is the fraction "
-        "of completed requests that shared another request's dispatch."
-    )
-    return report
-
-
 FIG10_MODELS = (
     ("necker_cube_s", True),
     ("predator_prey_s", True),
@@ -1231,7 +843,8 @@ def figure10_autotune_report(quick: bool = False) -> FigureReport:
     profile, proves each candidate bitwise-equivalent on the workload's
     representative inputs, races the survivors, and reports the winner's
     weighted compile+run objective next to the incumbent's.  ``gate`` rows
-    feed ``check_autotune_floor``: the winner's objective must never exceed
+    carry the floor asserted by ``benchmarks/bench_fig10_autotune.py``
+    (``check_autotune_floor``): the winner's objective must never exceed
     the incumbent's (the incumbent itself is always raced and eligible, so
     "no candidate wins" degrades to returning the incumbent, not to a
     regression).
@@ -1290,8 +903,7 @@ def figure10_autotune_report(quick: bool = False) -> FigureReport:
     )
     report.note(
         "store=False: every row reflects a fresh search. Cached resolution "
-        "(pipeline=\"auto\") is covered by figure9's serving path and "
-        "tests/test_autotune.py."
+        "(pipeline=\"auto\") is covered by tests/test_autotune.py."
     )
     return report
 
@@ -1343,7 +955,6 @@ def all_reports(quick: bool = True) -> List[FigureReport]:
         figure4_report(trials_scale=0.5 if quick else 1.0),
         figure5a_report(variants=("s", "m", "l"), include_xl=not quick, xl_levels=40 if quick else 100),
         figure5b_report(trials=10 if quick else 20),
-        figure5b_lane_report(quick=quick),
         figure5c_report(levels_per_entity=12 if quick else 20),
         figure6_report(),
         figure7_report(trials=2 if quick else 4),

@@ -1,33 +1,27 @@
-"""Machine-readable benchmark emission: the repo's perf trajectory.
+"""Machine-readable figure rows: ``BENCH_<name>.json`` files.
 
-Figure reports are human tables; the perf trajectory needs data a later PR
-(or CI) can diff.  This module serialises :class:`~repro.bench.harness.
-FigureReport` rows into ``BENCH_<name>.json`` files with the schema
+Figure reports are human tables; this module serialises the rows of a
+:class:`~repro.bench.harness.FigureReport` into ``BENCH_<name>.json`` with
+the schema
 
 .. code-block:: json
 
-    {"bench": "fig8", "commit": "<hex|unknown>", "rows": [{...}, ...]}
+    {"bench": "fig8", "commit": "<hex|unknown>", "schema_version": 1,
+     "title": "...", "notes": [...], "rows": [{...}, ...]}
 
-``BENCH_fig5a.json`` (predator-prey scaling), ``BENCH_fig5b_lanes.json``
-(batched scalar-vs-lane execution), ``BENCH_fig8.json`` (dispatch-loop vs
-structured codegen), ``BENCH_fig7_scale.json`` (compile cost vs mechanism
-count + edit-recompile vs full compile) and ``BENCH_fig9_serving.json``
-(serving daemon: cold compile vs warm session vs coalesced load) and
-``BENCH_fig10_autotune.json`` (pipeline autotuner: default<O2> vs the
-equivalence-proven tuned winner) are committed at the repository root; the
-CI perf-smoke job regenerates the first three (and sanity-asserts that the
-compiled engine beats the IR interpreter and the lane engine beats scalar
-compiled by healthy factors), the compile-cost job regenerates
-``fig7_scale``, the serving-smoke job regenerates ``fig9_serving`` with the
-served-warm >= 5x cold floor, and the autotune-smoke job regenerates
-``fig10_autotune`` with the tuned <= default floor; every job uploads its
-fresh JSON as artifacts.
+NaN/Inf cells become ``null`` and numpy scalars are unwrapped, so the files
+are strict JSON.  ``BENCH_fig5a.json`` (predator-prey scaling),
+``BENCH_fig8.json`` (dispatch-loop vs structured codegen) and
+``BENCH_fig10_autotune.json`` (default<O2> vs the tuned pipeline) are
+committed at the repository root; the CI ``bench`` job regenerates them in
+quick mode and uploads them.  This module only writes rows: the perf floors
+are plain assertions in the ``benchmarks/`` modules, and compile time, warm
+engine runs and served requests are measured by ``perfbench/run.py``.
 
 CLI::
 
     python -m repro.bench.json_out --out-dir . [--quick] \
-        [--assert-compiled-vs-interp 3.0] [--assert-lane-vs-compiled 5.0] \
-        [--benches fig5a,fig5b_lanes,fig8]
+        [--benches fig5a,fig8,fig10_autotune]
 """
 
 from __future__ import annotations
@@ -38,18 +32,9 @@ import math
 import os
 import subprocess
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
-from .harness import (
-    FigureReport,
-    _time_call,
-    figure5a_report,
-    figure5b_lane_report,
-    figure7_scale_report,
-    figure8_report,
-    figure9_serving_report,
-    figure10_autotune_report,
-)
+from .harness import FigureReport, figure5a_report, figure8_report, figure10_autotune_report
 
 #: Schema version recorded in every payload (bump on breaking row changes).
 SCHEMA_VERSION = 1
@@ -130,199 +115,21 @@ def _build_fig8(quick: bool) -> FigureReport:
     return figure8_report(trials_scale=2.0, repeats=5)
 
 
-def _build_fig7_scale(quick: bool) -> FigureReport:
-    if quick:
-        return figure7_scale_report(sizes=(50, 100, 200), edit_point=200)
-    return figure7_scale_report(sizes=(50, 100, 200, 500), edit_point=200)
-
-
-def _build_fig5b_lanes(quick: bool) -> FigureReport:
-    return figure5b_lane_report(quick=quick)
-
-
-def _build_fig9_serving(quick: bool) -> FigureReport:
-    return figure9_serving_report(quick=quick)
-
-
 def _build_fig10_autotune(quick: bool) -> FigureReport:
     return figure10_autotune_report(quick=quick)
 
 
 BENCH_BUILDERS = {
     "fig5a": _build_fig5a,
-    "fig5b_lanes": _build_fig5b_lanes,
-    "fig7_scale": _build_fig7_scale,
     "fig8": _build_fig8,
-    "fig9_serving": _build_fig9_serving,
     "fig10_autotune": _build_fig10_autotune,
 }
-
-
-def check_lane_floor(report: FigureReport, factor: float) -> None:
-    """Raise ``AssertionError`` when a gated lane row misses ``factor``.
-
-    Only ``gate=True`` rows (the loop-heavy grid-search workloads) carry the
-    floor; context rows — including the deliberate below-crossover regression
-    row — are exempt.
-    """
-    gated = [row for row in report.rows if row.get("gate")]
-    if not gated:
-        raise AssertionError("lane floor check found no gated rows")
-    offenders = [row for row in gated if row["speedup"] < factor]
-    if offenders:
-        detail = ", ".join(
-            f"{row['workload']}@{row['lanes']}={row['speedup']:.2f}x"
-            for row in offenders
-        )
-        raise AssertionError(
-            f"perf smoke failed: lane beat scalar compiled by less than "
-            f"{factor}x on {detail}"
-        )
-
-
-def check_serving_floor(report: FigureReport, factor: float) -> None:
-    """Raise ``AssertionError`` when a gated served-warm row misses ``factor``.
-
-    The floor is the serving daemon's reason to exist: on ``gate=True``
-    workloads a warm-session request must beat the cold per-request compile
-    baseline by at least ``factor`` at p50.  The coalesced rows additionally
-    must have seen real coalescing (rate > 0) — a zero rate means the load
-    generator never produced concurrent same-key requests and the bench
-    measured nothing.
-    """
-    warm = [
-        row for row in report.rows if row.get("gate") and row["mode"] == "served-warm"
-    ]
-    if not warm:
-        raise AssertionError("serving floor check found no gated served-warm rows")
-    offenders = [row for row in warm if row["speedup_vs_cold"] < factor]
-    if offenders:
-        detail = ", ".join(
-            f"{row['workload']}={row['speedup_vs_cold']:.2f}x" for row in offenders
-        )
-        raise AssertionError(
-            f"perf smoke failed: served-warm p50 beat the cold per-request "
-            f"compile by less than {factor}x on {detail}"
-        )
-    stale = [
-        row
-        for row in report.rows
-        if row["mode"] == "served-coalesced" and not row["coalesce_rate"] > 0.0
-    ]
-    if stale:
-        detail = ", ".join(str(row["workload"]) for row in stale)
-        raise AssertionError(
-            f"perf smoke failed: no coalescing observed under load on {detail}"
-        )
-
-
-def check_autotune_floor(report: FigureReport) -> None:
-    """Raise ``AssertionError`` when a gated tuned row exceeds the default.
-
-    The autotuner's contract is unconditional on ``gate=True`` workloads: the
-    winner's measured objective must be <= the incumbent's, because the
-    incumbent is always raced and always eligible (a fruitless search returns
-    the incumbent, never something slower).  Rows where every non-incumbent
-    candidate was rejected must still satisfy this via
-    ``tuned_is_incumbent``.  Unlike the lane/serving floors there is no
-    tunable factor — equality is the floor.
-    """
-    gated = [row for row in report.rows if row.get("gate")]
-    if not gated:
-        raise AssertionError("autotune floor check found no gated rows")
-    offenders = [
-        row
-        for row in gated
-        if row["tuned_objective_s"] > row["default_objective_s"]
-        and not row["tuned_is_incumbent"]
-    ]
-    if offenders:
-        detail = ", ".join(
-            f"{row['workload']}: tuned {row['tuned_objective_s']:.4f}s vs "
-            f"default {row['default_objective_s']:.4f}s"
-            for row in offenders
-        )
-        raise AssertionError(
-            f"autotune smoke failed: tuned objective exceeded default<O2> on {detail}"
-        )
-    unproven = [
-        row for row in gated if row["rejected"] + row["errored"] + row[
-            "proven_equivalent"
-        ] != row["candidates_searched"] + 1  # +1: the incumbent's own record
-    ]
-    if unproven:
-        detail = ", ".join(str(row["workload"]) for row in unproven)
-        raise AssertionError(
-            f"autotune smoke failed: candidate accounting inconsistent on {detail}"
-        )
-
-
-def measure_compiled_vs_interp(
-    models: Sequence[str] = ("predator_prey_s", "necker_cube_s"),
-) -> List[Dict]:
-    """Time the compiled engine against ``ir-interp`` on small models.
-
-    Measurement only — every model is measured even if some regress, so the
-    CI artifact always contains the full rows; the factor assertion lives in
-    :func:`assert_compiled_beats_interp` / ``main``.
-    """
-    from ..core.distill import compile_composition
-    from ..models import get_model
-
-    rows: List[Dict] = []
-    for name in models:
-        entry = get_model(name)
-        inputs = entry.inputs()
-        trials = max(entry.num_trials, 1)
-        compiled = compile_composition(entry.build(), pipeline="default<O2>")
-        try:
-            compiled_s = _time_call(
-                lambda: compiled.run(inputs, num_trials=trials, seed=0, engine="compiled"),
-                3,
-            )
-            interp_s = _time_call(
-                lambda: compiled.run(inputs, num_trials=trials, seed=0, engine="ir-interp")
-            )
-        finally:
-            compiled.close_engines()
-        rows.append(
-            {
-                "model": name,
-                "trials": trials,
-                "compiled_s": compiled_s,
-                "ir_interp_s": interp_s,
-                "advantage": interp_s / compiled_s,
-            }
-        )
-    return rows
-
-
-def check_advantage_floor(rows: Sequence[Dict], factor: float) -> None:
-    """Raise ``AssertionError`` when any measured advantage is below ``factor``."""
-    offenders = [row for row in rows if row["advantage"] < factor]
-    if offenders:
-        detail = ", ".join(
-            f"{row['model']}={row['advantage']:.2f}x" for row in offenders
-        )
-        raise AssertionError(
-            f"perf smoke failed: compiled beat ir-interp by less than "
-            f"{factor}x on {detail}"
-        )
-
-
-def assert_compiled_beats_interp(
-    factor: float, models: Sequence[str] = ("predator_prey_s", "necker_cube_s")
-) -> List[Dict]:
-    """Perf-smoke sanity bar: compiled must beat ir-interp by ``factor``."""
-    rows = measure_compiled_vs_interp(models)
-    check_advantage_floor(rows, factor)
-    return rows
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench.json_out",
-        description="Write BENCH_*.json perf-trajectory files.",
+        description="Write figure rows as BENCH_*.json files.",
     )
     parser.add_argument("--out-dir", default=".", help="directory for BENCH_*.json")
     parser.add_argument(
@@ -333,90 +140,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--quick", action="store_true", help="smaller variants/repeats (CI smoke)"
     )
-    parser.add_argument(
-        "--assert-compiled-vs-interp",
-        type=float,
-        default=None,
-        metavar="FACTOR",
-        help="also run the 2-model compiled-vs-ir-interp sanity check and fail "
-        "below FACTOR (writes BENCH_perf_smoke.json)",
-    )
-    parser.add_argument(
-        "--assert-lane-vs-compiled",
-        type=float,
-        default=None,
-        metavar="FACTOR",
-        help="fail when a gated fig5b_lanes row beats scalar compiled by less "
-        "than FACTOR (requires fig5b_lanes in --benches)",
-    )
-    parser.add_argument(
-        "--assert-served-warm-vs-cold",
-        type=float,
-        default=None,
-        metavar="FACTOR",
-        help="fail when a gated fig9_serving served-warm row beats the cold "
-        "per-request compile by less than FACTOR at p50, or when the "
-        "coalesced load saw no coalescing (requires fig9_serving in --benches)",
-    )
-    parser.add_argument(
-        "--assert-autotune",
-        action="store_true",
-        help="fail when a gated fig10_autotune row's tuned objective exceeds "
-        "the default<O2> objective (requires fig10_autotune in --benches)",
-    )
     args = parser.parse_args(argv)
+
+    benches = [b.strip() for b in args.benches.split(",") if b.strip()]
+    unknown = [b for b in benches if b not in BENCH_BUILDERS]
+    if unknown:
+        parser.error(
+            f"unknown bench {', '.join(map(repr, unknown))}; known: {sorted(BENCH_BUILDERS)}"
+        )
 
     os.makedirs(args.out_dir, exist_ok=True)
     commit = current_commit()
-    lane_report: Optional[FigureReport] = None
-    serving_report: Optional[FigureReport] = None
-    autotune_report: Optional[FigureReport] = None
-    for bench in [b.strip() for b in args.benches.split(",") if b.strip()]:
-        builder = BENCH_BUILDERS.get(bench)
-        if builder is None:
-            parser.error(f"unknown bench {bench!r}; known: {sorted(BENCH_BUILDERS)}")
-        report = builder(args.quick)
-        if bench == "fig5b_lanes":
-            lane_report = report
-        if bench == "fig9_serving":
-            serving_report = report
-        if bench == "fig10_autotune":
-            autotune_report = report
+    for bench in benches:
+        report = BENCH_BUILDERS[bench](args.quick)
         path = os.path.join(args.out_dir, f"BENCH_{bench}.json")
         write_bench_json(path, bench, report, commit=commit)
         print(report.format_table())
         print(f"wrote {path}")
-
-    if args.assert_autotune:
-        if autotune_report is None:
-            parser.error("--assert-autotune requires fig10_autotune in --benches")
-        check_autotune_floor(autotune_report)
-
-    if args.assert_lane_vs_compiled is not None:
-        # The JSON is already on disk: a failing floor still uploads evidence.
-        if lane_report is None:
-            parser.error("--assert-lane-vs-compiled requires fig5b_lanes in --benches")
-        check_lane_floor(lane_report, args.assert_lane_vs_compiled)
-
-    if args.assert_served_warm_vs_cold is not None:
-        if serving_report is None:
-            parser.error(
-                "--assert-served-warm-vs-cold requires fig9_serving in --benches"
-            )
-        check_serving_floor(serving_report, args.assert_served_warm_vs_cold)
-
-    if args.assert_compiled_vs_interp is not None:
-        # Measure, persist the rows, *then* assert: a failing run must still
-        # upload the timing evidence as a CI artifact.
-        rows = measure_compiled_vs_interp()
-        smoke = FigureReport("perf-smoke", "compiled vs ir-interp sanity factor")
-        for row in rows:
-            smoke.add(**row)
-        path = os.path.join(args.out_dir, "BENCH_perf_smoke.json")
-        write_bench_json(path, "perf_smoke", smoke, commit=commit)
-        print(smoke.format_table())
-        print(f"wrote {path}")
-        check_advantage_floor(rows, args.assert_compiled_vs_interp)
     return 0
 
 

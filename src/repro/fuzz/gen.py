@@ -42,6 +42,7 @@ __all__ = [
     "ModelSpec",
     "generate_model_spec",
     "generate_scale_spec",
+    "scale_edit_specs",
     "perturb_spec",
     "ELEMENTWISE_FUNCTIONS",
     "REDUCER_FUNCTIONS",
@@ -764,9 +765,9 @@ def generate_scale_spec(
     is an ordinary :class:`ModelSpec` — ``to_source()``/``build()`` and the
     differential oracle work unchanged.
 
-    Used by ``BENCH_fig7_scale`` (compile time vs mechanism count, and
-    edit-recompile vs full-compile latency) and the CI compile-cost smoke
-    job's edit-recompile leg.
+    Used by perfbench's ``compile_scale`` workload (cold compile time at
+    50/100/200 mechanisms) and, through :func:`scale_edit_specs`, by the
+    edit-recompile floor in ``benchmarks/bench_fig7_scale.py``.
     """
     if n_mechanisms < 2:
         raise ValueError("scale specs need at least 2 mechanisms")
@@ -862,6 +863,47 @@ def generate_scale_spec(
         num_trials=1,
         run_seed=rng.randrange(0, 1 << 16),
     )
+
+
+def scale_edit_specs(spec: ModelSpec):
+    """Two deterministic single-edit copies of a scale ``spec``.
+
+    Returns ``((param_edit, mechanism_name), (projection_edit, receiver_name))``.
+    The param edit scales one mechanism function parameter — those load from
+    the params buffer, so ``recompile`` resolves it without re-lowering any
+    function ("params-only").  The projection edit scales one non-zero matrix,
+    which is baked into the receiver's node function, forcing the per-unit
+    re-lower + live-patch path ("patched").
+    """
+    import copy
+
+    param_edit = copy.deepcopy(spec)
+    param_target = None
+    for mech in param_edit.mechanisms:
+        if mech.is_input:
+            continue
+        for key, value in mech.function.params.items():
+            if key != "non_negative" and isinstance(value, float) and value:
+                mech.function.params[key] = _scale_value(value)
+                param_target = mech.name
+                break
+        if param_target:
+            break
+
+    proj_edit = copy.deepcopy(spec)
+    proj_target = None
+    for projection in proj_edit.projections:
+        if isinstance(projection.matrix, list) and any(
+            v for row in projection.matrix for v in row
+        ):
+            projection.matrix = [
+                [_scale_value(v) for v in row] for row in projection.matrix
+            ]
+            proj_target = projection.receiver
+            break
+    if param_target is None or proj_target is None:
+        raise ValueError("spec offers no editable parameter/projection site")
+    return (param_edit, param_target), (proj_edit, proj_target)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from repro.driver.artifacts import (
 )
 from repro.driver.pipeline import parse_pipeline
 from repro.core.distill import compile_composition
-from repro.fuzz.gen import generate_model_spec, generate_scale_spec
+from repro.fuzz.gen import generate_model_spec, generate_scale_spec, scale_edit_specs
 from repro.ir import Module
 from repro.ir import types as ir_types
 from repro.ir.fingerprint import function_fingerprint
@@ -257,6 +257,10 @@ class TestEndToEndReuse:
         assert warm.stats.sanitize_seconds == 0.0
         assert warm.stats.optimize_seconds == 0.0
         assert warm.stats.codegen_seconds == 0.0
+        # The only work left on a hit is decoding the stored module and
+        # exec'ing the stored source, booked as lowering.
+        assert warm.stats.lower_seconds > 0.0
+        assert warm.stats.instructions_after == cold.stats.instructions_after
 
         from repro.fuzz.oracle import buffers_equal, raw_buffers
 
@@ -269,11 +273,9 @@ class TestEndToEndReuse:
             warm.close_engines()
 
     def test_param_value_siblings_share_optimize_entry(self, tmp_path):
-        from repro.bench.harness import _scale_edit_specs
-
         store = ArtifactStore(tmp_path / "store")
         spec = generate_scale_spec(1, n_mechanisms=10)
-        (param_edit, target), _ = _scale_edit_specs(spec)
+        (param_edit, target), _ = scale_edit_specs(spec)
 
         base = compile_composition(spec.build(), pipeline="default<O2>", store=store)
         base.close_engines()
@@ -300,11 +302,9 @@ class TestEndToEndReuse:
         assert base.layout.param_values != sibling.layout.param_values
 
     def test_baked_matrix_edit_does_not_share_optimize_entry(self, tmp_path):
-        from repro.bench.harness import _scale_edit_specs
-
         store = ArtifactStore(tmp_path / "store")
         spec = generate_scale_spec(1, n_mechanisms=10)
-        _, (proj_edit, receiver) = _scale_edit_specs(spec)
+        _, (proj_edit, receiver) = scale_edit_specs(spec)
 
         base = compile_composition(spec.build(), pipeline="default<O2>", store=store)
         base.close_engines()

@@ -1,9 +1,12 @@
 """Tests for the benchmark harness plumbing and the parallel grid driver helpers."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.backends.grid_driver import allocation_for_index, grid_strides, select_best
+from repro.bench import json_out
 from repro.bench.harness import FigureReport, figure3_report, figure6_report
 from repro.cogframe.prng import CounterRNG
 
@@ -35,6 +38,48 @@ class TestHarnessReports:
         assert len(report.rows) == 10  # 5 register caps x 2 precisions
         assert {r["precision"] for r in report.rows} == {"fp32", "fp64"}
         assert all(0.0 < r["occupancy"] <= 1.0 for r in report.rows)
+
+
+class TestBenchJson:
+    def test_main_validates_benches_and_writes_strict_json(self, tmp_path, monkeypatch):
+        built = []
+
+        def fake_fig5a(quick):
+            built.append(quick)
+            report = FigureReport("Figure 5a", "demo")
+            report.add(
+                nan=float("nan"),
+                inf=float("-inf"),
+                f64=np.float64(1.5),
+                i64=np.int64(7),
+                flag=True,
+                label="s",
+            )
+            report.note("a note")
+            return report
+
+        monkeypatch.setitem(json_out.BENCH_BUILDERS, "fig5a", fake_fig5a)
+        monkeypatch.setenv("GITHUB_SHA", "abc123")
+
+        # An unknown name fails before any bench is built or written.
+        with pytest.raises(SystemExit):
+            json_out.main(["--out-dir", str(tmp_path), "--benches", "fig5a,nope"])
+        assert built == []
+        assert list(tmp_path.iterdir()) == []
+
+        assert json_out.main(["--out-dir", str(tmp_path), "--benches", "fig5a", "--quick"]) == 0
+        assert built == [True]
+        with open(tmp_path / "BENCH_fig5a.json", encoding="utf-8") as handle:
+            payload = json.load(handle)
+        assert payload["bench"] == "fig5a"
+        assert payload["commit"] == "abc123"
+        assert payload["schema_version"] == json_out.SCHEMA_VERSION
+        assert payload["title"] == "demo"
+        assert payload["notes"] == ["a note"]
+        assert payload["rows"] == [
+            {"nan": None, "inf": None, "f64": 1.5, "i64": 7, "flag": True, "label": "s"}
+        ]
+        assert type(payload["rows"][0]["i64"]) is int
 
 
 class TestGridDriverHelpers:

@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.distill import compile_composition
 from repro.driver.session import Session
-from repro.fuzz.gen import generate_model_spec, generate_scale_spec
+from repro.fuzz.gen import generate_model_spec, generate_scale_spec, scale_edit_specs
 from repro.fuzz.oracle import buffers_equal, raw_buffers
 from repro.models import predator_prey as pp
 
@@ -170,11 +170,9 @@ class TestFullFallback:
 
 class TestScaleSpecEdits:
     def test_scale_model_edit_relowersers_one_unit(self):
-        from repro.bench.harness import _scale_edit_specs
-
         spec = generate_scale_spec(2, n_mechanisms=16)
         model = compile_composition(spec.build(), pipeline="default<O2>", store=False)
-        (param_edit, _), (proj_edit, receiver) = _scale_edit_specs(spec)
+        (param_edit, _), (proj_edit, receiver) = scale_edit_specs(spec)
 
         report = model.recompile(composition=param_edit.build())
         assert report["mode"] == "params-only"

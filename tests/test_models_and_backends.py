@@ -9,11 +9,12 @@ from hypothesis import given, settings
 
 from repro.backends.gpu_sim import GpuOccupancyModel, launch_grid_kernel
 from repro.backends.interp import Interpreter
-from repro.backends.lane import compile_lane_program
+from repro.backends.lane import LANE_INTRINSICS, compile_lane_program
 from repro.backends.pycodegen import PythonCodeGenerator, compile_module_to_python
 from repro.cogframe import CounterRNG, ReferenceRunner, sanitize
 from repro.core.distill import compile_composition
 from repro.core.reservoir import merge_chunk_minima, reservoir_argmin
+from repro.fuzz.compare import buffers_equal, raw_buffers
 from repro.core.specialize import emit_library_function, specialize_on_buffer
 from repro.cogframe.functions import DriftDiffusionIntegrator, Logistic
 from repro.ir import F64, FunctionType, IRBuilder, Module, pointer, verify_module
@@ -282,6 +283,28 @@ class TestGpuSimulator:
             expected = [scalar(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
             np.testing.assert_array_equal(costs, expected, err_msg=op)
         assert math.isnan(compile_module_to_python(module)["pow"](400.0, 400.0))
+
+    def test_unsupported_intrinsic_falls_back_per_lane(self, monkeypatch):
+        """Without a lane lowering for ``sqrt`` (used by the predator-prey
+        eval kernel) gpu-sim runs those functions per grid point through the
+        scalar program, reports them, and stays bitwise equal to compiled."""
+        monkeypatch.delitem(LANE_INTRINSICS, "sqrt")
+        compiled = compile_composition(
+            predator_prey.build_predator_prey("s"), pipeline="default<O2>"
+        )
+        try:
+            inputs = predator_prey.default_inputs(1)
+            mismatch = buffers_equal(
+                raw_buffers(compiled, inputs, 2, 0, "compiled"),
+                raw_buffers(compiled, inputs, 2, 0, "gpu-sim"),
+            )
+            assert mismatch is None, mismatch
+            gpu = compiled.engine_instance("gpu-sim")
+            assert gpu.lane_fallbacks, "expected per-lane fallbacks without sqrt"
+            for name in gpu.lane_fallbacks:
+                assert "sqrt" in gpu.lane_fallback_reasons[name]
+        finally:
+            compiled.close_engines()
 
     def test_occupancy_model_monotonic(self):
         model = GpuOccupancyModel()
