@@ -12,9 +12,10 @@ Also measures the two pipeline-cost optimisations layered on this path:
   consuming pass; invalidation correctness and the per-function
   construction bound are pinned by ``tests/test_analysis_manager.py``.
 
-``test_compile_cache_smoke`` runs in the CI ``bench`` job: quick mode,
-asserts a nonzero analysis cache hit-rate at O2, and writes the pass-timing
-report to ``$FIG7_REPORT_PATH`` (uploaded as a CI artifact).
+``test_figure7_report`` and ``test_compile_cache_smoke`` run in the CI
+``bench`` job; the smoke test asserts a nonzero analysis cache hit-rate at O2
+and writes the pass-timing report to ``$FIG7_REPORT_PATH`` (uploaded as a CI
+artifact).
 """
 
 import os
@@ -95,9 +96,7 @@ def _write_timing_report(path: str) -> None:
     """Pass-timing breakdown of one cached O2 compile (the CI artifact)."""
     compiled = compile_composition(pp.build_predator_prey("m"), pipeline="default<O2>")
     lines = ["pass timing report — predator_prey_m @ default<O2> (cached)", ""]
-    for name, row in sorted(
-        compiled.pipeline.aggregate_timings().items(), key=lambda kv: -kv[1]["seconds"]
-    ):
+    for name, row in sorted(compiled.stats.passes.items(), key=lambda kv: -kv[1]["seconds"]):
         lines.append(
             f"{name:16s} {row['seconds'] * 1e3:8.2f} ms over {row['runs']} run(s), "
             f"{row['changed']} changed"

@@ -343,6 +343,9 @@ class AnalysisManager:
         self.skipped_passes = 0
         #: analysis name -> number of times it was actually computed.
         self.computed: Dict[str, int] = {}
+        #: pass name -> {"seconds", "runs", "changed", "noops"} over every
+        #: leaf pass run of the compile (see :meth:`record_pass`).
+        self.passes: Dict[str, Dict[str, float]] = {}
 
     # -- lookup ----------------------------------------------------------------
     def get(self, analysis: Union[str, type], target: Union[Function, Module]):
@@ -512,14 +515,32 @@ class AnalysisManager:
             self._targets.setdefault(key, module)
             self._clean_runs[(self._pass_key(pass_), key)] = module.mutation_count
 
+    def record_pass(self, name: str, seconds: float, changed: bool) -> None:
+        """Credit one leaf pass run to ``name``.
+
+        ``changed`` counts runs that reported an IR mutation and ``noops``
+        the runs that found nothing to do (a skipped run is a 0-second
+        no-op) — the distinction a pure timing table cannot make between a
+        cheap pass and a useless one.  A pass with ``changed == 0`` across a
+        whole compile is the autotuner's first pruning candidate (see
+        :mod:`repro.driver.autotune`).  Recorded whether or not the cache
+        is enabled.
+        """
+        row = self.passes.get(name)
+        if row is None:
+            row = self.passes[name] = {"seconds": 0.0, "runs": 0, "changed": 0, "noops": 0}
+        row["seconds"] += seconds
+        row["runs"] += 1
+        row["changed" if changed else "noops"] += 1
+
     def clear(self) -> None:
         """Release every cached result, pinned target and skip record.
 
-        Counters survive (they describe work already done).  Called by
-        :func:`repro.core.distill.compile_composition` once the pipeline has
-        run: the manager's lifetime is one compile, and the cached dominator
-        trees / range maps would otherwise stay reachable for as long as the
-        (session-memoized) compiled model does.
+        Counters and the pass record survive (they describe work already
+        done).  Called by :func:`repro.core.distill.compile_composition` once
+        the pipeline has run: the manager's lifetime is one compile, and the
+        cached dominator trees / range maps would otherwise stay reachable
+        for as long as the (session-memoized) compiled model does.
         """
         self._function_entries.clear()
         self._module_entries.clear()

@@ -29,7 +29,6 @@ import os
 import weakref
 from typing import Dict, List, Optional, Tuple
 
-from ..core.reservoir import merge_chunk_minima  # noqa: F401 (re-export: legacy API)
 from .grid_driver import (
     CandidateEvents,
     GridRequest,
@@ -127,8 +126,8 @@ class MulticoreGridEvaluator:
 
     The pool is created lazily on the first evaluation and reused until
     :meth:`close` (or garbage collection); ``pool_starts`` counts how many
-    times a pool was actually constructed.  The evaluator still works as a
-    context manager for one-shot use (:func:`run_multicore`).
+    times a pool was actually constructed.  The evaluator also works as a
+    context manager for one-shot use.
     """
 
     def __init__(
@@ -252,22 +251,6 @@ class MulticoreGridEvaluator:
             merged[owner].events.extend(events)
             merged[owner].nan_count += nan_count
         return merged
-
-
-def run_multicore(compiled, buffers, num_trials: int, workers: Optional[int] = None) -> None:
-    """One-shot entry point (builds and tears down its own pool).
-
-    Persistent callers go through ``model.engine_instance("mcpu")`` or
-    ``Session.compile(..., target="mcpu")`` instead, which keep the pool
-    alive across calls.
-    """
-    if not compiled.grid_searches:
-        compiled._run_whole_compiled(buffers, num_trials)
-        return
-    with MulticoreGridEvaluator(compiled, workers=workers) as evaluator:
-        run_with_grid_driver(
-            compiled, buffers, num_trials, batch_evaluator=evaluator.evaluate_batch
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -56,9 +56,6 @@ class RunResults:
     trials: List[TrialResult] = field(default_factory=list)
     wall_seconds: float = 0.0
     engine: str = "reference"
-    #: Optional stage breakdown (input construction, execution, output
-    #: extraction, compilation) filled in by the compiled engines (Figure 7).
-    breakdown: Dict[str, float] = field(default_factory=dict)
 
     def final_outputs(self, node: str) -> np.ndarray:
         """Stack the final output of ``node`` across trials -> (trials, size)."""

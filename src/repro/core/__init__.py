@@ -4,14 +4,12 @@
 * :mod:`repro.core.node_codegen` — per-node templates and specialisation (§3.4).
 * :mod:`repro.core.codegen` — whole-model code generation, compiled
   scheduling and grid-search regions (§3.4–3.6).
-* :mod:`repro.core.reservoir` — reservoir sampling over equal-cost minima.
 * :mod:`repro.core.distill` — the compilation stages
   (:func:`compile_composition`, :class:`CompiledModel`).
 """
 
 from .codegen import CompiledArtifacts, GridSearchInfo, generate_model_ir
 from .distill import CompiledModel, CompileStats, compile_composition
-from .reservoir import merge_chunk_minima, reservoir_argmin
 from .structs import StaticLayout, build_layout
 
 __all__ = [
@@ -23,6 +21,4 @@ __all__ = [
     "generate_model_ir",
     "CompiledArtifacts",
     "GridSearchInfo",
-    "reservoir_argmin",
-    "merge_chunk_minima",
 ]

@@ -58,6 +58,12 @@ class CompileStats:
     analysis_misses: int = 0
     analysis_invalidations: int = 0
     analysis_skipped_passes: int = 0
+    #: Every leaf pass run of the optimisation pipeline, per pass name:
+    #: ``{name: {"seconds", "runs", "changed", "noops"}}`` (see
+    #: ``AnalysisManager.record_pass``).  Work inside ``repeat``/``fixpoint``
+    #: and sub-pipelines is credited to the leaf passes that did it.  Empty
+    #: when a store hit skipped the pipeline.
+    passes: Dict[str, Dict[str, float]] = field(default_factory=dict)
     #: Artifact-store counters for this compile: ``artifact_hits`` counts
     #: store entries that skipped work (a model-entry hit skips sanitize
     #: through codegen entirely; an optimize-entry hit skips the pipeline),
@@ -446,7 +452,7 @@ def compile_composition(
     composition: Composition,
     pipeline: Union[str, PassManager] = "default<O2>",
     seed: int = 0,
-    verify: Union[str, bool, None] = None,
+    verify: Optional[str] = None,
     flags: Optional[Dict[str, object]] = None,
     store=None,
 ) -> CompiledModel:
@@ -470,11 +476,11 @@ def compile_composition(
     pipeline is skipped.
 
     ``verify`` is the module-verification policy (``"each"``, ``"boundary"``
-    or ``"off"``; legacy booleans accepted).  With the default ``None``, a
-    textual pipeline gets ``"boundary"`` (verify once after IR generation
-    and once after the last pass, not after every pass) and a prebuilt
-    :class:`PassManager` keeps its own policy.  An explicit policy always
-    wins; a caller-supplied manager is then rewrapped rather than mutated.
+    or ``"off"``).  With the default ``None``, a textual pipeline gets
+    ``"boundary"`` (verify once after IR generation and once after the last
+    pass, not after every pass) and a prebuilt :class:`PassManager` keeps
+    its own policy.  An explicit policy always wins; a caller-supplied
+    manager is then rewrapped rather than mutated.
 
     ``flags`` is an optional mapping of auxiliary compilation options; it is
     recorded on the returned model and participates in
@@ -482,11 +488,12 @@ def compile_composition(
 
     Each compile owns one :class:`repro.analysis.manager.AnalysisManager`:
     analyses (dominator trees, loop info, ...) computed by one pass are
-    reused by later passes until invalidated, and its hit/miss counters are
-    recorded in :class:`CompileStats` and on ``CompiledModel.analysis_stats``
-    (reported by the Figure 7 harness).  Pass ``flags={"analysis_cache":
-    False}`` for the cold reference configuration that recomputes every
-    analysis per pass — used by the differential tests and benchmarks.
+    reused by later passes until invalidated.  Its hit/miss counters and its
+    per-pass run record are copied into :class:`CompileStats` (``passes``)
+    and ``CompiledModel.analysis_stats`` (reported by the Figure 7 harness).
+    Pass ``flags={"analysis_cache": False}`` for the cold reference
+    configuration that recomputes every analysis per pass — used by the
+    differential tests and benchmarks.
     """
     from ..analysis.manager import AnalysisManager
     from ..driver.artifacts import (
@@ -594,6 +601,7 @@ def compile_composition(
         stats.analysis_misses = analysis_manager.misses
         stats.analysis_invalidations = analysis_manager.invalidations
         stats.analysis_skipped_passes = analysis_manager.skipped_passes
+        stats.passes = analysis_manager.passes
         analysis_stats = analysis_manager.cache_info()
         if store is not None:
             store.put(
@@ -624,11 +632,10 @@ def compile_composition(
     stats.dispatch_fallbacks = list(generator.dispatch_fallbacks)
     stats.dispatch_fallback_reasons = dict(generator.dispatch_fallback_reasons)
 
-    # The manager's lifetime is this compile: release the cached analyses
-    # (and the pipeline's back-reference) so session-memoized models do not
-    # pin dominator trees and range maps that can never be read again.
+    # The manager's lifetime is this compile: release the cached analyses so
+    # session-memoized models do not pin dominator trees and range maps that
+    # can never be read again.
     analysis_manager.clear()
-    pipeline.analysis_manager = None
 
     model = CompiledModel(
         composition,
@@ -709,7 +716,6 @@ def _model_from_store_entry(
     stats.artifact_hits += 1
     stats.dispatch_fallbacks = list(entry["dispatch_fallbacks"])
     stats.dispatch_fallback_reasons = dict(entry["dispatch_fallback_reasons"])
-    pipeline.analysis_manager = None
     model = CompiledModel(
         composition,
         entry["info"],

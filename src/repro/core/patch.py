@@ -361,7 +361,6 @@ def recompile_model(
     }
     compiled = lowerer.compile(extra_symbols=extra_symbols)
     analysis_manager.clear()
-    model.pipeline.analysis_manager = None
 
     _graft_functions(model.module, patch_module)
     model._compiled.update(compiled)

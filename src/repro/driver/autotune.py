@@ -8,11 +8,11 @@ incumbent — using three pieces of existing infrastructure:
 
 1. **Candidate generation** (:func:`generate_candidates`) works on the
    incumbent's canonical pipeline text (``PassManager.describe()``) and is
-   seeded by :meth:`PassManager.aggregate_timings`: passes that never changed
-   the IR during the incumbent compile are pruned first, later repeats are
-   deduplicated, the cleanup tail is wrapped in a ``fixpoint``, and a few
-   adjacent reorderings plus the other ``default<Ok>`` levels round out the
-   space.  Generation is deterministic: it consumes only ``changed``/``runs``
+   seeded by the incumbent compile's ``CompileStats.passes``: passes that
+   never changed the IR during the incumbent compile are pruned first, later
+   repeats are deduplicated, the cleanup tail is wrapped in a ``fixpoint``,
+   and a few adjacent reorderings plus the other ``default<Ok>`` levels round
+   out the space.  Generation is deterministic: it consumes only ``changed``/``runs``
    counts (never noisy seconds), so the same model and budget always produce
    the same candidate list.
 
@@ -189,10 +189,10 @@ def generate_candidates(
     """Deterministic candidate pipeline texts derived from the incumbent.
 
     ``entries`` is the incumbent's canonical entry list (its ``describe()``
-    text split at top level) and ``aggregate`` its
-    :meth:`~repro.passes.pass_manager.PassManager.aggregate_timings` — only
-    the ``changed`` counts are consulted, never the (noisy) seconds, so the
-    same compile always yields the same candidates in the same order.
+    text split at top level) and ``aggregate`` its compile's per-pass record
+    (:attr:`repro.core.distill.CompileStats.passes`) — only the ``changed``
+    counts are consulted, never the (noisy) seconds, so the same compile
+    always yields the same candidates in the same order.
     """
     seen = set()
     texts: List[str] = []
@@ -376,11 +376,10 @@ def run_autotune(
         entries = _split_top_level(
             incumbent_model.pipeline.describe(), "autotune incumbent"
         )
-        aggregate = incumbent_model.pipeline.aggregate_timings()
         generate = config.generate or generate_candidates
         candidates = [
             text
-            for text in generate(entries, aggregate, config.budget)
+            for text in generate(entries, incumbent_model.stats.passes, config.budget)
             if text != config.incumbent
         ]
 

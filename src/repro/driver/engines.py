@@ -51,8 +51,7 @@ class EngineInstance:
     """An engine bound to one compiled model, ready to run trials.
 
     Subclasses implement :meth:`execute`; the base class owns the
-    buffer-allocation / execution / result-extraction choreography (and its
-    timing breakdown, which feeds the Figure 7 analysis).
+    buffer-allocation / execution / result-extraction choreography.
     """
 
     def __init__(self, engine_name: str, model: "CompiledModel"):
@@ -66,28 +65,9 @@ class EngineInstance:
         seed: int = 0,
         **options,
     ) -> RunResults:
-        """Execute ``num_trials`` trials and collect the results."""
-        model = self.model
-        input_sets = normalize_inputs(model.composition, inputs)
-        if num_trials is None:
-            num_trials = len(input_sets)
-
-        breakdown: Dict[str, float] = {}
-        start = time.perf_counter()
-        buffers = model.allocate_buffers(inputs, num_trials, seed)
-        breakdown["input_construction"] = time.perf_counter() - start
-
-        start = time.perf_counter()
-        self.execute(buffers, num_trials, **options)
-        breakdown["execution"] = time.perf_counter() - start
-
-        start = time.perf_counter()
-        results = model._collect_results(buffers, num_trials, self.engine_name)
-        breakdown["output_extraction"] = time.perf_counter() - start
-        breakdown["compilation"] = model.stats.total_seconds
-        results.wall_seconds = breakdown["execution"]
-        results.breakdown = breakdown
-        return results
+        """Execute ``num_trials`` trials and collect the results (a
+        one-element :meth:`run_batch`)."""
+        return self.run_batch([inputs], [num_trials], [seed], **options)[0]
 
     def run_batch(
         self,
@@ -104,7 +84,9 @@ class EngineInstance:
         bitwise identical to calling :meth:`run` once per element on this
         same instance — parallel engines merely overlap the elements'
         grid evaluations (one pool dispatch per scheduler step for the whole
-        batch) instead of paying one round-trip per element.
+        batch) instead of paying one round-trip per element.  Every result's
+        ``wall_seconds`` is the execution time of the whole batch (the
+        elements ran interleaved).
         """
         model = self.model
         count = len(inputs_batch)
@@ -119,32 +101,22 @@ class EngineInstance:
                 "per-element num_trials/seed sequences must match the batch size"
             )
 
-        breakdown: Dict[str, float] = {}
-        start = time.perf_counter()
         elements = []
         for inputs, trials, element_seed in zip(inputs_batch, trials_list, seeds):
             if trials is None:
                 trials = len(normalize_inputs(model.composition, inputs))
             elements.append((model.allocate_buffers(inputs, trials, element_seed), trials))
-        breakdown["input_construction"] = time.perf_counter() - start
 
         start = time.perf_counter()
         self.execute_batch(elements, **options)
-        breakdown["execution"] = time.perf_counter() - start
+        wall_seconds = time.perf_counter() - start
 
-        start = time.perf_counter()
         results = [
             model._collect_results(buffers, trials, self.engine_name)
             for buffers, trials in elements
         ]
-        breakdown["output_extraction"] = time.perf_counter() - start
-        breakdown["compilation"] = model.stats.total_seconds
-        breakdown["batch_size"] = float(count)
         for result in results:
-            # Timing is shared across the whole batch (the elements ran
-            # interleaved); each result carries the batch-level numbers.
-            result.wall_seconds = breakdown["execution"]
-            result.breakdown = dict(breakdown)
+            result.wall_seconds = wall_seconds
         return results
 
     def execute(self, buffers: Dict[str, object], num_trials: int, **options) -> None:

@@ -275,7 +275,7 @@ def _parse_entries(text: str) -> List:
 
 def parse_pipeline(
     text: str,
-    verify: Union[str, bool] = "boundary",
+    verify: str = "boundary",
     name: Optional[str] = None,
 ) -> PassManager:
     """Build a :class:`PassManager` from a textual pipeline description.
@@ -283,7 +283,7 @@ def parse_pipeline(
     ``parse_pipeline("default<O2>,licm,cse(iterations=2)")`` expands the
     standard O2 sequence and appends LICM plus two rounds of CSE.  ``verify``
     sets the manager's verification policy (``"each"``, ``"boundary"`` or
-    ``"off"``; legacy booleans are accepted).
+    ``"off"``).
 
     Raises :class:`PipelineParseError` on malformed input.
     """
@@ -300,7 +300,7 @@ def parse_pipeline(
 
 def resolve_pipeline(
     pipeline: Union[str, PassManager],
-    verify: Union[str, bool, None] = None,
+    verify: Optional[str] = None,
     default_policy: str = "boundary",
 ) -> PassManager:
     """Normalise a pipeline argument (text or prebuilt manager) + verify policy.

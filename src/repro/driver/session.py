@@ -191,7 +191,7 @@ class Session:
     :class:`EngineInstance`.  Both are thread-safe.
     """
 
-    def __init__(self, verify: Union[str, bool] = "boundary", store=None):
+    def __init__(self, verify: str = "boundary", store=None):
         self.default_verify = coerce_verify_policy(verify)
         #: Artifact-store selector forwarded to every compile: ``None``
         #: consults ``REPRO_ARTIFACT_DIR``, ``False`` disables the store, a
@@ -235,7 +235,7 @@ class Session:
         composition: Composition,
         pipeline: Union[str, PassManager] = "default<O2>",
         seed: int = 0,
-        verify: Union[str, bool, None] = None,
+        verify: Optional[str] = None,
         flags: Optional[Dict[str, object]] = None,
     ):
         """Compile (or fetch from cache) a composition; returns a
@@ -283,7 +283,7 @@ class Session:
         target: str = "compiled",
         pipeline: Union[str, PassManager] = "default<O2>",
         seed: int = 0,
-        verify: Union[str, bool, None] = None,
+        verify: Optional[str] = None,
         flags: Optional[Dict[str, object]] = None,
     ) -> EngineInstance:
         """Compile a composition and bind it to ``target``; returns an
@@ -314,7 +314,7 @@ class Session:
         seed=0,
         pipeline: Union[str, PassManager] = "default<O2>",
         compile_seed: int = 0,
-        verify: Union[str, bool, None] = None,
+        verify: Optional[str] = None,
         flags: Optional[Dict[str, object]] = None,
         **options,
     ):
@@ -455,7 +455,7 @@ class Session:
         composition: Union[str, Composition],
         pipeline: Union[str, PassManager] = "default<O2>",
         seed: int = 0,
-        verify: Union[str, bool, None] = None,
+        verify: Optional[str] = None,
         flags: Optional[Dict[str, object]] = None,
         checks=None,
     ):
@@ -548,7 +548,7 @@ def compile(
     target: str = "compiled",
     pipeline: Union[str, PassManager] = "default<O2>",
     seed: int = 0,
-    verify: Union[str, bool, None] = None,
+    verify: Optional[str] = None,
     flags: Optional[Dict[str, object]] = None,
 ) -> EngineInstance:
     """Compile ``composition`` and bind it to ``target`` (``repro.compile``).

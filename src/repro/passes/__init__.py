@@ -16,7 +16,7 @@ from .instcombine import InstCombine
 from .licm import LoopInvariantCodeMotion
 from .loopinfo import Loop, LoopInfo
 from .mem2reg import Mem2Reg
-from .pass_base import FunctionPass, ModulePass, Pass, PassTiming, call_pass
+from .pass_base import FunctionPass, ModulePass, Pass, call_pass
 from .pass_manager import (
     VERIFY_POLICIES,
     FixpointPass,
@@ -32,7 +32,6 @@ __all__ = [
     "Pass",
     "FunctionPass",
     "ModulePass",
-    "PassTiming",
     "call_pass",
     "PassManager",
     "RepeatPass",

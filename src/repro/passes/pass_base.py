@@ -16,59 +16,21 @@ A run that reports *no change* implicitly preserves everything, and is
 recorded by the manager so the same pass can be skipped on the same
 still-unmutated function later (see ``AnalysisManager.should_skip``).
 
-Backwards compatibility: external passes written against the old
-single-argument interface (``run(self, module)`` /
-``run_on_function(self, function)``) keep working — :func:`call_pass`
-inspects the override's signature and only threads the manager through when
-it is accepted.  Such passes simply do not benefit from cached analyses or
-pass skipping.
+The pipeline drivers in :mod:`repro.passes.pass_manager` also record every
+leaf pass run (seconds, changed or not) on that manager; a compile copies the
+aggregate into ``CompileStats.passes``.  Pass objects themselves hold no
+per-run state, so one prebuilt pipeline can serve many compiles.
 """
 
 from __future__ import annotations
 
-import inspect
-from typing import List, Optional, Sequence
-
 from ..ir.module import Function, Module
 
 
-def _accepts_am(callable_) -> bool:
-    """True if ``callable_`` (a bound run/run_on_function) takes the analysis
-    manager.
-
-    The manager parameter must be *named* ``am`` (the convention every
-    builtin pass follows), or the signature must take ``**kwargs``; the
-    manager is always passed as the keyword ``am=...``.  A legacy override
-    with some other second parameter (``run(self, module, verbose=False)``)
-    is deliberately NOT matched — binding the manager to an unrelated
-    defaulted argument is exactly the kind of silent breakage this shim
-    exists to prevent.
-    """
-    try:
-        sig = inspect.signature(callable_)
-    except (TypeError, ValueError):  # builtins/partials: assume modern
-        return True
-    for param in sig.parameters.values():
-        if param.kind is param.VAR_KEYWORD:
-            return True
-        if param.name == "am" and param.kind is not param.POSITIONAL_ONLY:
-            return True
-    return False
-
-
 def call_pass(pass_, module: Module, am=None) -> bool:
-    """Invoke ``pass_.run`` with the analysis manager when it is accepted.
-
-    Returns the pass's changed flag.  The decision is memoized per instance
-    (``_run_accepts_am``) so the signature is inspected once.
-    """
-    accepts = getattr(pass_, "_run_accepts_am", None)
-    if accepts is None:
-        accepts = _accepts_am(pass_.run)
-        pass_._run_accepts_am = accepts
-    if accepts:
-        return pass_.run(module, am=am)
-    return pass_.run(module)
+    """Run ``pass_`` over ``module`` with the analysis manager; returns the
+    pass's changed flag."""
+    return pass_.run(module, am=am)
 
 
 class Pass:
@@ -79,8 +41,8 @@ class Pass:
 
     #: Analyses a *changed* run leaves valid: ``"all"``, ``"cfg"``, ``"none"``,
     #: an iterable of analysis names, or a
-    #: :class:`repro.analysis.manager.PreservedAnalyses`.  Unknown/legacy
-    #: passes default to ``"none"`` — maximally conservative.
+    #: :class:`repro.analysis.manager.PreservedAnalyses`.  Passes that do not
+    #: declare it default to ``"none"`` — maximally conservative.
     preserves = "none"
 
     def run(self, module: Module, am=None) -> bool:
@@ -105,18 +67,11 @@ class FunctionPass(Pass):
     handles_invalidation = True
 
     def run(self, module: Module, am=None) -> bool:
-        accepts = getattr(self, "_rof_accepts_am", None)
-        if accepts is None:
-            accepts = _accepts_am(self.run_on_function)
-            self._rof_accepts_am = accepts
         changed = False
         for function in module.defined_functions():
             if am is not None and am.should_skip(self, function):
                 continue
-            if accepts:
-                fn_changed = self.run_on_function(function, am=am)
-            else:
-                fn_changed = self.run_on_function(function)
+            fn_changed = self.run_on_function(function, am=am)
             if am is not None:
                 am.after_function_pass(self, function, fn_changed)
             changed |= fn_changed
@@ -131,49 +86,3 @@ class ModulePass(Pass):
 
     def run(self, module: Module, am=None) -> bool:
         raise NotImplementedError
-
-
-class PassTiming:
-    """Wall-clock timing record for a single pass execution.
-
-    ``children`` holds the per-iteration / per-pass records of a nested
-    pipeline (``repeat<N>(...)``, ``fixpoint(...)``, or a nested manager):
-    ``seconds`` of this record already covers them, so summing one level of a
-    timing tree never double-counts.  ``converged`` is set on ``fixpoint``
-    records: ``False`` means the loop hit its iteration bound while still
-    changing the module.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        seconds: float,
-        changed: bool,
-        children: Sequence["PassTiming"] = (),
-        converged: Optional[bool] = None,
-    ):
-        self.name = name
-        self.seconds = seconds
-        self.changed = changed
-        self.children: List[PassTiming] = list(children)
-        self.converged = converged
-
-    def leaves(self) -> List["PassTiming"]:
-        """The leaf records of this timing subtree (self if childless)."""
-        if not self.children:
-            return [self]
-        result: List[PassTiming] = []
-        for child in self.children:
-            result.extend(child.leaves())
-        return result
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        extra = ""
-        if self.children:
-            extra += f" children={len(self.children)}"
-        if self.converged is not None:
-            extra += f" converged={self.converged}"
-        return (
-            f"<PassTiming {self.name}: {self.seconds * 1e3:.2f} ms "
-            f"changed={self.changed}{extra}>"
-        )

@@ -27,12 +27,12 @@ verify-after-every-pass behaviour:
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 from ..driver.registry import create_pass, register_pipeline_alias
 from ..ir.module import Module
 from ..ir.verifier import verify_module
-from .pass_base import Pass, PassTiming, call_pass
+from .pass_base import Pass, call_pass
 
 #: Accepted verification policies, in decreasing order of paranoia.
 VERIFY_POLICIES = ("each", "boundary", "off")
@@ -46,19 +46,10 @@ def _new_analysis_manager():
     return AnalysisManager()
 
 
-def _nested_timings(pass_: Pass) -> List[PassTiming]:
-    """The per-entry timing records of a nested pipeline pass, if any."""
-    if isinstance(pass_, (PassManager, RepeatPass, FixpointPass)):
-        return list(pass_.timings)
-    return []
-
-
-def coerce_verify_policy(verify: Union[str, bool, None]) -> str:
-    """Normalise a verify argument (policy string or legacy bool) to a policy."""
+def coerce_verify_policy(verify: Optional[str]) -> str:
+    """Normalise a verify argument to a policy (``None`` means ``"boundary"``)."""
     if verify is None:
         return "boundary"
-    if isinstance(verify, bool):
-        return "boundary" if verify else "off"
     if verify not in VERIFY_POLICIES:
         raise ValueError(
             f"unknown verify policy {verify!r}; choose one of {VERIFY_POLICIES}"
@@ -79,8 +70,34 @@ def describe_pass(pass_: Pass) -> str:
     return pass_.name
 
 
+def run_pass(pass_: Pass, module: Module, am, verify_after: bool = False) -> Optional[bool]:
+    """One pipeline step: run ``pass_`` unless ``am`` says it can be skipped.
+
+    Returns the pass's changed flag, or ``None`` when it was skipped (it last
+    ran clean on this module and nothing has mutated it since, so a
+    deterministic pass finds no new work).  Leaf passes are recorded on
+    ``am`` (a skip as a 0-second no-op run); a nested pipeline records
+    nothing itself, its leaves do.  Passes that do not invalidate analyses
+    per function get the module-wide preserved-analyses sweep here.
+    """
+    leaf = not isinstance(pass_, _NESTED)
+    if am.should_skip(pass_, module):
+        if leaf:
+            am.record_pass(pass_.name, 0.0, False)
+        return None
+    start = time.perf_counter()
+    changed = call_pass(pass_, module, am)
+    if leaf:
+        am.record_pass(pass_.name, time.perf_counter() - start, changed)
+    if not getattr(pass_, "handles_invalidation", False):
+        am.after_module_pass(pass_, module, changed)
+    if verify_after:
+        verify_module(module)
+    return changed
+
+
 class PassManager(Pass):
-    """Runs an ordered list of passes over a module, recording timings.
+    """Runs an ordered list of passes over a module.
 
     A ``PassManager`` is itself a :class:`Pass`, so pipelines nest: a manager
     can appear as an entry of another manager (the textual ``repeat<N>(...)``
@@ -91,8 +108,9 @@ class PassManager(Pass):
     ``run`` threads one :class:`repro.analysis.manager.AnalysisManager`
     through every pass (creating a fresh one when the caller supplies none),
     so analyses computed by one pass are reused by the next until a pass that
-    does not preserve them reports a change.  The manager used by the last
-    run is kept on ``analysis_manager`` for inspection.
+    does not preserve them reports a change.  The manager, not the pipeline,
+    keeps the per-pass run record, so one pipeline object can be shared by
+    any number of compiles.
     """
 
     #: Nested pipelines do their own invalidation bookkeeping pass-by-pass.
@@ -101,14 +119,12 @@ class PassManager(Pass):
     def __init__(
         self,
         passes: Sequence[Pass] = (),
-        verify: Union[str, bool] = "boundary",
+        verify: str = "boundary",
         name: str = "pipeline",
     ):
         self.passes: List[Pass] = list(passes)
         self.verify = coerce_verify_policy(verify)
         self.name = name
-        self.timings: List[PassTiming] = []
-        self.analysis_manager = None
 
     def add(self, pass_: Pass) -> "PassManager":
         self.passes.append(pass_)
@@ -118,86 +134,14 @@ class PassManager(Pass):
         """Run every pass once, in order.  Returns True if anything changed."""
         if am is None:
             am = _new_analysis_manager()
-        self.analysis_manager = am
-        self.timings = []
         changed = False
         if self.verify != "off":
             verify_module(module)
         for pass_ in self.passes:
-            if am.should_skip(pass_, module):
-                # The pass last ran clean on this module and nothing has
-                # mutated it since — a deterministic pass finds no new work.
-                self.timings.append(PassTiming(pass_.name, 0.0, False))
-                continue
-            start = time.perf_counter()
-            pass_changed = call_pass(pass_, module, am)
-            elapsed = time.perf_counter() - start
-            self.timings.append(
-                PassTiming(
-                    pass_.name,
-                    elapsed,
-                    pass_changed,
-                    children=_nested_timings(pass_),
-                    converged=getattr(pass_, "converged", None)
-                    if isinstance(pass_, FixpointPass)
-                    else None,
-                )
-            )
-            changed |= pass_changed
-            # Function passes (and nested pipelines) report per-function
-            # visits to the manager themselves; for module-level and legacy
-            # passes apply the preserved-analyses sweep module-wide here.
-            if not (
-                getattr(pass_, "handles_invalidation", False)
-                and getattr(pass_, "_run_accepts_am", False)
-            ):
-                am.after_module_pass(pass_, module, pass_changed)
-            if self.verify == "each":
-                verify_module(module)
+            changed |= bool(run_pass(pass_, module, am, self.verify == "each"))
         if self.verify == "boundary" and self.passes:
             verify_module(module)
         return changed
-
-    def total_seconds(self) -> float:
-        return sum(t.seconds for t in self.timings)
-
-    def flat_timings(self) -> List[PassTiming]:
-        """Leaf timing records with nested pipelines expanded.
-
-        ``timings`` has one entry per pipeline *entry*; a ``repeat``/
-        ``fixpoint`` entry hides its inner per-iteration records in
-        ``children``.  This flattens to the individual pass executions, so
-        per-pass aggregation (the Figure 7 report) attributes nested work to
-        the passes that did it instead of lumping it under ``repeat<N>``.
-        """
-        leaves: List[PassTiming] = []
-        for timing in self.timings:
-            leaves.extend(timing.leaves())
-        return leaves
-
-    def aggregate_timings(self) -> dict:
-        """Total seconds and execution counts per pass name, nested included:
-        ``{name: {"seconds": float, "runs": int, "changed": int, "noops": int}}``.
-
-        ``changed`` counts executions that reported an IR mutation and
-        ``noops`` the executions that found nothing to do — the distinction
-        a pure timing table cannot make between a cheap pass and a useless
-        one.  A pass with ``changed == 0`` across a whole compile is the
-        autotuner's first pruning candidate (see
-        :mod:`repro.driver.autotune`).
-        """
-        summary: dict = {}
-        for timing in self.flat_timings():
-            row = summary.setdefault(
-                timing.name, {"seconds": 0.0, "runs": 0, "changed": 0, "noops": 0}
-            )
-            row["seconds"] += timing.seconds
-            row["runs"] += 1
-            if timing.changed:
-                row["changed"] += 1
-            else:
-                row["noops"] += 1
-        return summary
 
     def describe(self) -> str:
         """Canonical textual pipeline; ``parse_pipeline`` round-trips it."""
@@ -208,10 +152,9 @@ class RepeatPass(Pass):
     """Run an inner pass (or sub-pipeline) a fixed number of times.
 
     Textual forms: ``repeat<2>(cse,dce)`` or the per-pass shorthand
-    ``cse(iterations=2)``.  Per-iteration timings are collected in
-    ``timings`` and surface as ``children`` of this entry's record in the
-    enclosing :class:`PassManager` — nested pipeline work is attributed, not
-    swallowed.
+    ``cse(iterations=2)``.  Each iteration's leaf pass runs are recorded on
+    the analysis manager under their own names — nested pipeline work is
+    attributed, not swallowed.
     """
 
     handles_invalidation = True
@@ -222,32 +165,13 @@ class RepeatPass(Pass):
         self.inner = inner
         self.iterations = int(iterations)
         self.name = f"repeat<{self.iterations}>"
-        self.timings: List[PassTiming] = []
 
     def run(self, module: Module, am=None) -> bool:
-        self.timings = []
+        if am is None:
+            am = _new_analysis_manager()
         changed = False
         for _ in range(self.iterations):
-            if am is not None and am.should_skip(self.inner, module):
-                self.timings.append(PassTiming(self.inner.name, 0.0, False))
-                continue
-            start = time.perf_counter()
-            iteration_changed = call_pass(self.inner, module, am)
-            elapsed = time.perf_counter() - start
-            self.timings.append(
-                PassTiming(
-                    self.inner.name,
-                    elapsed,
-                    iteration_changed,
-                    children=_nested_timings(self.inner),
-                )
-            )
-            if am is not None and not (
-                getattr(self.inner, "handles_invalidation", False)
-                and getattr(self.inner, "_run_accepts_am", False)
-            ):
-                am.after_module_pass(self.inner, module, iteration_changed)
-            changed |= iteration_changed
+            changed |= bool(run_pass(self.inner, module, am))
         return changed
 
     def describe(self) -> str:
@@ -266,8 +190,7 @@ class FixpointPass(Pass):
     fixed point (``False`` = it hit ``max_iterations`` while the last round
     still changed the module — previously indistinguishable from
     convergence) and ``iterations_run`` how many rounds executed.  Both
-    surface in the enclosing manager's timing records and in
-    ``describe(with_state=True)``.
+    surface in ``describe(with_state=True)``.
     """
 
     DEFAULT_MAX_ITERATIONS = 10
@@ -280,38 +203,23 @@ class FixpointPass(Pass):
         self.inner = inner
         self.max_iterations = int(max_iterations)
         self.name = f"fixpoint<{self.max_iterations}>"
-        self.timings: List[PassTiming] = []
         self.converged: Optional[bool] = None
         self.iterations_run = 0
 
     def run(self, module: Module, am=None) -> bool:
-        self.timings = []
+        if am is None:
+            am = _new_analysis_manager()
         self.converged = False
         self.iterations_run = 0
         changed = False
         for _ in range(self.max_iterations):
-            if am is not None and am.should_skip(self.inner, module):
+            iteration_changed = run_pass(self.inner, module, am)
+            if iteration_changed is None:
                 # Nothing mutated since the inner pipeline's last clean run:
                 # the fixed point is already reached.
                 self.converged = True
                 break
-            start = time.perf_counter()
-            iteration_changed = call_pass(self.inner, module, am)
-            elapsed = time.perf_counter() - start
             self.iterations_run += 1
-            self.timings.append(
-                PassTiming(
-                    self.inner.name,
-                    elapsed,
-                    iteration_changed,
-                    children=_nested_timings(self.inner),
-                )
-            )
-            if am is not None and not (
-                getattr(self.inner, "handles_invalidation", False)
-                and getattr(self.inner, "_run_accepts_am", False)
-            ):
-                am.after_module_pass(self.inner, module, iteration_changed)
             if not iteration_changed:
                 self.converged = True
                 break
@@ -326,6 +234,10 @@ class FixpointPass(Pass):
                 f" after {self.iterations_run} iteration(s)"
             )
         return text
+
+
+#: Pipeline constructs whose work is recorded by the leaf passes they run.
+_NESTED = (PassManager, RepeatPass, FixpointPass)
 
 
 def _standard_passes(opt_level: int) -> List[Pass]:
@@ -369,9 +281,7 @@ def _standard_passes(opt_level: int) -> List[Pass]:
     return o2
 
 
-def build_standard_pipeline(
-    opt_level: int = 2, verify: Union[str, bool] = "boundary"
-) -> PassManager:
+def build_standard_pipeline(opt_level: int = 2, verify: str = "boundary") -> PassManager:
     """The standard Distill pipeline for a given ``-O`` level."""
     level = max(0, min(int(opt_level), 3))
     return PassManager(_standard_passes(level), verify=verify, name=f"O{level}")

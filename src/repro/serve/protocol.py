@@ -144,7 +144,6 @@ def results_to_wire(results: RunResults) -> Dict[str, object]:
         "model_name": results.model_name,
         "engine": results.engine,
         "wall_seconds": results.wall_seconds,
-        "breakdown": {k: float(v) for k, v in results.breakdown.items()},
         "trials": [
             {
                 "passes": int(trial.passes),
@@ -183,5 +182,4 @@ def results_from_wire(payload: Dict[str, object]) -> RunResults:
         trials=trials,
         wall_seconds=float(payload["wall_seconds"]),
         engine=payload["engine"],
-        breakdown=dict(payload.get("breakdown", {})),
     )

@@ -36,6 +36,7 @@ from repro.passes import (
     RepeatPass,
     SimplifyCFG,
 )
+from repro.driver.pipeline import parse_pipeline
 from repro.driver.registry import pass_metadata, pass_preserves
 
 from helpers import (
@@ -375,7 +376,7 @@ class TestPreservationSemantics:
 
 
 # ---------------------------------------------------------------------------
-# Pipeline-level behaviour: timings, convergence, legacy passes
+# Pipeline-level behaviour: the per-pass run record and convergence
 # ---------------------------------------------------------------------------
 
 
@@ -399,20 +400,17 @@ class TestNestedPipelines:
 
         rp = RepeatPass(PassManager([Mem2Reg(), DeadCodeElimination()], verify="off"), 3)
         pm = PassManager([rp], verify="off")
-        pm.run(m)
-        assert len(pm.timings) == 1
-        outer = pm.timings[0]
-        assert outer.name == "repeat<3>"
-        assert len(outer.children) == 3  # one record per iteration
-        leaves = pm.flat_timings()
-        # 3 iterations x 2 passes each
-        assert len(leaves) == 6
-        assert {t.name for t in leaves} == {"mem2reg", "dce"}
-        # The outer record's seconds covers the nested work.
-        assert outer.seconds >= sum(c.seconds for c in outer.children) * 0.5
-        agg = pm.aggregate_timings()
-        assert agg["mem2reg"]["runs"] == 3
-        assert agg["dce"]["runs"] == 3
+        am = AnalysisManager()
+        pm.run(m, am)
+        # 3 iterations x 2 passes, credited to the leaf passes that did the
+        # work; the repeat and the nested pipeline get no row of their own.
+        assert set(am.passes) == {"mem2reg", "dce"}
+        assert am.passes["mem2reg"]["runs"] == 3
+        assert am.passes["dce"]["runs"] == 3
+        for row in am.passes.values():
+            assert row["changed"] + row["noops"] == row["runs"]
+            assert row["seconds"] >= 0.0
+        assert not hasattr(pm, "timings") and not hasattr(rp, "timings")
 
     def test_fixpoint_converged_flag_true(self):
         m = Module("t")
@@ -436,50 +434,11 @@ class TestNestedPipelines:
         assert fp.converged is False
         assert fp.iterations_run == 3
         assert "# converged=False after 3 iteration(s)" in fp.describe(with_state=True)
-        # ... and it surfaces on the enclosing manager's timing record.
-        assert pm.timings[0].converged is False
-        assert len(pm.timings[0].children) == 3
-
-    def test_legacy_single_arg_pass_still_runs(self):
-        class LegacyPass(Pass):
-            name = "legacy"
-
-            def run(self, module):  # old-style signature: no manager
-                changed = False
-                for fn in module.defined_functions():
-                    for instr in list(fn.instructions()):
-                        if instr.opcode == "fadd" and not instr.uses:
-                            instr.erase()
-                            changed = True
-                return changed
-
-        m = Module("t")
-        fn = build_loop_sum_function(m)
-        fn.entry_block.insert(0, BinaryOp("fadd", fn.args[0], fn.args[1]))
+        # ... and every changed round is on the analysis manager's record.
         am = AnalysisManager()
-        stale = am.get(DominatorTree, fn)
-        pm = PassManager([LegacyPass()], verify="off")
-        assert pm.run(m, am) is True
-        # Legacy passes default to preserves="none": the manager applied a
-        # module-wide sweep, and the counter forces a fresh tree regardless.
-        assert am.get(DominatorTree, fn) is not stale
-
-    def test_legacy_pass_with_unrelated_second_param_not_given_manager(self):
-        """The back-compat shim must not bind the manager to a defaulted
-        second argument that merely happens to exist (e.g. ``verbose``)."""
-        seen = []
-
-        class LegacyVerbosePass(Pass):
-            name = "legacy-verbose"
-
-            def run(self, module, verbose=False):
-                seen.append(verbose)
-                return False
-
-        m = Module("t")
-        build_loop_sum_function(m)
-        PassManager([LegacyVerbosePass()], verify="off").run(m)
-        assert seen == [False]  # not an AnalysisManager instance
+        pm.run(m, am)
+        row = am.passes["churn"]
+        assert (row["runs"], row["changed"], row["noops"]) == (3, 3, 0)
 
     def test_targeted_invalidate_clears_skip_records(self):
         """am.invalidate(fn) is the escape hatch for unobserved mutations:
@@ -498,23 +457,70 @@ class TestNestedPipelines:
         caches: compile_composition clears the manager after the pipeline."""
         entry = MODEL_REGISTRY["predator_prey_s"]
         compiled = compile_composition(entry.build(), pipeline="default<O2>")
-        assert compiled.pipeline.analysis_manager is None
+        assert not hasattr(compiled.pipeline, "analysis_manager")
         assert compiled.analysis_stats["hits"] > 0  # captured before the clear
 
-    def test_legacy_run_on_function_still_runs(self):
-        class LegacyFunctionPass(FunctionPass):
-            name = "legacy-fn"
-            visited = 0
 
-            def run_on_function(self, function):  # old-style signature
-                LegacyFunctionPass.visited += 1
-                return False
+#: (runs, changed) per pass of predator_prey_s compiled at default<O2>.
+PREDATOR_PREY_S_O2_PASSES = {
+    "inline": (1, 1),
+    "simplifycfg": (4, 1),
+    "mem2reg": (2, 0),
+    "constprop": (3, 1),
+    "dce": (3, 1),
+    "cse": (2, 1),
+    "instcombine": (1, 1),
+    "licm": (1, 1),
+}
 
-        m = Module("t")
-        build_loop_sum_function(m)
-        build_branchy_function(m)
-        PassManager([LegacyFunctionPass()], verify="off").run(m)
-        assert LegacyFunctionPass.visited == 2
+
+def _runs_changed(stats):
+    return {name: (row["runs"], row["changed"]) for name, row in stats.passes.items()}
+
+
+def _compile_pp_s(**kwargs):
+    entry = MODEL_REGISTRY["predator_prey_s"]
+    kwargs.setdefault("store", False)
+    return compile_composition(entry.build(), **kwargs)
+
+
+class TestCompilePassRecord:
+    """``CompileStats.passes``: one compile's leaf pass runs."""
+
+    def test_predator_prey_s_o2_pinned(self):
+        stats = _compile_pp_s(pipeline="default<O2>").stats
+        assert _runs_changed(stats) == PREDATOR_PREY_S_O2_PASSES
+        for row in stats.passes.values():
+            assert row["changed"] + row["noops"] == row["runs"]
+            assert row["seconds"] >= 0.0
+
+    def test_shared_pipeline_keeps_each_compile_record(self):
+        """Two compiles through one prebuilt pipeline object must not
+        overwrite each other's record."""
+        pipeline = parse_pipeline("default<O2>")
+        first = _compile_pp_s(pipeline=pipeline)
+        second = compile_composition(
+            MODEL_REGISTRY["botvinick_stroop"].build(), pipeline=pipeline, store=False
+        )
+        assert _runs_changed(first.stats) == PREDATOR_PREY_S_O2_PASSES
+        assert second.stats.passes and second.stats.passes is not first.stats.passes
+        assert not hasattr(pipeline, "timings")
+
+    def test_filled_without_analysis_cache(self):
+        cold = _compile_pp_s(pipeline="default<O2>", flags={"analysis_cache": False})
+        assert cold.stats.analysis_hits == 0
+        assert _runs_changed(cold.stats) == PREDATOR_PREY_S_O2_PASSES
+
+    def test_empty_on_store_hits(self, tmp_path):
+        first = _compile_pp_s(pipeline="default<O2>", store=str(tmp_path))
+        assert first.stats.passes
+        # Model-entry hit: the whole compile is replayed from the store.
+        replay = _compile_pp_s(pipeline="default<O2>", store=str(tmp_path))
+        assert replay.stats.artifact_hits == 1 and replay.stats.passes == {}
+        # Optimize-entry hit: same IR under another model key.
+        sibling = _compile_pp_s(pipeline="default<O2>", seed=1, store=str(tmp_path))
+        assert sibling.stats.artifact_misses == 1 and sibling.stats.artifact_hits == 1
+        assert sibling.stats.passes == {}
 
 
 # ---------------------------------------------------------------------------

@@ -147,7 +147,7 @@ class FaddFlipper(FunctionPass):
     name = "tunebreaker"
     preserves = "cfg"
 
-    def run_on_function(self, function):
+    def run_on_function(self, function, am=None):
         changed = False
         for instruction in function.instructions():
             if isinstance(instruction, BinaryOp) and instruction.opcode == "fadd":

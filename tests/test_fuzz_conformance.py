@@ -212,7 +212,7 @@ class FaddFlipper(FunctionPass):
     name = "fuzzbreaker"
     preserves = "cfg"
 
-    def run_on_function(self, function):
+    def run_on_function(self, function, am=None):
         if not function.name.startswith("node_"):
             return False
         changed = False

@@ -168,6 +168,28 @@ class TestFullFallback:
         model.close_engines()
 
 
+    def test_pass_record_kept_by_patch_adopted_by_fallback(self):
+        """``stats.passes`` describes the full compile, like ``analysis_hits``:
+        an incremental patch leaves it alone, a full fallback adopts the fresh
+        compile's record."""
+        model = compile_pp()
+        passes, hits = copy.deepcopy(model.stats.passes), model.stats.analysis_hits
+        report = model.set_projection_matrix(
+            "player_loc", "control", edited_matrix(model.composition)
+        )
+        assert report["mode"] == "patched"
+        assert model.stats.passes == passes
+        assert model.stats.analysis_hits == hits
+        other = generate_model_spec(4)
+        fresh = compile_composition(other.build(), pipeline="default<O2>", store=False)
+        report = model.recompile(composition=other.build())
+        assert report["mode"] == "full"
+        runs = lambda stats: {n: (r["runs"], r["changed"]) for n, r in stats.passes.items()}
+        assert runs(model.stats) == runs(fresh.stats)
+        model.close_engines()
+        fresh.close_engines()
+
+
 class TestScaleSpecEdits:
     def test_scale_model_edit_relowersers_one_unit(self):
         spec = generate_scale_spec(2, n_mechanisms=16)

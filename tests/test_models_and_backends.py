@@ -1,5 +1,5 @@
 """Tests for the model builders, the minitorch stand-in, the compiled-Python
-backend, code specialisation utilities and reservoir sampling."""
+backend, code specialisation utilities and the reservoir-sampling replay."""
 
 import math
 
@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 
 from repro.backends.gpu_sim import GpuOccupancyModel, launch_grid_kernel
+from repro.backends.grid_driver import candidate_events_from_costs, replay_selection
 from repro.backends.interp import Interpreter
 from repro.backends.lane import LANE_INTRINSICS, compile_lane_program
 from repro.backends.pycodegen import PythonCodeGenerator, compile_module_to_python
 from repro.cogframe import CounterRNG, ReferenceRunner, sanitize
 from repro.core.distill import compile_composition
-from repro.core.reservoir import merge_chunk_minima, reservoir_argmin
 from repro.fuzz.compare import buffers_equal, raw_buffers
 from repro.core.specialize import emit_library_function, specialize_on_buffer
 from repro.cogframe.functions import DriftDiffusionIntegrator, Logistic
@@ -203,9 +203,16 @@ class TestSpecialization:
 
 
 class TestReservoirSampling:
+    """``replay_selection``: the argmin every engine's grid search ends in."""
+
+    @staticmethod
+    def _select(costs, uniform):
+        events = candidate_events_from_costs(np.array(costs, dtype=float)).events
+        return replay_selection(events, uniform)
+
     def test_unique_minimum_needs_no_draws(self):
         draws = []
-        index, cost = reservoir_argmin([3.0, 1.0, 2.0], uniform=lambda: draws.append(1) or 0.0)
+        index, cost = self._select([3.0, 1.0, 2.0], lambda: draws.append(1) or 0.0)
         assert (index, cost) == (1, 1.0)
         assert draws == []
 
@@ -213,38 +220,9 @@ class TestReservoirSampling:
         rng = CounterRNG(0, stream=9)
         counts = {0: 0, 2: 0}
         for _ in range(2000):
-            index, _ = reservoir_argmin([1.0, 5.0, 1.0], rng=rng)
+            index, _ = self._select([1.0, 5.0, 1.0], rng.uniform)
             counts[index] += 1
         assert abs(counts[0] - counts[2]) < 300
-
-    def test_empty_costs_rejected(self):
-        with pytest.raises(ValueError):
-            reservoir_argmin([])
-
-    def test_merge_chunk_minima(self):
-        merged = merge_chunk_minima([(4, 2.0, 1), (9, 1.0, 1), (17, 1.5, 2)])
-        assert merged[0] == 9 and merged[1] == 1.0
-        with pytest.raises(ValueError):
-            merge_chunk_minima([])
-
-    def test_merge_chunk_minima_skips_empty_chunk_sentinels(self):
-        """A (-1, inf) sentinel from an empty/all-NaN chunk must not win a
-        float == tie against a real +inf minimum."""
-        merged = merge_chunk_minima([(4, float("inf"), 2), (-1, float("inf"), 0)])
-        assert merged[0] == 4
-        merged = merge_chunk_minima([(-1, float("inf"), 0), (4, float("inf"), 2)])
-        assert merged[0] == 4
-
-    def test_merge_chunk_minima_rejects_all_nan(self):
-        nan = float("nan")
-        with pytest.raises(ValueError, match="NaN"):
-            merge_chunk_minima([(0, nan, 1), (-1, float("inf"), 0)])
-
-    def test_reservoir_argmin_skips_nan_and_rejects_all_nan(self):
-        index, cost = reservoir_argmin([float("nan"), 2.0, float("nan")])
-        assert (index, cost) == (1, 2.0)
-        with pytest.raises(ValueError, match="NaN"):
-            reservoir_argmin([float("nan"), float("nan")])
 
 
 class TestGpuSimulator:

@@ -249,7 +249,6 @@ class TestRunBatch:
         try:
             results = compiled.run_batch([INPUTS], num_trials=1, engine="gpu-sim")
             assert len(results) == 1
-            assert results[0].breakdown["batch_size"] == 1.0
         finally:
             compiled.close_engines()
 

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from repro.analysis.manager import AnalysisManager
 from repro.backends.interp import Interpreter
 from repro.ir import (
     F64,
@@ -389,7 +390,9 @@ class TestStandardPipelines:
         m = Module("t")
         build_loop_sum_function(m)
         pm = build_standard_pipeline(2)
-        pm.run(m)
-        assert pm.timings
-        assert pm.total_seconds() >= 0.0
+        am = AnalysisManager()
+        pm.run(m, am)
+        assert set(am.passes) == {p.name for p in pm.passes}
+        assert sum(row["runs"] for row in am.passes.values()) == len(pm.passes)
+        assert all(row["seconds"] >= 0.0 for row in am.passes.values())
         assert "mem2reg" in pm.describe()

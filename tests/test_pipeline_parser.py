@@ -170,7 +170,7 @@ class TestRoundTrip:
             def __init__(self, label=""):
                 self.label = label
 
-            def run_on_function(self, function):
+            def run_on_function(self, function, am=None):
                 return False
 
         for label in ("a,b", "it's", 'nested "quote"', "paren ) and < angle"):
@@ -252,9 +252,10 @@ class TestVerifyPolicy:
         assert parse_pipeline("dce", verify="off").verify == "off"
         assert parse_pipeline("dce").verify == "boundary"
 
-    def test_legacy_bools_accepted(self):
-        assert parse_pipeline("dce", verify=True).verify == "boundary"
-        assert parse_pipeline("dce", verify=False).verify == "off"
+    def test_bools_rejected(self):
+        for flag in (True, False):
+            with pytest.raises(ValueError, match="unknown verify policy"):
+                parse_pipeline("dce", verify=flag)
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
