@@ -14,19 +14,18 @@ store implicitly).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
-from .driver.artifacts import STORE_ENV_VAR, ArtifactStore
+from .driver.artifacts import STORE_ENV_VAR, ArtifactStore, resolve_store
 
 
 def _store_from_args(args) -> ArtifactStore:
-    root = args.dir or os.environ.get(STORE_ENV_VAR)
-    if not root:
+    store = resolve_store(args.dir)
+    if store is None:
         raise SystemExit(
             f"no artifact store configured: pass --dir or set {STORE_ENV_VAR}"
         )
-    return ArtifactStore(root)
+    return store
 
 
 def main(argv=None) -> int:

@@ -16,10 +16,17 @@ emits a complete IR module:
   termination condition, monitor recording and the result record;
 * ``run_model``     — the trial loop.
 
-Node functions are marked ``alwaysinline``; at -O2/-O3 the inliner collapses
-the entire model (scheduler included) into ``run_model``, which is what
-enables the whole-model optimisations the paper credits for its largest
-speedups (Figure 5b).
+Node functions are marked ``alwaysinline``; at -O2/-O3 the inliner copies
+every node body into ``run_pass`` and ``run_pass_rest``, so one pass is a
+single straight-line function that the optimiser sees whole — the
+scheduler/node boundary the paper crosses for its largest speedups
+(Figure 5b).  The two pass functions themselves are ``noinline``: that call
+is the boundary.  ``run_trial`` keeps one call to ``run_pass`` per pass and
+``run_model`` stays a short trial loop around ``run_trial`` (the inliner may
+still copy a small ``run_trial`` into it).  Because nothing above
+``run_pass`` ever holds a node body, an incremental recompile
+(:mod:`repro.core.patch`) re-optimizes the edited nodes plus the two pass
+functions and relinks the live ``run_trial``/``run_model`` to them.
 """
 
 from __future__ import annotations
@@ -56,6 +63,13 @@ from .node_codegen import (
     store_outputs,
 )
 from .structs import StaticLayout
+
+#: Version of the model IR generator.  Model-entry store keys address a
+#: composition, not its IR, so they include this (through
+#: :func:`repro.driver.artifacts.artifact_salt`): bump on any change to the
+#: IR a composition generates.  Version 2 made ``run_pass``/``run_pass_rest``
+#: ``noinline``; an incremental recompile relies on that call boundary.
+IRGEN_VERSION = 2
 
 
 @dataclass
@@ -179,10 +193,11 @@ class ModelCodeGenerator:
     ``only`` selects *selective* generation for incremental recompiles
     (see :mod:`repro.core.patch`): node bodies are emitted only for the
     named mechanisms, every other mechanism contributes just a
-    ``node_<name>`` declaration (same type, no blocks), and the scheduler
-    functions — which call every node and are cheap relative to node
-    bodies — are always regenerated.  The resulting *patch module* links
-    against the unchanged nodes of a previous compile at lowering time.
+    ``node_<name>`` declaration (same type, no blocks), and the pass
+    functions — which call every node — are always regenerated; the trial
+    drivers are left out with ``generate(drivers=False)``.  The resulting
+    *patch module* links against the unchanged functions of a previous
+    compile at lowering time.
     """
 
     def __init__(
@@ -203,7 +218,10 @@ class ModelCodeGenerator:
         self.grid_searches: List[GridSearchInfo] = []
 
     # -- entry point ---------------------------------------------------------------
-    def generate(self) -> CompiledArtifacts:
+    def generate(self, drivers: bool = True) -> CompiledArtifacts:
+        """Emit the module.  ``drivers=False`` leaves out ``run_trial`` and
+        ``run_model`` — an incremental recompile whose :func:`driver_key`
+        did not move keeps the live ones."""
         for name in self.layout.execution_order:
             mech = self.composition.mechanisms[name]
             if self.only is not None and name not in self.only:
@@ -215,8 +233,9 @@ class ModelCodeGenerator:
                 emit_node_function(self.module, self.layout, self.composition, self.info, mech)
         self._emit_run_pass("run_pass", include_control=True)
         self._emit_run_pass("run_pass_rest", include_control=False)
-        self._emit_run_trial()
-        self._emit_run_model()
+        if drivers:
+            self._emit_run_trial()
+            self._emit_run_model()
         return CompiledArtifacts(self.module, self.layout, self.grid_searches)
 
     def _declare_node(self, name: str) -> None:
@@ -469,7 +488,9 @@ class ModelCodeGenerator:
             FunctionType(VOID, arg_types),
             ["params", "state", "prev", "cur", "ext", "pass_idx", "trial_idx"],
         )
-        fn.attributes["alwaysinline"] = True
+        # Node bodies inline into the pass; the pass stays a call from
+        # ``run_trial`` so an edit never has to re-optimize the trial driver.
+        fn.attributes["noinline"] = True
         params_ptr, state_ptr, prev_ptr, cur_ptr, ext_ptr, pass_idx, trial_idx = fn.args
         current = fn.append_block("entry")
 
@@ -544,12 +565,12 @@ class ModelCodeGenerator:
         # Reset read-write state (integrators, counters) — PRNG keys persist.
         for offset, values in layout.state_reset_entries:
             for i, value in enumerate(values):
-                slot_index = self._state_slot_gep(b, state_ptr, offset + i)
+                slot_index = self._slot_gep(b, state_ptr, offset + i)
                 b.store(b.f64(float(value)), slot_index)
         # Zero the double buffers.
         for buffer_ptr in (prev_ptr, cur_ptr):
             for slot in range(layout.output_struct.slot_count()):
-                b.store(b.f64(0.0), self._output_slot_gep(b, buffer_ptr, slot))
+                b.store(b.f64(0.0), self._slot_gep(b, buffer_ptr, slot))
         b.br(pass_header)
 
         # -- pass loop header: termination check -------------------------------------------
@@ -573,8 +594,8 @@ class ModelCodeGenerator:
         )
         # cur -> prev (double-buffer swap by copy).
         for slot in range(layout.output_struct.slot_count()):
-            value = b.load(self._output_slot_gep(b, cur_ptr, slot))
-            b.store(value, self._output_slot_gep(b, prev_ptr, slot))
+            value = b.load(self._slot_gep(b, cur_ptr, slot))
+            b.store(value, self._slot_gep(b, prev_ptr, slot))
         # Monitor recording (end-of-pass values).
         if layout.monitor_size:
             record = b.add(b.mul(trial_idx, b.i64(layout.max_passes)), pass_idx)
@@ -582,7 +603,7 @@ class ModelCodeGenerator:
             for node_name, (offset, size) in layout.monitor_layout.items():
                 out_offset, _ = layout.output_offsets[node_name]
                 for i in range(size):
-                    value = b.load(self._output_slot_gep(b, prev_ptr, out_offset + i))
+                    value = b.load(self._slot_gep(b, prev_ptr, out_offset + i))
                     slot_ptr = b.gep(monitor_ptr, [b.add(record_base, b.i64(offset + i))])
                     b.store(value, slot_ptr)
         next_pass = b.add(pass_idx, b.i64(1))
@@ -596,7 +617,7 @@ class ModelCodeGenerator:
         for node_name, (offset, size) in layout.result_layout.items():
             out_offset, _ = layout.output_offsets[node_name]
             for i in range(size):
-                value = b.load(self._output_slot_gep(b, prev_ptr, out_offset + i))
+                value = b.load(self._slot_gep(b, prev_ptr, out_offset + i))
                 b.store(value, b.gep(results_ptr, [b.add(record_base, b.i64(offset + i))]))
         b.store(
             b.sitofp(pass_idx),
@@ -676,32 +697,52 @@ class ModelCodeGenerator:
         return fn
 
     # -- small helpers ---------------------------------------------------------------------------
-    def _output_slot_gep(self, b: IRBuilder, buffer_ptr: Value, slot: int) -> Value:
-        """Pointer to a linear slot of the output struct (by field + element)."""
-        struct = self.layout.output_struct
-        running = 0
-        for index, (_, ftype) in enumerate(struct.fields):
-            size = ftype.slot_count()
-            if slot < running + size:
-                field_ptr = b.gep(buffer_ptr, [b.i64(0), b.i64(index)])
-                if ftype.is_scalar:
-                    return field_ptr
-                return b.gep(field_ptr, [b.i64(0), b.i64(slot - running)])
-            running += size
-        raise CompilationError(f"output slot {slot} out of range")
+    @staticmethod
+    def _slot_gep(b: IRBuilder, struct_ptr: Value, slot: int) -> Value:
+        """Pointer to linear ``slot`` of the struct ``struct_ptr`` points to
+        (by field, then element)."""
+        struct = struct_ptr.type.pointee
+        try:
+            index, element = struct.field_at_slot(slot)
+        except IndexError as exc:
+            raise CompilationError(str(exc)) from None
+        field_ptr = b.gep(struct_ptr, [b.i64(0), b.i64(index)])
+        if struct.field_type(index).is_scalar:
+            return field_ptr
+        return b.gep(field_ptr, [b.i64(0), b.i64(element)])
 
-    def _state_slot_gep(self, b: IRBuilder, state_ptr: Value, slot: int) -> Value:
-        struct = self.layout.state_struct
-        running = 0
-        for index, (_, ftype) in enumerate(struct.fields):
-            size = ftype.slot_count()
-            if slot < running + size:
-                field_ptr = b.gep(state_ptr, [b.i64(0), b.i64(index)])
-                if ftype.is_scalar:
-                    return field_ptr
-                return b.gep(field_ptr, [b.i64(0), b.i64(slot - running)])
-            running += size
-        raise CompilationError(f"state slot {slot} out of range")
+
+#: The trial drivers: everything above the ``noinline`` pass functions.
+DRIVER_FUNCTIONS = ("run_trial", "run_model")
+
+
+def driver_key(composition: Composition, layout: StaticLayout) -> tuple:
+    """Everything ``run_trial`` and ``run_model`` are generated from.
+
+    Equal keys mean identical drivers, so an incremental recompile compares
+    keys instead of regenerating and fingerprinting the trial driver (the
+    largest function of a big model: one store per output slot).  Keep this
+    in step with :meth:`ModelCodeGenerator._emit_run_trial` and
+    :meth:`ModelCodeGenerator._emit_run_model`.
+    """
+    from ..driver.session import _condition_key
+    from ..ir.fingerprint import type_signature
+
+    return (
+        type_signature(layout.params_struct),
+        type_signature(layout.state_struct),
+        type_signature(layout.output_struct),
+        # repr keeps -0.0 apart from 0.0, as the baked constants are.
+        tuple((offset, tuple(map(repr, values))) for offset, values in layout.state_reset_entries),
+        layout.max_passes,
+        layout.input_size,
+        layout.result_size,
+        layout.monitor_size,
+        tuple(layout.output_offsets.items()),
+        tuple(layout.result_layout.items()),
+        tuple(layout.monitor_layout.items()),
+        _condition_key(composition.termination),
+    )
 
 
 def generate_model_ir(

@@ -13,17 +13,31 @@ after a model edit instead of recompiling from scratch:
    result in place;
 3. a *patch module* is generated with
    :class:`~repro.core.codegen.ModelCodeGenerator` in selective mode
-   (``only=changed``): full bodies for the edited mechanisms and the
-   scheduler functions, bare ``node_<name>`` declarations for everything
-   else;
-4. regenerated functions whose structural fingerprint matches the previous
-   compile are discarded (a pure parameter-value edit reaches a fixpoint
-   here: plain parameters load from the params buffer, so the IR is
-   bit-identical and only the layout's default param values need swapping);
-5. anything genuinely stale is optimised with the model's own pipeline,
-   lowered with the unchanged nodes *linked in* from the previous compile
-   (their compiled callables are injected into the exec namespace), and
-   grafted into the live module.
+   (``only=changed``): full bodies for the edited mechanisms and the pass
+   functions, bare ``node_<name>`` declarations for everything else.  The
+   trial drivers (``run_trial``/``run_model``) are regenerated only when
+   their :func:`~repro.core.codegen.driver_key` moved (state reset values,
+   termination condition, buffer maps); otherwise the live ones stay;
+4. the regenerated functions are fingerprinted against the previous
+   compile.  When none changed, the edit is param-buffer-only (plain
+   parameters load from the params buffer, so the IR is bit-identical and
+   only the layout's default param values need swapping).  Otherwise the
+   *patch scope* is the stale functions plus every caller that may inline
+   one, transitively — callers stop at a ``noinline`` callee.  Node
+   functions are ``alwaysinline`` and ``run_pass``/``run_pass_rest`` are
+   ``noinline`` (see :mod:`repro.core.codegen`), so a node edit scopes to
+   ``node_<name>``, ``run_pass`` and ``run_pass_rest``; every other
+   regenerated function is turned back into a declaration.  Unchanged
+   functions are never re-optimized.  A live compile without that call
+   boundary (a scope function that is ``noinline`` in the patch module is
+   not ``noinline`` in the live one) falls back to a full compile;
+5. the scoped functions are optimised with the model's own pipeline,
+   lowered with everything outside the scope *linked in* from the previous
+   compile (the compiled callables are injected into the exec namespace),
+   and grafted into the live module.  The live callers of a replaced
+   function — ``run_trial`` calling ``run_pass`` — are relinked without
+   re-lowering: their IR call sites are re-pointed by name, and the lowered
+   closures' shared cell (or module global) for the callee is swapped.
 
 The full-module compile remains the differential anchor: the fuzz oracle's
 incremental leg (``python -m repro.fuzz --incremental``) asserts that a
@@ -43,7 +57,7 @@ from typing import Dict, Iterable, Optional, Set
 from ..cogframe.composition import Composition
 from ..cogframe.mechanisms import GridSearchControlMechanism
 from ..cogframe.sanitize import sanitize
-from .codegen import ModelCodeGenerator
+from .codegen import DRIVER_FUNCTIONS, ModelCodeGenerator, driver_key
 from .structs import StaticLayout, build_layout
 
 __all__ = ["recompile_model"]
@@ -148,12 +162,85 @@ def _layout_compatible(old: StaticLayout, new: StaticLayout) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _graft_functions(old_module, patch_module) -> None:
+def _callers(module) -> Dict[str, Set[str]]:
+    """Callee name -> names of the defined functions that call it."""
+    from ..ir.instructions import Call
+
+    callers: Dict[str, Set[str]] = {name: set() for name in module.functions}
+    for fn in module.defined_functions():
+        for instr in fn.instructions():
+            if isinstance(instr, Call):
+                callers[instr.callee.name].add(fn.name)
+    return callers
+
+
+def _transitive_callers(callers, roots: Iterable[str], module=None) -> Set[str]:
+    """``roots`` plus their callers, transitively.
+
+    With ``module``, the walk does not pass a ``noinline`` callee: a caller
+    of such a function never holds a copy of its body.
+    """
+    found = set(roots)
+    work = list(found)
+    while work:
+        name = work.pop()
+        if module is not None and module.functions[name].attributes.get("noinline"):
+            continue
+        for caller in callers.get(name, ()):
+            if caller not in found:
+                found.add(caller)
+                work.append(caller)
+    return found
+
+
+def _declare_only(module, names: Iterable[str]) -> None:
+    """Turn the named defined functions of ``module`` into declarations.
+
+    The dropped bodies are garbage as a whole (IR values never cross a
+    function), so their use lists are left alone rather than unlinked one
+    operand at a time.
+    """
+    for name in names:
+        fn = module.functions[name]
+        fn.blocks = []
+        fn.notify_mutation()
+
+
+def _relink_callers(
+    model, live_callers: Iterable[str], replaced: Dict[str, object], py_names: Dict[str, str]
+) -> None:
+    """Point live functions outside the patch at the replaced functions.
+
+    ``replaced`` maps names to the grafted IR functions and ``py_names``
+    maps their lowered Python names back to IR names.  IR call sites are
+    re-pointed by name.  Lowered code reaches other functions of its compile
+    through closure cells of the generated module factory (structured
+    emitter) or through module globals (dispatch emitter); swapping a
+    shared cell or global relinks every caller of that compile at once.
+    """
+    from ..ir.instructions import Call
+
+    for name in live_callers:
+        for instr in model.module.functions[name].instructions():
+            if isinstance(instr, Call) and instr.callee.name in replaced:
+                instr.callee = replaced[instr.callee.name]
+        lowered = model._compiled[name]
+        code = lowered.__code__
+        for var, cell in zip(code.co_freevars, lowered.__closure__ or ()):
+            if var in py_names:
+                cell.cell_contents = model._compiled[py_names[var]]
+        for var in code.co_names:
+            if var in py_names and var in lowered.__globals__:
+                lowered.__globals__[var] = model._compiled[py_names[var]]
+
+
+def _graft_functions(old_module, patch_module) -> Dict[str, object]:
     """Install the patch module's defined functions into the live module.
 
     Replaced functions keep their name slot; calls inside grafted functions
     are re-pointed at the live module's functions (unchanged nodes keep
     their original definitions; intrinsics are declared on demand).
+    Returns the grafted functions by name.
     """
     from ..ir.instructions import Call
 
@@ -178,6 +265,7 @@ def _graft_functions(old_module, patch_module) -> None:
                     old_module.functions[callee.name] = callee
                     target = callee
             instr.callee = target
+    return grafted
 
 
 def _merge_grid_searches(model, regenerated) -> None:
@@ -227,6 +315,7 @@ def _adopt(model, fresh) -> None:
     model.source = fresh.source
     model.unit_fingerprints = fresh.unit_fingerprints
     model.function_fingerprints = fresh.function_fingerprints
+    model.driver_key = fresh.driver_key
     model._compiled = fresh._compiled
     with model._engine_lock:
         model._engine_instances.clear()
@@ -313,8 +402,12 @@ def recompile_model(
             model, new_composition, store, started, "layout incompatible"
         )
 
+    # The trial drivers are regenerated only when their inputs moved; the
+    # live ones otherwise stay, relinked to the new pass functions below.
+    new_driver_key = driver_key(new_composition, layout)
+    drivers = new_driver_key != model.driver_key
     generator = ModelCodeGenerator(new_composition, info, layout, only=changed_set)
-    patch_artifacts = generator.generate()
+    patch_artifacts = generator.generate(drivers=drivers)
     patch_module = patch_artifacts.module
 
     new_fps = {
@@ -332,6 +425,7 @@ def recompile_model(
         # default values — and the parallel engines' grid metadata — move.
         _swap_metadata(model, new_composition, info, layout)
         _merge_grid_searches(model, generator.grid_searches)
+        model.driver_key = new_driver_key
         _invalidate_engines(model)
         elapsed = time.perf_counter() - started
         stats.recompile_seconds += elapsed
@@ -341,6 +435,31 @@ def recompile_model(
             "relowered": [],
             "seconds": elapsed,
         }
+
+    # Patch scope: the stale functions plus every caller that may have
+    # inlined one.  Generated callers of a defined function are themselves
+    # defined in the patch module (a node calls only its own eval kernel,
+    # and both are regenerated together), so the scope is complete.
+    callers = _callers(patch_module)
+    scope = _transitive_callers(callers, stale, patch_module)
+    # The walk stops at ``noinline`` functions: the live callers hold no
+    # copy of their bodies only if the live compile kept them ``noinline``
+    # too (a store entry from an older generator may not).
+    for name in sorted(scope):
+        if patch_module.functions[name].attributes.get("noinline"):
+            live_fn = model.module.functions.get(name)
+            if live_fn is None or not live_fn.attributes.get("noinline"):
+                return _full_recompile(
+                    model, new_composition, store, started, f"no call boundary at {name}"
+                )
+    _declare_only(
+        patch_module, [fn.name for fn in patch_module.defined_functions() if fn.name not in scope]
+    )
+    # Live functions outside the scope whose lowered code calls into it
+    # (drivers left out of the patch module call the pass functions).
+    live_callers = _transitive_callers(callers, scope) - scope
+    if not drivers:
+        live_callers.update(DRIVER_FUNCTIONS)
 
     flags = model.flags or {}
     analysis_manager = AnalysisManager(enabled=bool(flags.get("analysis_cache", True)))
@@ -352,8 +471,9 @@ def recompile_model(
         analysis_manager=analysis_manager if analysis_manager.enabled else None,
         sanitize=bool(flags.get("sanitize", False)),
     )
-    # Unchanged nodes link in from the previous compile: their declarations
-    # resolve to the existing compiled callables through the exec namespace.
+    # Everything outside the scope links in from the previous compile: the
+    # declarations resolve to the existing compiled callables through the
+    # exec namespace.
     extra_symbols = {
         lowerer._py_name(fn): model._compiled[fn.name]
         for fn in patch_module.functions.values()
@@ -362,9 +482,16 @@ def recompile_model(
     compiled = lowerer.compile(extra_symbols=extra_symbols)
     analysis_manager.clear()
 
-    _graft_functions(model.module, patch_module)
+    grafted = _graft_functions(model.module, patch_module)
     model._compiled.update(compiled)
+    _relink_callers(
+        model,
+        sorted(live_callers),
+        grafted,
+        {lowerer._py_name(fn): name for name, fn in grafted.items()},
+    )
     model.function_fingerprints.update(new_fps)
+    model.driver_key = new_driver_key
     _swap_metadata(model, new_composition, info, layout)
     _merge_grid_searches(model, generator.grid_searches)
     # The stored source and unit keys describe the original full compile;
@@ -379,5 +506,6 @@ def recompile_model(
         "mode": "patched",
         "changed": sorted(changed_set),
         "relowered": stale,
+        "optimized": sorted(scope),
         "seconds": elapsed,
     }

@@ -43,6 +43,7 @@ __all__ = [
     "optimize_artifact_key",
     "tuned_pipeline_key",
     "STORE_ENV_VAR",
+    "STORE_OFF",
     "TUNED_KEY_PREFIX",
 ]
 
@@ -56,6 +57,10 @@ TUNED_KEY_PREFIX = "tune-"
 #: sessions (and the module-level ``repro.compile``) persist artifacts there
 #: without any code changes.
 STORE_ENV_VAR = "REPRO_ARTIFACT_DIR"
+
+#: The store root spelling that means "no store" (``REPRO_ARTIFACT_DIR=off``,
+#: ``python -m repro.serve --artifact-dir off``); see :func:`resolve_store`.
+STORE_OFF = "off"
 
 #: Known compile flags and their default (effective) values.  Flag
 #: normalization maps every compile to the *effective* configuration so that
@@ -99,19 +104,20 @@ def normalize_flags(flags: Optional[Dict[str, object]]) -> Tuple:
 def artifact_salt() -> str:
     """Global invalidators shared by every artifact key.
 
-    Covers the Python lowering version and the IR payload format.  Struct
-    layout changes need no salt of their own: function fingerprints expand
-    every struct to its full field layout (:func:`repro.ir.fingerprint.\
-type_signature`), so the in-place mutations that bump
-    :data:`repro.ir.types.TYPE_MUTATION_EPOCH` change the content hash
-    directly — the live epoch counter itself is process-history-dependent
-    (every compile bumps it while building its structs) and must never leak
-    into a content address.
+    Covers the model IR generator version, the Python lowering version and
+    the IR payload format.  Struct layout changes need no salt of their
+    own: function fingerprints expand every struct to its full field layout
+    (:func:`repro.ir.fingerprint.type_signature`), so the in-place
+    mutations that bump :data:`repro.ir.types.TYPE_MUTATION_EPOCH` change
+    the content hash directly — the live epoch counter itself is
+    process-history-dependent (every compile bumps it while building its
+    structs) and must never leak into a content address.
     """
     from ..backends.pycodegen import CODEGEN_VERSION
+    from ..core.codegen import IRGEN_VERSION
     from ..ir.serialize import FORMAT_VERSION
 
-    return f"cg{CODEGEN_VERSION}:ir{FORMAT_VERSION}"
+    return f"gen{IRGEN_VERSION}:cg{CODEGEN_VERSION}:ir{FORMAT_VERSION}"
 
 
 def _sha256(*tokens: str) -> str:
@@ -122,23 +128,32 @@ def _sha256(*tokens: str) -> str:
     return h.hexdigest()
 
 
-def unit_fingerprints(module, pipeline_fingerprint: str, flags: Optional[Dict[str, object]] = None) -> Dict[str, str]:
+def unit_fingerprints(
+    module,
+    pipeline_fingerprint: str,
+    flags: Optional[Dict[str, object]] = None,
+    function_fps: Optional[Dict[str, str]] = None,
+) -> Dict[str, str]:
     """Per-function *compile unit* keys for every function of ``module``.
 
     A unit key covers the function's own structural fingerprint, the unit
     keys of everything it (transitively) calls, the optimisation pipeline,
     the normalized flags and the global :func:`artifact_salt` — so a unit is
     reusable exactly when re-running distill → optimize → codegen on it would
-    reproduce the stored artifact.
+    reproduce the stored artifact.  ``function_fps`` passes in the
+    functions' :func:`~repro.ir.fingerprint.function_fingerprint` values
+    when the caller already has them.
     """
     from ..ir.fingerprint import function_fingerprint
     from ..ir.instructions import Call
 
     salt = artifact_salt()
     flags_token = repr(normalize_flags(flags))
-    own: Dict[str, str] = {
-        name: function_fingerprint(fn) for name, fn in module.functions.items()
-    }
+    own: Dict[str, str] = (
+        function_fps
+        if function_fps is not None
+        else {name: function_fingerprint(fn) for name, fn in module.functions.items()}
+    )
     callees: Dict[str, List[str]] = {}
     for name, fn in module.functions.items():
         seen = set()
@@ -405,13 +420,14 @@ def resolve_store(store) -> Optional[ArtifactStore]:
 
     ``None`` consults :data:`STORE_ENV_VAR`; ``False`` disables the store
     even when the environment variable is set; a string/path opens a store
-    at that root; an :class:`ArtifactStore` passes through.
+    at that root; an :class:`ArtifactStore` passes through.  The string
+    :data:`STORE_OFF` disables the store wherever a root is accepted — the
+    environment variable and the CLIs' store options included.
     """
-    if store is False:
-        return None
     if store is None:
-        root = os.environ.get(STORE_ENV_VAR)
-        return ArtifactStore(root) if root else None
+        store = os.environ.get(STORE_ENV_VAR) or False
+    if store is False or store == STORE_OFF:
+        return None
     if isinstance(store, ArtifactStore):
         return store
     return ArtifactStore(os.fspath(store))

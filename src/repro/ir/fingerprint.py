@@ -37,6 +37,7 @@ from .instructions import (
     Instruction,
     Phi,
 )
+from . import types as ir_types
 from .module import Function, Module
 from .types import ArrayType, FunctionType, IRType, PointerType, StructType
 from .values import Argument, Constant, UndefValue, Value
@@ -52,6 +53,13 @@ def type_signature(ty: IRType, _seen: Optional[frozenset] = None) -> str:
     would collide with the old artifact.
     """
     if isinstance(ty, StructType):
+        if not _seen:
+            # The expansion is memoized on the struct (see
+            # ``StructType.signature_memo``); an in-place field append bumps
+            # the epoch and so invalidates every struct that embeds it.
+            memo = ty.signature_memo
+            if memo is not None and memo[0] == ir_types.TYPE_MUTATION_EPOCH:
+                return memo[1]
         seen = _seen or frozenset()
         if ty.name in seen:  # pragma: no cover - structs are non-recursive
             return f"%{ty.name}"
@@ -59,7 +67,10 @@ def type_signature(ty: IRType, _seen: Optional[frozenset] = None) -> str:
         body = ",".join(
             f"{fname}:{type_signature(ftype, inner)}" for fname, ftype in ty.fields
         )
-        return f"%{ty.name}{{{body}}}"
+        signature = f"%{ty.name}{{{body}}}"
+        if not _seen:
+            ty.signature_memo = (ir_types.TYPE_MUTATION_EPOCH, signature)
+        return signature
     if isinstance(ty, PointerType):
         return f"{type_signature(ty.pointee, _seen)}*"
     if isinstance(ty, ArrayType):

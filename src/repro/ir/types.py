@@ -16,14 +16,27 @@ the ``getelementptr`` instruction lowers to in every execution engine.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple
+from bisect import bisect_right
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: Monotonic counter bumped whenever a type is mutated in place (today only
 #: ``StructType.add_field``).  Consumers that memoize derived facts about
-#: types — ``repro.backends.runtime``'s GEP-offset tables — compare this
-#: epoch and drop their caches when it moves, because appending a field
-#: changes ``slot_count()`` and therefore every offset that scales by the
-#: whole aggregate (including transitively, via arrays of structs).
+#: types compare this epoch and drop their memos when it moves, because
+#: appending a field changes ``slot_count()`` and therefore every offset
+#: that scales by the whole aggregate (including transitively, via arrays of
+#: structs).  The consumers are:
+#:
+#: * ``repro.backends.runtime``'s GEP-offset tables;
+#: * ``StructType``'s field layout (behind ``slot_count``,
+#:   ``field_slot_offset``, ``field_at_slot`` and ``field_index``), memoized
+#:   per struct and extended in place by ``add_field`` (a struct embedding
+#:   no other struct needs no epoch check: only its own ``add_field`` can
+#:   move its layout);
+#: * ``repro.ir.fingerprint.type_signature``'s expanded struct bodies,
+#:   memoized per struct.
+#:
+#: The per-struct memos live on the struct object, not in an ``id()``-keyed
+#: table: every GEP builds a fresh ``PointerType``, so identity keys miss.
 TYPE_MUTATION_EPOCH = 0
 
 
@@ -215,25 +228,69 @@ class StructType(IRType):
 
     is_aggregate = True
 
+    #: Epoch-stamped memos, ``(TYPE_MUTATION_EPOCH, ...)`` or ``None``: the
+    #: field layout — cumulative slot offsets, the name -> index map and
+    #: whether a field embeds another struct — and the expanded
+    #: ``type_signature`` body.  Class-level defaults so unpickled structs
+    #: (whose memos :meth:`__getstate__` strips) start empty.
+    _layout_memo: Optional[Tuple[int, List[int], Dict[str, int], bool]] = None
+    signature_memo: Optional[Tuple[int, str]] = None
+
     def __init__(self, name: str, fields: Sequence[Tuple[str, IRType]] = ()):
         self.name = name
         self.fields: list[Tuple[str, IRType]] = list(fields)
 
+    def __getstate__(self):
+        # An epoch stamp means nothing in another process.
+        state = dict(self.__dict__)
+        state.pop("_layout_memo", None)
+        state.pop("signature_memo", None)
+        return state
+
     # -- construction -------------------------------------------------
     def add_field(self, name: str, ftype: IRType) -> int:
         """Append a field and return its index."""
-        if any(existing == name for existing, _ in self.fields):
+        offsets, index = self._layout()
+        if name in index:
             raise ValueError(f"duplicate field {name!r} in struct {self.name}")
+        nested = self._layout_memo[3] or _embeds_struct(ftype)
         self.fields.append((name, ftype))
         bump_type_mutation_epoch()
+        # Only this struct changed since the memo was current, so extend it
+        # rather than rebuild it: layouts grow one field at a time.
+        offsets.append(offsets[-1] + ftype.slot_count())
+        index[name] = len(self.fields) - 1
+        self._layout_memo = (TYPE_MUTATION_EPOCH, offsets, index, nested)
         return len(self.fields) - 1
 
     # -- queries ------------------------------------------------------
+    def _layout(self) -> Tuple[List[int], Dict[str, int]]:
+        """Cumulative slot offsets (entry ``i`` is field ``i``'s offset, the
+        last entry the struct's ``slot_count``) and the name -> index map.
+
+        A struct that embeds no other struct skips the epoch check: only its
+        own :meth:`add_field` can move its layout, and that keeps the memo
+        current.  Layout construction interleaves appends to several
+        structs, so an epoch check alone would rebuild on every probe.
+        """
+        memo = self._layout_memo
+        if memo is not None and (memo[0] == TYPE_MUTATION_EPOCH or not memo[3]):
+            return memo[1], memo[2]
+        offsets = [0]
+        index: Dict[str, int] = {}
+        nested = False
+        for i, (fname, ftype) in enumerate(self.fields):
+            offsets.append(offsets[-1] + ftype.slot_count())
+            index.setdefault(fname, i)
+            nested = nested or _embeds_struct(ftype)
+        self._layout_memo = (TYPE_MUTATION_EPOCH, offsets, index, nested)
+        return offsets, index
+
     def field_index(self, name: str) -> int:
-        for i, (fname, _) in enumerate(self.fields):
-            if fname == name:
-                return i
-        raise KeyError(f"struct {self.name} has no field {name!r}")
+        try:
+            return self._layout()[1][name]
+        except KeyError:
+            raise KeyError(f"struct {self.name} has no field {name!r}") from None
 
     def field_type(self, index: int) -> IRType:
         return self.fields[index][1]
@@ -242,7 +299,7 @@ class StructType(IRType):
         return [name for name, _ in self.fields]
 
     def slot_count(self) -> int:
-        return sum(ftype.slot_count() for _, ftype in self.fields)
+        return self._layout()[0][-1]
 
     def field_slot_offset(self, index: int) -> int:
         """Linear slot offset of field ``index`` within the struct."""
@@ -250,7 +307,17 @@ class StructType(IRType):
             raise IndexError(
                 f"field index {index} out of range for struct {self.name}"
             )
-        return sum(ftype.slot_count() for _, ftype in self.fields[:index])
+        return self._layout()[0][index]
+
+    def field_at_slot(self, slot: int) -> Tuple[int, int]:
+        """``(field index, slot within that field)`` of linear ``slot``."""
+        offsets = self._layout()[0]
+        if slot < 0 or slot >= offsets[-1]:
+            raise IndexError(f"slot {slot} out of range for struct {self.name}")
+        # The last field starting at or before ``slot``: zero-slot fields
+        # share their successor's offset and are skipped over.
+        index = bisect_right(offsets, slot, 0, len(self.fields)) - 1
+        return index, slot - offsets[index]
 
     def __str__(self) -> str:
         return f"%{self.name}"
@@ -269,6 +336,14 @@ class StructType(IRType):
 
     def __hash__(self) -> int:
         return hash(("struct", self.name, tuple(self.fields)))
+
+
+def _embeds_struct(ty: IRType) -> bool:
+    """True when ``ty``'s slots include a struct's (directly or in arrays);
+    a pointer is one slot whatever it points to."""
+    while isinstance(ty, ArrayType):
+        ty = ty.element
+    return isinstance(ty, StructType)
 
 
 class FunctionType(IRType):

@@ -11,7 +11,7 @@ Cloning is used by three clients:
 from __future__ import annotations
 
 import copy as _copy
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from ..ir.instructions import (
     GEP,
@@ -141,15 +141,16 @@ def clone_function(
         for instr in block.instructions:
             new_block.append(clone_instruction(instr, vmap))
 
-    _patch_forward_references(target, vmap)
+    _patch_forward_references(target.blocks, vmap)
     # Name counter: keep generating fresh names after the clone.
     target._name_counter = source._name_counter
     return target
 
 
-def _patch_forward_references(function: Function, vmap: Dict[int, Value]) -> None:
-    """Replace operands that still reference original values with their clones."""
-    for block in function.blocks:
+def _patch_forward_references(blocks: List[BasicBlock], vmap: Dict[int, Value]) -> None:
+    """Replace operands in ``blocks`` that still reference original values
+    with their clones."""
+    for block in blocks:
         for instr in block.instructions:
             for i, op in enumerate(list(instr.operands)):
                 mapped = vmap.get(id(op))

@@ -97,17 +97,27 @@ class CommonSubexpressionElimination(FunctionPass):
         def walk(block, available: Dict[Tuple, Value]) -> None:
             nonlocal changed
             scope = dict(available)
-            for instr in list(block.instructions):
+            erased = set()
+            for instr in block.instructions:
                 key = expression_key(instr)
                 if key is None:
                     continue
                 existing = scope.get(key)
                 if existing is not None:
                     instr.replace_all_uses_with(existing)
-                    instr.erase()
-                    changed = True
+                    instr.drop_operands()
+                    instr.parent = None
+                    erased.add(id(instr))
                 else:
                     scope[key] = instr
+            if erased:
+                # One rebuild per block: a list.remove per erased
+                # instruction is quadratic in the block length.
+                block.instructions = [
+                    i for i in block.instructions if id(i) not in erased
+                ]
+                function.notify_mutation()
+                changed = True
             for child in domtree.children.get(block, []):
                 walk(child, scope)
 

@@ -15,7 +15,7 @@ from typing import Dict, Optional
 from ..ir.instructions import Branch, Call, Phi, Return
 from ..ir.module import BasicBlock, Function, Module
 from ..ir.values import Constant, UndefValue, Value
-from .cloning import clone_instruction
+from .cloning import _patch_forward_references, clone_instruction
 from ..driver.registry import register_pass
 from .pass_base import ModulePass
 
@@ -157,11 +157,11 @@ class Inliner(ModulePass):
         for src_block, new_block in zip(callee.blocks, cloned_blocks):
             for instr in src_block.instructions:
                 new_block.append(clone_instruction(instr, vmap))
-        from .cloning import _patch_forward_references
-
-        for offset, new_block in enumerate(cloned_blocks):
-            caller.blocks.insert(insert_at + offset, new_block)
-        _patch_forward_references(caller, vmap)
+        caller.blocks[insert_at:insert_at] = cloned_blocks
+        caller.notify_mutation()
+        # Only the clones can still reference callee values: the rest of the
+        # caller never saw them, so rescanning it would be quadratic.
+        _patch_forward_references(cloned_blocks, vmap)
 
         # 3. Rewrite returns into branches to the continuation; collect values.
         return_values: list[tuple[Value, BasicBlock]] = []

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from ..ir.cfg import predecessor_map
 from ..ir.instructions import Alloca, Load, Phi, Store
 from ..ir.module import BasicBlock, Function
 from ..ir.values import UndefValue, Value
@@ -145,8 +146,10 @@ class Mem2Reg(FunctionPass):
         changed = True
         while changed:
             changed = False
+            # Phis change inside a sweep, edges do not: one map per sweep.
+            pred_map = predecessor_map(function)
             for block in function.blocks:
-                preds = block.predecessors()
+                preds = list(dict.fromkeys(pred_map[block]))
                 pred_ids = {id(p) for p in preds}
                 for phi in list(block.phis()):
                     # Drop incoming edges from blocks that are no longer predecessors.

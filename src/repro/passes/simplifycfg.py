@@ -12,7 +12,7 @@ generator (and by other passes) small and analysable:
 
 from __future__ import annotations
 
-from ..ir.cfg import reachable_blocks
+from ..ir.cfg import predecessor_map, reachable_blocks
 from ..ir.instructions import Branch, CondBranch, Phi
 from ..ir.module import Function
 from ..ir.values import Constant
@@ -100,42 +100,69 @@ class SimplifyCFG(FunctionPass):
         return True
 
     def _merge_linear_chains(self, function: Function) -> bool:
-        changed = False
-        merged = True
-        while merged:
-            merged = False
-            for block in list(function.blocks):
+        """Merge every block into its unique predecessor when that
+        predecessor ends in an unconditional branch to it.
+
+        One sweep in block order: each block absorbs its successor chain
+        before the sweep moves on, which is the order a restart-after-every-
+        merge scan would pick (a merge never makes an earlier block
+        mergeable).  Predecessor lists come from one ``predecessor_map`` and
+        are kept current across merges, so no probe rescans the function.
+        """
+        if not function.blocks:
+            return False
+        preds = {b: list(dict.fromkeys(p)) for b, p in predecessor_map(function).items()}
+        entry = function.entry_block
+        removed = set()
+        for block in list(function.blocks):
+            if block in removed:
+                continue
+            while True:
                 term = block.terminator
                 if not isinstance(term, Branch):
-                    continue
+                    break
                 succ = term.target
-                if succ is block or succ is function.entry_block:
-                    continue
-                preds = succ.predecessors()
-                if len(preds) != 1 or preds[0] is not block:
-                    continue
+                if succ is block or succ is entry:
+                    break
+                succ_preds = preds.get(succ)
+                if succ_preds is None or len(succ_preds) != 1 or succ_preds[0] is not block:
+                    break
                 # Rewrite phis in the successor: with a single predecessor the
                 # phi is just its single incoming value.
-                for phi in list(succ.phis()):
+                for phi in succ.phis():
                     incoming = phi.incoming_for_block(block)
                     if incoming is None:
                         break
                     phi.replace_all_uses_with(incoming)
                     phi.erase()
                 else:
-                    term.erase()
-                    for instr in list(succ.instructions):
-                        succ.instructions.remove(instr)
-                        block.append(instr)
-                    # Successors of the merged block now flow from `block`;
-                    # fix their phis to refer to `block` instead of `succ`.
-                    for nxt in block.successors():
-                        for phi in nxt.phis():
-                            for i, pred in enumerate(phi.incoming_blocks):
-                                if pred is succ:
-                                    phi.incoming_blocks[i] = block
-                    function.blocks.remove(succ)
-                    merged = True
-                    changed = True
-                    break
-        return changed
+                    self._absorb(block, succ, preds)
+                    removed.add(succ)
+                    continue
+                break
+        if not removed:
+            return False
+        function.blocks = [b for b in function.blocks if b not in removed]
+        function.notify_mutation()
+        return True
+
+    @staticmethod
+    def _absorb(block, succ, preds) -> None:
+        """Move ``succ``'s instructions into ``block`` (replacing its branch)."""
+        term = block.instructions.pop()
+        term.parent = None
+        term.drop_operands()
+        moved = succ.instructions
+        succ.instructions = []
+        for instr in moved:
+            instr.parent = block
+        block.instructions.extend(moved)
+        # Successors of the merged block now flow from `block`; fix their
+        # phis and predecessor lists to refer to `block` instead of `succ`.
+        for nxt in dict.fromkeys(block.successors()):
+            nxt_preds = preds[nxt]
+            nxt_preds[nxt_preds.index(succ)] = block
+            for phi in nxt.phis():
+                for i, pred in enumerate(phi.incoming_blocks):
+                    if pred is succ:
+                        phi.incoming_blocks[i] = block

@@ -12,6 +12,7 @@ import json
 import signal
 import sys
 
+from ..driver.artifacts import resolve_store
 from .server import ServeConfig, Server
 
 
@@ -57,7 +58,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     address = args.socket if args.socket else (args.host, args.port)
-    artifact_dir = False if args.artifact_dir == "off" else args.artifact_dir
+    # Resolved here so the server never re-reads the environment: no store
+    # (``off`` from either source, or nothing configured) is ``False``.
+    artifact_dir = resolve_store(args.artifact_dir) or False
     config = ServeConfig(
         max_queue=args.max_queue,
         max_coalesce=args.max_coalesce,

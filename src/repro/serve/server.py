@@ -174,7 +174,8 @@ class Server:
 
     ``artifact_dir`` selects the artifact store exactly like
     :func:`repro.driver.artifacts.resolve_store`: ``None`` consults
-    ``REPRO_ARTIFACT_DIR``, ``False`` disables the store, a path opens one.
+    ``REPRO_ARTIFACT_DIR``, ``False`` or ``"off"`` disables the store, a path
+    opens one.
     ``models`` optionally maps extra model names to compositions (or
     zero-argument builders) on top of the registry — tests use it to serve
     custom deterministic models.

@@ -82,6 +82,21 @@ class TestKeyStability:
         assert ir_types.TYPE_MUTATION_EPOCH == before_epoch + 1
         assert artifact_salt() == before_salt
 
+    def test_entries_from_an_older_ir_generator_miss(self, monkeypatch, tmp_path):
+        # Model entries are keyed on the composition, not its IR: a change
+        # to the IR a composition generates must reach the key via the salt.
+        from repro.core import codegen
+
+        store = ArtifactStore(tmp_path / "store")
+        spec = generate_model_spec(5)
+        monkeypatch.setattr(codegen, "IRGEN_VERSION", codegen.IRGEN_VERSION - 1)
+        old = compile_composition(spec.build(), pipeline="default<O2>", store=store)
+        assert old.stats.artifact_writes >= 1
+        monkeypatch.undo()
+        fresh = compile_composition(spec.build(), pipeline="default<O2>", store=store)
+        assert fresh.stats.artifact_hits == 0
+        assert fresh.stats.artifact_misses == 2
+
     def test_function_fingerprint_survives_epoch_bumps(self):
         module = Module("fp_stability")
         fn = build_struct_sum_function(module)
@@ -215,6 +230,47 @@ class TestResolveStore:
         store = resolve_store(tmp_path / "explicit")
         assert isinstance(store, ArtifactStore)
         assert resolve_store(store) is store
+
+    def test_off_disables_from_env_and_argument(self, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv(STORE_ENV_VAR, "off")
+        assert resolve_store(None) is None
+        assert resolve_store("off") is None
+        assert not (tmp_path / "off").exists()
+
+    @pytest.mark.parametrize("spelling", ["env", "flag"])
+    def test_serve_cli_off_spellings_agree(self, monkeypatch, tmp_path, spelling):
+        """``REPRO_ARTIFACT_DIR=off`` and ``--artifact-dir off`` both boot the
+        daemon without a store (and never create a directory named ``off``)."""
+        import signal
+
+        from repro.serve import __main__ as serve_main
+
+        booted = {}
+
+        class FakeServer:
+            def __init__(self, address, artifact_dir, config):
+                booted["artifact_dir"] = artifact_dir
+                self.address = address
+
+            def start(self):
+                pass
+
+            def serve_forever(self):
+                pass
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(serve_main, "Server", FakeServer)
+        monkeypatch.setattr(signal, "signal", lambda *args: None)
+        argv = ["--socket", str(tmp_path / "s.sock")]
+        if spelling == "env":
+            monkeypatch.setenv(STORE_ENV_VAR, "off")
+        else:
+            monkeypatch.setenv(STORE_ENV_VAR, str(tmp_path / "env-store"))
+            argv += ["--artifact-dir", "off"]
+        assert serve_main.main(argv) == 0
+        assert booted["artifact_dir"] is False
+        assert not (tmp_path / "off").exists()
 
 
 class TestCacheCli:

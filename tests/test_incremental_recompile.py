@@ -20,7 +20,7 @@ from repro.fuzz.oracle import buffers_equal, raw_buffers
 from repro.models import predator_prey as pp
 
 #: Engines for the bitwise comparisons (mcpu excluded for test speed; the
-#: fuzz incremental leg covers the full engine registry nightly).
+#: fuzz incremental leg covers the full engine registry in CI).
 ENGINES = ("compiled", "ir-interp", "per-node", "gpu-sim")
 
 INPUTS = pp.default_inputs(1)
@@ -242,3 +242,183 @@ class TestSessionRecompile:
         assert report["mode"] == "full"
         assert model.stats.artifact_writes >= 1
         model.close_engines()
+
+
+class TestPatchScope:
+    """A one-node edit re-optimizes the node and the two pass functions
+    only; the live trial drivers are relinked, never regenerated."""
+
+    def test_node_edit_scopes_to_the_pass_functions(self, monkeypatch):
+        from repro.fuzz.oracle import OracleConfig, _final_rng_counters
+
+        spec = generate_scale_spec(2, n_mechanisms=16)
+        model = compile_composition(spec.build(), pipeline="default<O2>", store=False)
+        (_, _), (proj_edit, receiver) = scale_edit_specs(spec)
+        drivers = {name: model.function(name) for name in ("run_trial", "run_model")}
+
+        optimized = []
+        original_run = type(model.pipeline).run
+
+        def spy(pipeline, module, *args, **kwargs):
+            optimized.append(sorted(fn.name for fn in module.defined_functions()))
+            return original_run(pipeline, module, *args, **kwargs)
+
+        monkeypatch.setattr(type(model.pipeline), "run", spy)
+        report = model.recompile(composition=proj_edit.build())
+        monkeypatch.undo()
+
+        scope = sorted([f"node_{receiver}", "run_pass", "run_pass_rest"])
+        assert report["mode"] == "patched"
+        assert report["relowered"] == [f"node_{receiver}"]
+        assert report["optimized"] == scope
+        assert optimized == [scope]
+        for name, callable_ in drivers.items():
+            assert model.function(name) is callable_, name
+        # The live drivers' IR now calls the grafted pass function.
+        run_trial = model.module.get_function("run_trial")
+        callees = {i.callee for i in run_trial.instructions() if i.opcode == "call"}
+        assert model.module.get_function("run_pass") in callees
+
+        cold = compile_composition(proj_edit.build(), pipeline="default<O2>", store=False)
+        try:
+            for engine in OracleConfig().resolved_engines():
+                a = raw_buffers(model, spec.inputs, spec.num_trials, spec.run_seed, engine)
+                b = raw_buffers(cold, spec.inputs, spec.num_trials, spec.run_seed, engine)
+                assert buffers_equal(a, b) is None, engine
+                assert _final_rng_counters(model, a[2]) == _final_rng_counters(cold, b[2])
+        finally:
+            model.close_engines()
+            cold.close_engines()
+
+    @pytest.mark.parametrize("structured", [True, False], ids=["structured", "dispatch"])
+    def test_driver_edit_then_node_edit(self, structured):
+        """A termination edit re-optimizes the drivers; a later node edit
+        relinks those patched drivers (lowered by the first patch) to the
+        new pass functions."""
+        from repro.cogframe import conditions as cond
+
+        flags = {"structured_codegen": structured}
+        spec = generate_scale_spec(2, n_mechanisms=16)
+        model = compile_composition(spec.build(), pipeline="default<O2>", store=False, flags=flags)
+        (_, _), (proj_edit, receiver) = scale_edit_specs(spec)
+        stop_early = lambda composition: cond.AfterNPasses(composition.max_passes - 1)
+
+        edited = spec.build()
+        edited.termination = stop_early(edited)
+        report = model.recompile(composition=edited, changed=set())
+        assert report["relowered"] == ["run_trial"]
+        assert report["optimized"] == ["run_model", "run_trial"]
+
+        edited = proj_edit.build()
+        edited.termination = stop_early(edited)
+        report = model.recompile(composition=edited)
+        assert report["optimized"] == sorted([f"node_{receiver}", "run_pass", "run_pass_rest"])
+
+        edited = proj_edit.build()
+        edited.termination = stop_early(edited)
+        cold = compile_composition(edited, pipeline="default<O2>", store=False, flags=flags)
+        try:
+            for engine in ENGINES:
+                a = raw_buffers(model, spec.inputs, spec.num_trials, spec.run_seed, engine)
+                b = raw_buffers(cold, spec.inputs, spec.num_trials, spec.run_seed, engine)
+                assert buffers_equal(a, b) is None, engine
+        finally:
+            model.close_engines()
+            cold.close_engines()
+
+
+class TestStoreEntryWithoutCallBoundary:
+    """A model reloaded from a store entry whose ``run_trial`` holds inlined
+    node bodies (the pass functions were not ``noinline`` when it was
+    written) must not be patched: relinking ``run_pass`` would leave the old
+    node running."""
+
+    def test_node_edit_falls_back_to_a_full_compile(self, monkeypatch, tmp_path):
+        from repro.core.codegen import ModelCodeGenerator
+        from repro.driver.artifacts import ArtifactStore
+
+        emit_run_pass = ModelCodeGenerator._emit_run_pass
+
+        def inlinable_run_pass(self, name, include_control):
+            fn = emit_run_pass(self, name, include_control)
+            del fn.attributes["noinline"]
+            fn.attributes["alwaysinline"] = True
+            return fn
+
+        store = ArtifactStore(tmp_path / "store")
+        spec = generate_scale_spec(2, n_mechanisms=16)
+        monkeypatch.setattr(ModelCodeGenerator, "_emit_run_pass", inlinable_run_pass)
+        compile_composition(spec.build(), pipeline="default<O2>", store=store)
+        monkeypatch.undo()
+
+        model = compile_composition(spec.build(), pipeline="default<O2>", store=store)
+        assert model.stats.artifact_hits == 1
+        run_trial = model.module.get_function("run_trial")
+        assert not any(
+            i.opcode == "call" and i.callee.name == "run_pass" for i in run_trial.instructions()
+        )
+
+        (_, _), (proj_edit, _) = scale_edit_specs(spec)
+        report = model.recompile(composition=proj_edit.build(), store=False)
+        assert report["mode"] == "full"
+        assert report["reason"] == "no call boundary at run_pass"
+
+        cold = compile_composition(proj_edit.build(), pipeline="default<O2>", store=False)
+        try:
+            for engine in ENGINES:
+                a = raw_buffers(model, spec.inputs, spec.num_trials, spec.run_seed, engine)
+                b = raw_buffers(cold, spec.inputs, spec.num_trials, spec.run_seed, engine)
+                assert buffers_equal(a, b) is None, engine
+        finally:
+            model.close_engines()
+            cold.close_engines()
+
+
+class TestDriverKey:
+    """``driver_key`` decides whether an edit regenerates ``run_trial`` and
+    ``run_model``, so it must move exactly when their generated IR does."""
+
+    @staticmethod
+    def edits(spec):
+        """Value edits from the fuzz perturbation, an integrator initial
+        value (a trial-start state reset) and the termination condition."""
+        from repro.cogframe import conditions as cond
+        from repro.fuzz.gen import perturb_spec
+
+        for edit_seed in range(6):
+            perturbed = perturb_spec(spec, edit_seed)
+            if perturbed is not None:
+                yield perturbed[0].build()
+        composition = spec.build()
+        for mech in composition.mechanisms.values():
+            if "initializer" in mech.function.params:
+                mech.function.params["initializer"] = 0.5
+                yield composition
+                break
+        composition = spec.build()
+        composition.termination = cond.AfterNPasses(composition.max_passes - 1)
+        yield composition
+
+    def test_moves_exactly_when_the_drivers_do(self):
+        from repro.cogframe.sanitize import sanitize
+        from repro.core.codegen import DRIVER_FUNCTIONS, driver_key, generate_model_ir
+        from repro.core.structs import build_layout
+        from repro.ir.fingerprint import function_fingerprint
+
+        def key_and_fingerprints(composition):
+            info = sanitize(composition, seed=0)
+            layout = build_layout(composition, info)
+            module = generate_model_ir(composition, info, layout).module
+            fps = [function_fingerprint(module.get_function(name)) for name in DRIVER_FUNCTIONS]
+            return driver_key(composition, layout), fps
+
+        moved = kept = 0
+        for model_seed in range(8):
+            spec = generate_model_spec(model_seed)
+            key, fps = key_and_fingerprints(spec.build())
+            for n, edited in enumerate(self.edits(spec)):
+                edited_key, edited_fps = key_and_fingerprints(edited)
+                assert (edited_key == key) == (edited_fps == fps), (model_seed, n)
+                moved += edited_key != key
+                kept += edited_key == key
+        assert moved and kept, (moved, kept)

@@ -1,5 +1,7 @@
 """Tests for the IR type system and slot layout computation."""
 
+import pickle
+
 import pytest
 
 from repro.ir import (
@@ -16,6 +18,8 @@ from repro.ir import (
     PointerType,
     StructType,
 )
+from repro.ir import types as ir_types
+from repro.ir.fingerprint import type_signature
 
 
 class TestScalarTypes:
@@ -135,3 +139,79 @@ class TestFunctionTypes:
     def test_not_storable(self):
         with pytest.raises(TypeError):
             FunctionType(F64, []).slot_count()
+
+
+class TestMemosFollowTheMutationEpoch:
+    """Struct layouts and expanded ``type_signature`` bodies are memoized on
+    the struct and stamped with ``TYPE_MUTATION_EPOCH``: an ``add_field`` on
+    an embedded struct must reach every struct that embeds it."""
+
+    @staticmethod
+    def facts(struct):
+        last = struct.slot_count() - 1
+        return (
+            struct.slot_count(),
+            [struct.field_slot_offset(i) for i in range(len(struct.fields))],
+            [struct.field_at_slot(slot) for slot in range(last + 1)],
+            type_signature(struct),
+            type_signature(PointerType(struct)),
+        )
+
+    @staticmethod
+    def recomputed(struct):
+        """The same facts from a struct that has never memoized anything."""
+        return TestMemosFollowTheMutationEpoch.facts(StructType(struct.name, struct.fields))
+
+    def test_add_field_on_the_struct_itself(self):
+        struct = StructType("direct", [("a", F64), ("b", ArrayType(F64, 3))])
+        before = self.facts(struct)
+        assert before[0] == 4 and struct.field_at_slot(3) == (1, 2)
+        epoch = ir_types.TYPE_MUTATION_EPOCH
+        struct.add_field("c", ArrayType(F64, 2))
+        assert ir_types.TYPE_MUTATION_EPOCH > epoch
+        after = self.facts(struct)
+        assert after == self.recomputed(struct)
+        assert after[0] == 6
+        assert struct.field_at_slot(5) == (2, 1)
+        assert struct.field_index("c") == 2
+        assert "c:[2xdouble]" in after[3] and after[3] != before[3]
+
+    @pytest.mark.parametrize(
+        "embed",
+        [lambda inner: ArrayType(inner, 2), PointerType],
+        ids=["array", "pointer"],
+    )
+    def test_add_field_on_an_embedded_struct(self, embed):
+        inner = StructType("inner", [("x", F64)])
+        outer = StructType("outer", [("head", F64), ("body", embed(inner)), ("tail", F64)])
+        before = self.facts(outer)
+        inner.add_field("y", ArrayType(F64, 2))
+        after = self.facts(outer)
+        assert after == self.recomputed(outer)
+        # The expanded body always moves; the layout moves only where the
+        # struct's slots are embedded (a pointer is one slot).
+        assert after[3] != before[3] and "y:[2xdouble]" in after[3]
+        assert after[4] != before[4]
+        if isinstance(outer.field_type(1), ArrayType):
+            assert (before[0], after[0]) == (4, 8)
+            assert outer.field_at_slot(6) == (1, 5)
+            assert outer.field_slot_offset(2) == 7
+        else:
+            assert before[:3] == after[:3]
+
+    def test_slot_lookup_skips_zero_slot_fields(self):
+        struct = StructType(
+            "gaps",
+            [("a", ArrayType(F64, 0)), ("b", F64), ("c", ArrayType(F64, 0)), ("d", ArrayType(F64, 2))],
+        )
+        assert [struct.field_at_slot(s) for s in range(3)] == [(1, 0), (3, 0), (3, 1)]
+        with pytest.raises(IndexError):
+            struct.field_at_slot(3)
+
+    def test_memos_do_not_travel_with_a_pickle(self):
+        struct = StructType("travel", [("a", F64)])
+        self.facts(struct)
+        state = struct.__getstate__()
+        assert state == {"name": "travel", "fields": [("a", F64)]}
+        clone = pickle.loads(pickle.dumps(struct))
+        assert self.facts(clone) == self.facts(struct)

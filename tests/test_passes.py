@@ -396,3 +396,138 @@ class TestStandardPipelines:
         assert sum(row["runs"] for row in am.passes.values()) == len(pm.passes)
         assert all(row["seconds"] >= 0.0 for row in am.passes.values())
         assert "mem2reg" in pm.describe()
+
+
+class TestLinearityGuards:
+    """Structural guards against the quadratic IR helpers coming back: they
+    count work instead of timing it."""
+
+    def test_inlining_leaves_unrelated_caller_blocks_untouched(self, monkeypatch):
+        from repro.passes import inline as inline_module
+
+        m = Module("t")
+        callee = build_affine_function(m, "callee")
+        caller = m.add_function("caller", FunctionType(F64, [F64, F64]), ["x", "y"])
+        x, y = caller.args
+        entry = caller.append_block("entry")
+        left, right, join = (caller.append_block(n) for n in ("left", "right", "join"))
+        b = IRBuilder(entry)
+        call = b.call(callee, [x, y])
+        b.cond_br(b.fcmp("olt", call, x), left, right)
+        b.position_at_end(left)
+        a = b.fadd(x, b.f64(1.0))
+        b.br(join)
+        b.position_at_end(right)
+        c = b.fmul(y, b.f64(2.0))
+        b.br(join)
+        b.position_at_end(join)
+        phi = b.phi(F64, "p")
+        phi.add_incoming(a, left)
+        phi.add_incoming(c, right)
+        b.ret(b.fadd(phi, x))
+
+        unrelated = [left, right, join]
+        lists_before = [
+            (id(instr.operands), list(instr.operands))
+            for block in unrelated
+            for instr in block.instructions
+        ]
+        edges_before = (id(phi.incoming_blocks), id(left.terminator.targets))
+        patched = []
+        original = inline_module._patch_forward_references
+
+        def spy(blocks, vmap):
+            patched.extend(blocks)
+            return original(blocks, vmap)
+
+        monkeypatch.setattr(inline_module, "_patch_forward_references", spy)
+        Inliner.inline_call(call)
+        verify_module(m)
+
+        assert patched and all(block.name.startswith("inl.callee") for block in patched)
+        assert [
+            (id(instr.operands), list(instr.operands))
+            for block in unrelated
+            for instr in block.instructions
+        ] == lists_before
+        assert (id(phi.incoming_blocks), id(left.terminator.targets)) == edges_before
+
+    #: Printed by the restart-after-every-merge algorithm this pass replaced
+    #: (the order of the merged heads follows the shuffled block list).
+    SHUFFLED_CHAIN_GOLDEN = """\
+define i64 @chain(i64 %x) {
+entry:
+  %v0 = add i64 %x, 0
+  %v50 = add i64 %v0, 50
+  %v100 = add i64 %v50, 100
+  %t124 = icmp slt i64 %v100, 1000
+  br %t124, label %c125, label %early
+c375:
+  %v400 = add i64 %v350, 400
+  %v450 = add i64 %v400, 450
+  ret i64 %v450
+c125:
+  %v150 = add i64 %v100, 150
+  %v200 = add i64 %v150, 200
+  %t249 = icmp slt i64 %v200, 1000
+  br %t249, label %c250, label %early
+c250:
+  %v250 = add i64 %v200, 250
+  %v300 = add i64 %v250, 300
+  %v350 = add i64 %v300, 350
+  %t374 = icmp slt i64 %v350, 1000
+  br %t374, label %c375, label %early
+early:
+  %early_v = phi i64 [ %v100, %entry ], [ %v200, %c125 ], [ %v350, %c250 ]
+  ret i64 %early_v
+}"""
+
+    @staticmethod
+    def _shuffled_chain(n=500):
+        """A 500-block chain (an add every 50 blocks, an early exit every
+        125) whose blocks are listed in shuffled order."""
+        import random
+
+        from repro.ir import I64
+
+        module = Module("chain")
+        fn = module.add_function("chain", FunctionType(I64, [I64]), ["x"])
+        entry = fn.append_block("entry")
+        chain = [fn.append_block(f"c{k}") for k in range(n)]
+        early = fn.append_block("early")
+        IRBuilder(entry).br(chain[0])
+        exit_phi = IRBuilder(early).phi(I64, "early_v")
+        value = fn.args[0]
+        for k, block in enumerate(chain):
+            b = IRBuilder(block)
+            if k % 50 == 0:
+                value = b.add(value, b.i64(k), f"v{k}")
+            if k == n - 1:
+                b.ret(value)
+            elif k % 125 == 124:
+                b.cond_br(b.icmp("slt", value, b.i64(1000), f"t{k}"), chain[k + 1], early)
+                exit_phi.add_incoming(value, block)
+            else:
+                b.br(chain[k + 1])
+        IRBuilder(early).ret(exit_phi)
+        random.Random(0).shuffle(chain)
+        fn.blocks = [entry] + chain + [early]
+        return module, fn
+
+    def test_simplifycfg_merges_a_shuffled_chain_without_predecessor_scans(self, monkeypatch):
+        from repro.ir.module import BasicBlock
+        from repro.ir.printer import print_function
+
+        module, fn = self._shuffled_chain()
+        calls = []
+        original = BasicBlock.predecessors
+
+        def counting(block):
+            calls.append(block)
+            return original(block)
+
+        monkeypatch.setattr(BasicBlock, "predecessors", counting)
+        assert SimplifyCFG().run(module)
+        verify_module(module)
+        assert calls == []
+        assert print_function(fn) == self.SHUFFLED_CHAIN_GOLDEN
