@@ -378,7 +378,7 @@ def compile_lane_program(module, scalar_function: Callable[[str], Callable]) -> 
     return LaneProgram(
         functions=functions,
         source=source,
-        py_names={fn.name: generator._py_name(fn) for fn in module.defined_functions()},
+        py_names=generator.py_names(),
         scalar_links={
             symbol: f"ir_{name}".replace(".", "_") for symbol, name in links.items()
         },
@@ -400,7 +400,7 @@ def _lane_worker_init(payload) -> None:
 
     global _WORKER_RUN
     lane_source, scalar_source, scalar_links, module_name, run_py_name = payload
-    scalar_ns = PythonCodeGenerator.exec_namespace(module_name)
+    scalar_ns = PythonCodeGenerator.exec_namespace()
     exec(compile(scalar_source, f"<distill:{module_name}>", "exec"), scalar_ns)
     namespace: Dict[str, object] = dict(LANE_NAMESPACE)
     namespace["math"] = math

@@ -45,6 +45,7 @@ See DESIGN.md, "Structured emission and the frame planner".
 from __future__ import annotations
 
 import math
+from types import CodeType
 from typing import Dict, List, Optional, Tuple
 
 from ..cogframe import prng
@@ -1227,6 +1228,8 @@ class PythonCodeGenerator:
         self._prelude_lines: List[str] = []
         self._aliases: Dict[str, str] = {}
         self._zero_tuples: Dict[int, str] = {}
+        #: The code object :meth:`exec_source` last compiled.
+        self.code: Optional[CodeType] = None
 
     # -- analyses -----------------------------------------------------------------
     def _cfg_analyses(self, fn: Function) -> Tuple[DominatorTree, LoopInfo]:
@@ -1355,17 +1358,20 @@ class PythonCodeGenerator:
     def exec_source(
         self, source: str, extra_symbols: Optional[Dict[str, object]] = None
     ) -> Dict[str, object]:
-        """Exec previously generated source (e.g. from the artifact store)."""
-        namespace = self.exec_namespace(self.module.name, extra_symbols)
-        exec(compile(source, f"<distill:{self.module.name}>", "exec"), namespace)
-        return {
-            fn.name: namespace[self._py_name(fn)] for fn in self.module.defined_functions()
-        }
+        """Compile and exec generated source; the callables by IR name.
+
+        The compiled code object is kept in :attr:`code`, so the artifact
+        store can persist it and a store hit can skip ``compile()``.
+        """
+        self.code = compile(source, f"<distill:{self.module.name}>", "exec")
+        return exec_code(self.code, self.exec_namespace(extra_symbols), self.py_names())
+
+    def py_names(self) -> Dict[str, str]:
+        """IR function name -> Python name, for every defined function."""
+        return {fn.name: self._py_name(fn) for fn in self.module.defined_functions()}
 
     @staticmethod
-    def exec_namespace(
-        module_name: str, extra_symbols: Optional[Dict[str, object]] = None
-    ) -> Dict[str, object]:
+    def exec_namespace(extra_symbols: Optional[Dict[str, object]] = None) -> Dict[str, object]:
         """The runtime bindings generated source is linked against."""
         namespace: Dict[str, object] = {
             "math": math,
@@ -1780,9 +1786,7 @@ class LanePythonCodeGenerator(PythonCodeGenerator):
         self.scalar_symbols: Dict[str, str] = {}
 
     # -- linking -------------------------------------------------------
-    def exec_namespace(
-        self, module_name: str, extra_symbols: Optional[Dict[str, object]] = None
-    ) -> Dict[str, object]:
+    def exec_namespace(self, extra_symbols: Optional[Dict[str, object]] = None) -> Dict[str, object]:
         from . import lane as lane_runtime
 
         namespace: Dict[str, object] = dict(lane_runtime.LANE_NAMESPACE)
@@ -1952,6 +1956,20 @@ class LanePythonCodeGenerator(PythonCodeGenerator):
         if instr.type.is_void:
             return [call]
         return [f"{name} = {call}"]
+
+
+def exec_code(
+    code: CodeType, namespace: Dict[str, object], py_names: Dict[str, str]
+) -> Dict[str, object]:
+    """Exec a compiled generated module into ``namespace``.
+
+    Returns the callables by IR name (``py_names`` maps IR names to the
+    Python names the code defines).  Every lowering links through here:
+    :meth:`PythonCodeGenerator.exec_source` on freshly compiled source, a
+    model-entry store hit on the stored (marshalled) code object.
+    """
+    exec(code, namespace)
+    return {name: namespace[py_name] for name, py_name in py_names.items()}
 
 
 def compile_module_to_python(module: Module, structured: bool = True) -> Dict[str, object]:

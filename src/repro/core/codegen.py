@@ -32,7 +32,7 @@ functions and relinks the live ``run_trial``/``run_model`` to them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -92,7 +92,10 @@ class GridSearchInfo:
 class CompiledArtifacts:
     """Everything the drivers need besides the IR module itself."""
 
-    module: Module
+    #: The optimized module; on a model rebuilt from a store hit, the
+    #: pickled ``encode_module`` payload until ``CompiledModel.module``
+    #: decodes it.
+    module: Union[Module, bytes]
     layout: StaticLayout
     grid_searches: List[GridSearchInfo] = field(default_factory=list)
 

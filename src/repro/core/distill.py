@@ -20,6 +20,8 @@ produced the numbers (paper design principle 1: no model changes).
 
 from __future__ import annotations
 
+import marshal
+import pickle
 import threading
 import time
 from dataclasses import dataclass, field
@@ -28,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from ..backends.interp import Interpreter
-from ..backends.pycodegen import PythonCodeGenerator
+from ..backends.pycodegen import PythonCodeGenerator, exec_code
 from ..cogframe import conditions as cond
 from ..cogframe.composition import Composition
 from ..cogframe.mechanisms import GridSearchControlMechanism
@@ -36,9 +38,15 @@ from ..cogframe.runner import RunResults, TrialResult, normalize_inputs
 from ..cogframe.sanitize import SanitizationInfo, sanitize
 from ..driver.engines import get_engine
 from ..driver.pipeline import resolve_pipeline
+from ..ir.module import Module
 from ..passes.pass_manager import PassManager
 from .codegen import CompiledArtifacts, driver_key, generate_model_ir
 from .structs import StaticLayout, build_layout
+
+#: Layout version of model entries in the artifact store; bump it when their
+#: fields change.  An entry of any other format reads as a miss.
+MODEL_ENTRY_FORMAT = 2
+
 
 @dataclass
 class CompileStats:
@@ -113,7 +121,7 @@ class CompiledModel:
         self.info = info
         self.layout = layout
         self.artifacts = artifacts
-        self.module = artifacts.module
+        self._module_lock = threading.Lock()
         self.pipeline = pipeline
         self.pipeline_text = pipeline.describe() if pipeline is not None else ""
         self.flags = dict(flags or {})
@@ -144,6 +152,31 @@ class CompiledModel:
         self._engine_lock = threading.Lock()
 
     # -- introspection -------------------------------------------------------------
+    @property
+    def module(self) -> Module:
+        """The optimized IR module.
+
+        A model rebuilt from a store hit holds the module as the pickled
+        bytes of its :func:`~repro.ir.serialize.encode_module` payload until
+        the first read: the ``compiled`` engine never needs the IR, so only
+        engines and tools that do pay for the decode, once.
+        """
+        module = self.artifacts.module
+        if isinstance(module, Module):
+            return module
+        with self._module_lock:
+            module = self.artifacts.module
+            if not isinstance(module, Module):
+                from ..ir import serialize
+
+                module = serialize.decode_module(pickle.loads(module))
+                self.artifacts.module = module
+        return module
+
+    @module.setter
+    def module(self, module: Module) -> None:
+        self.artifacts.module = module
+
     def print_ir(self) -> str:
         from ..ir.printer import print_module
 
@@ -473,8 +506,12 @@ def compile_composition(
     ``REPRO_ARTIFACT_DIR`` environment variable, ``False`` disables the
     store, a path or :class:`~repro.driver.artifacts.ArtifactStore` uses
     that store.  On a model-entry hit the whole compile — sanitize, layout,
-    IR generation, optimisation and lowering — is replaced by decoding the
-    stored module and re-executing the stored Python source; on an
+    IR generation, optimisation and lowering — is replaced by unmarshalling
+    the stored bytecode of the generated Python and executing it; the
+    optimized IR stays encoded until an engine or tool reads
+    :attr:`CompiledModel.module` (the ``compiled`` engine never does).  The
+    bytecode is only valid for one interpreter version, so
+    ``importlib.util.MAGIC_NUMBER`` is part of every store key.  On an
     optimize-entry hit (same IR under a different model key, e.g. a sibling
     model differing only in plain parameter values) only the optimisation
     pipeline is skipped.
@@ -524,8 +561,8 @@ def compile_composition(
         )
 
     # Warm-path: a model-entry hit replays the entire compile from the store
-    # (decoded optimized IR + stored generated source) without running any of
-    # the stages below.
+    # (stored bytecode, IR left encoded) without running any of the stages
+    # below.
     model_key = None
     if store is not None:
         model_key = model_artifact_key(composition, pipeline, seed, flags)
@@ -574,6 +611,9 @@ def compile_composition(
 
     optimized_entry = None
     opt_key = None
+    # The optimized module's store encoding, shared by the optimize and the
+    # model entry (lowering leaves the IR unchanged).
+    encoded_module = None
     if store is not None:
         opt_key = optimize_artifact_key(unit_fps)
         optimized_entry = store.get(opt_key)
@@ -582,7 +622,8 @@ def compile_composition(
         # Optimize-entry hit: swap in the stored optimized module and skip
         # the pipeline (it was verified when first compiled).
         start = time.perf_counter()
-        artifacts.module = decode_module(optimized_entry["module"])
+        encoded_module = optimized_entry["module"]
+        artifacts.module = decode_module(encoded_module)
         stats.optimize_seconds = time.perf_counter() - start
         stats.instructions_after = artifacts.module.instruction_count()
         stats.artifact_hits += 1
@@ -608,11 +649,12 @@ def compile_composition(
         stats.passes = analysis_manager.passes
         analysis_stats = analysis_manager.cache_info()
         if store is not None:
+            encoded_module = encode_module(artifacts.module)
             store.put(
                 opt_key,
                 {
                     "format": 1,
-                    "module": encode_module(artifacts.module),
+                    "module": encoded_module,
                     "instructions_after": stats.instructions_after,
                 },
             )
@@ -662,12 +704,17 @@ def compile_composition(
         store.put(
             model_key,
             {
-                "format": 1,
+                "format": MODEL_ENTRY_FORMAT,
                 "info": info,
                 "layout": layout,
                 "grid_searches": artifacts.grid_searches,
-                "module": encode_module(artifacts.module),
+                # One bytes object: loading the entry allocates no per-IR-node
+                # containers (a hit must not pay for garbage-collection
+                # passes over them), and the IR is unpickled only on decode.
+                "module": pickle.dumps(encoded_module, protocol=pickle.HIGHEST_PROTOCOL),
                 "source": source,
+                "code": marshal.dumps(generator.code),
+                "py_names": generator.py_names(),
                 "unit_fingerprints": unit_fps,
                 "function_fingerprints": function_fps,
                 "instructions_before": stats.instructions_before,
@@ -690,29 +737,27 @@ def _model_from_store_entry(
 ) -> Optional[CompiledModel]:
     """Rebuild a :class:`CompiledModel` from a model-entry store payload.
 
-    Decodes the stored optimized module and re-executes the stored generated
-    Python source — no sanitize, layout, IR generation, optimisation or
-    source generation runs.  Returns ``None`` when the payload is from an
-    incompatible format (treated as a miss by the caller).
+    Unmarshals the stored bytecode of the generated Python and executes it —
+    no sanitize, layout, IR generation, optimisation, source generation or
+    ``compile()`` runs, and the optimized module stays encoded until
+    :attr:`CompiledModel.module` is first read.  Returns ``None`` when the
+    payload is from an incompatible format or its code does not load
+    (treated as a miss by the caller).
     """
-    from ..ir.serialize import decode_module
-
-    if not isinstance(entry, dict) or entry.get("format") != 1:
+    if not isinstance(entry, dict) or entry.get("format") != MODEL_ENTRY_FORMAT:
         return None
     try:
         start = time.perf_counter()
-        module = decode_module(entry["module"])
+        compiled_functions = exec_code(
+            marshal.loads(entry["code"]),
+            PythonCodeGenerator.exec_namespace(),
+            entry["py_names"],
+        )
         artifacts = CompiledArtifacts(
-            module=module,
+            module=entry["module"],
             layout=entry["layout"],
             grid_searches=entry["grid_searches"],
         )
-        generator = PythonCodeGenerator(
-            module,
-            structured=bool((flags or {}).get("structured_codegen", True)),
-            sanitize=bool((flags or {}).get("sanitize", False)),
-        )
-        compiled_functions = generator.exec_source(entry["source"])
     except Exception:
         return None
     stats.lower_seconds = time.perf_counter() - start

@@ -302,8 +302,7 @@ def _adopt(model, fresh) -> None:
     model.composition = fresh.composition
     model.info = fresh.info
     model.layout = fresh.layout
-    model.artifacts = fresh.artifacts
-    model.module = fresh.module
+    model.artifacts = fresh.artifacts  # carries the module, decoded or not
     model.pipeline = fresh.pipeline
     model.pipeline_text = fresh.pipeline_text
     model.flags = fresh.flags

@@ -7,7 +7,8 @@ store"):
 * **model entries** — everything needed to rebuild a :class:`CompiledModel`
   without running sanitize/layout/irgen/optimize/codegen: the encoded
   optimized IR module, the sanitization info, the static layout, the
-  grid-search metadata, the generated Python source and the per-function
+  grid-search metadata, the generated Python source with its marshalled
+  code object (a hit execs it without ``compile()``) and the per-function
   unit fingerprints;
 * **optimize entries** — the encoded optimized module alone, keyed on the
   *pre-optimization* unit fingerprints.  Models that differ only in plain
@@ -27,6 +28,7 @@ store fits a byte cap — exposed as ``python -m repro.cache gc``.
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import os
 import pickle
 import tempfile
@@ -104,10 +106,12 @@ def normalize_flags(flags: Optional[Dict[str, object]]) -> Tuple:
 def artifact_salt() -> str:
     """Global invalidators shared by every artifact key.
 
-    Covers the model IR generator version, the Python lowering version and
-    the IR payload format.  Struct layout changes need no salt of their
-    own: function fingerprints expand every struct to its full field layout
-    (:func:`repro.ir.fingerprint.type_signature`), so the in-place
+    Covers the model IR generator version, the Python lowering version, the
+    IR payload format and the interpreter's bytecode magic number (model
+    entries store marshalled code objects, which only the interpreter
+    version that wrote them can load).  Struct layout changes need no salt
+    of their own: function fingerprints expand every struct to its full
+    field layout (:func:`repro.ir.fingerprint.type_signature`), so the in-place
     mutations that bump :data:`repro.ir.types.TYPE_MUTATION_EPOCH` change
     the content hash directly — the live epoch counter itself is
     process-history-dependent (every compile bumps it while building its
@@ -117,7 +121,8 @@ def artifact_salt() -> str:
     from ..core.codegen import IRGEN_VERSION
     from ..ir.serialize import FORMAT_VERSION
 
-    return f"gen{IRGEN_VERSION}:cg{CODEGEN_VERSION}:ir{FORMAT_VERSION}"
+    magic = importlib.util.MAGIC_NUMBER.hex()
+    return f"gen{IRGEN_VERSION}:cg{CODEGEN_VERSION}:ir{FORMAT_VERSION}:py{magic}"
 
 
 def _sha256(*tokens: str) -> str:

@@ -12,12 +12,19 @@ Covers the pieces DESIGN.md "Compile units and the artifact store" promises:
   CLI and ``resolve_store``/``$REPRO_ARTIFACT_DIR`` resolution;
 * end-to-end reuse — a warm-process hit skips sanitize/optimize/codegen,
   and models differing only in plain parameter values share one optimized
-  module entry while keeping distinct model entries.
+  module entry while keeping distinct model entries;
+* the model-entry hit path — it execs stored bytecode and leaves the IR
+  encoded until an engine reads ``CompiledModel.module`` (decoded once,
+  also under concurrent readers), equals a cold compile bitwise on every
+  engine, and demotes entries from another interpreter or with unloadable
+  code to misses.
 """
 
+import importlib.util
 import os
 import pickle
 import threading
+import time
 
 import pytest
 
@@ -31,12 +38,16 @@ from repro.driver.artifacts import (
     resolve_store,
     unit_fingerprints,
 )
-from repro.driver.pipeline import parse_pipeline
+from repro.backends.pycodegen import PythonCodeGenerator
+from repro.driver.pipeline import parse_pipeline, resolve_pipeline
 from repro.core.distill import compile_composition
+from repro.fuzz.compare import buffers_equal, final_rng_counters, raw_buffers
 from repro.fuzz.gen import generate_model_spec, generate_scale_spec, scale_edit_specs
-from repro.ir import Module
+from repro.fuzz.oracle import OracleConfig, _engine_options
+from repro.ir import Module, serialize
 from repro.ir import types as ir_types
 from repro.ir.fingerprint import function_fingerprint
+from repro.models import MODEL_REGISTRY
 
 from helpers import build_affine_function, build_struct_sum_function
 
@@ -96,6 +107,46 @@ class TestKeyStability:
         fresh = compile_composition(spec.build(), pipeline="default<O2>", store=store)
         assert fresh.stats.artifact_hits == 0
         assert fresh.stats.artifact_misses == 2
+
+    def test_entries_from_another_interpreter_miss(self, monkeypatch, tmp_path):
+        # Model entries hold marshalled bytecode, which only the interpreter
+        # version that wrote it can load: its magic number is in the salt.
+        store = ArtifactStore(tmp_path / "store")
+        spec = generate_model_spec(5)
+        monkeypatch.setattr(importlib.util, "MAGIC_NUMBER", b"\x00\x00\r\n")
+        other = compile_composition(spec.build(), pipeline="default<O2>", store=store)
+        assert other.stats.artifact_writes == 2
+        monkeypatch.undo()
+        fresh = compile_composition(spec.build(), pipeline="default<O2>", store=store)
+        assert fresh.stats.artifact_hits == 0
+        assert fresh.stats.artifact_misses == 2
+
+    @pytest.mark.parametrize("damage", ["missing", "corrupt"])
+    def test_model_entry_with_unloadable_code_compiles_cold(self, tmp_path, damage):
+        store = ArtifactStore(tmp_path / "store")
+        spec = generate_model_spec(5)
+        cold = compile_composition(spec.build(), pipeline="default<O2>", store=store)
+        key = model_artifact_key(spec.build(), resolve_pipeline("default<O2>"), 0)
+        entry = store.get(key)
+        if damage == "missing":
+            del entry["code"]
+        else:
+            entry["code"] = b"\xe3not a code object"
+        store.put(key, entry)
+
+        fallback = compile_composition(spec.build(), pipeline="default<O2>", store=store)
+        # The model entry missed; the optimize entry still served the IR.
+        assert fallback.stats.artifact_misses == 1
+        assert fallback.stats.artifact_hits == 1
+        assert fallback.stats.lower_seconds > 0.0
+        # The cold path republished a loadable model entry.
+        warm = compile_composition(spec.build(), pipeline="default<O2>", store=store)
+        assert warm.stats.artifact_hits == 1
+        assert warm.stats.artifact_misses == 0
+        a = raw_buffers(cold, spec.inputs, spec.num_trials, spec.run_seed, "compiled")
+        for model in (fallback, warm):
+            b = raw_buffers(model, spec.inputs, spec.num_trials, spec.run_seed, "compiled")
+            assert buffers_equal(a, b) is None
 
     def test_function_fingerprint_survives_epoch_bumps(self):
         module = Module("fp_stability")
@@ -313,8 +364,8 @@ class TestEndToEndReuse:
         assert warm.stats.sanitize_seconds == 0.0
         assert warm.stats.optimize_seconds == 0.0
         assert warm.stats.codegen_seconds == 0.0
-        # The only work left on a hit is decoding the stored module and
-        # exec'ing the stored source, booked as lowering.
+        # The only work left on a hit is exec'ing the stored bytecode,
+        # booked as lowering.
         assert warm.stats.lower_seconds > 0.0
         assert warm.stats.instructions_after == cold.stats.instructions_after
 
@@ -377,3 +428,127 @@ class TestEndToEndReuse:
             base.unit_fingerprints[f"node_{receiver}"]
             != sibling.unit_fingerprints[f"node_{receiver}"]
         )
+
+
+class TestEncodeOnce:
+    @pytest.mark.parametrize("structured", [True, False], ids=["structured", "dispatch"])
+    @pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
+    def test_lowering_leaves_the_encoded_module_unchanged(self, monkeypatch, name, structured):
+        # A cold compile stores one encoding of the optimized module in both
+        # the optimize entry (before lowering) and the model entry (after).
+        original = PythonCodeGenerator.generate_source
+        unchanged = []
+
+        def generate_source(generator):
+            before = pickle.dumps(serialize.encode_module(generator.module))
+            source = original(generator)
+            unchanged.append(pickle.dumps(serialize.encode_module(generator.module)) == before)
+            return source
+
+        monkeypatch.setattr(PythonCodeGenerator, "generate_source", generate_source)
+        compile_composition(
+            MODEL_REGISTRY[name].build(),
+            pipeline="default<O2>",
+            flags={"structured_codegen": structured},
+            store=False,
+        )
+        assert unchanged == [True]
+
+
+@pytest.fixture
+def decodes(monkeypatch):
+    """Count (and slow down, to widen races) ``decode_module`` calls."""
+    calls = []
+    original = serialize.decode_module
+
+    def decode_module(data):
+        calls.append(threading.get_ident())
+        time.sleep(0.05)
+        return original(data)
+
+    monkeypatch.setattr(serialize, "decode_module", decode_module)
+    return calls
+
+
+#: A generated spec with a grid-search controller, so gpu-sim reads the IR.
+GRID_SPEC_SEED = 3
+
+
+def cold_and_hit(store_dir, spec):
+    store = ArtifactStore(store_dir)
+    cold = compile_composition(spec.build(), pipeline="default<O2>", store=store)
+    hit = compile_composition(spec.build(), pipeline="default<O2>", store=store)
+    assert hit.stats.artifact_hits == 1 and hit.stats.artifact_misses == 0
+    return cold, hit
+
+
+class TestLazyModule:
+    def test_compiled_runs_never_decode(self, tmp_path, decodes):
+        spec = generate_model_spec(GRID_SPEC_SEED)
+        _, hit = cold_and_hit(tmp_path / "store", spec)
+        try:
+            hit.run(spec.inputs, num_trials=spec.num_trials, seed=spec.run_seed)
+            hit.run_batch([spec.inputs] * 2, num_trials=spec.num_trials, seed=[1, 2])
+            assert decodes == []
+            assert not isinstance(hit.artifacts.module, Module)
+        finally:
+            hit.close_engines()
+
+    @pytest.mark.parametrize("engine", ["lane", "gpu-sim", "ir-interp"])
+    def test_first_ir_reader_decodes_once(self, tmp_path, decodes, engine):
+        spec = generate_model_spec(GRID_SPEC_SEED)
+        _, hit = cold_and_hit(tmp_path / "store", spec)
+        try:
+            hit.run(spec.inputs, num_trials=spec.num_trials, engine=engine)
+            assert len(decodes) == 1
+            module = hit.module
+            assert isinstance(module, Module)
+            assert module is hit.artifacts.module
+            hit.print_ir()
+            other = "gpu-sim" if engine == "lane" else "lane"
+            hit.run(spec.inputs, num_trials=spec.num_trials, engine=other)
+            assert hit.module is module
+            assert len(decodes) == 1
+        finally:
+            hit.close_engines()
+
+    def test_concurrent_readers_share_one_decode(self, tmp_path, decodes):
+        spec = generate_model_spec(GRID_SPEC_SEED)
+        _, hit = cold_and_hit(tmp_path / "store", spec)
+        barrier = threading.Barrier(2)
+        errors = []
+
+        def prepare(engine):
+            try:
+                barrier.wait(timeout=10)
+                hit.run(spec.inputs, num_trials=spec.num_trials, engine=engine)
+            except Exception as exc:  # noqa: BLE001 - re-raised below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=prepare, args=(e,)) for e in ("lane", "gpu-sim")]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            assert errors == []
+            assert len(decodes) == 1
+        finally:
+            hit.close_engines()
+
+    def test_hit_equals_cold_on_every_engine(self, tmp_path):
+        spec = generate_model_spec(GRID_SPEC_SEED)
+        cold, hit = cold_and_hit(tmp_path / "store", spec)
+        config = OracleConfig()
+        try:
+            for engine in config.resolved_engines():
+                options = _engine_options(engine, config.workers)
+                args = (spec.inputs, spec.num_trials, spec.run_seed, engine)
+                a = raw_buffers(cold, *args, **options)
+                b = raw_buffers(hit, *args, **options)
+                assert buffers_equal(a, b) is None, engine
+                assert final_rng_counters(cold, a[2]) == final_rng_counters(hit, b[2]), engine
+        finally:
+            cold.close_engines()
+            hit.close_engines()

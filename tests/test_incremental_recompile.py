@@ -14,9 +14,11 @@ import copy
 import pytest
 
 from repro.core.distill import compile_composition
+from repro.driver.artifacts import ArtifactStore
 from repro.driver.session import Session
 from repro.fuzz.gen import generate_model_spec, generate_scale_spec, scale_edit_specs
 from repro.fuzz.oracle import buffers_equal, raw_buffers
+from repro.ir import Module
 from repro.models import predator_prey as pp
 
 #: Engines for the bitwise comparisons (mcpu excluded for test speed; the
@@ -327,6 +329,62 @@ class TestPatchScope:
             cold.close_engines()
 
 
+class TestStoreHitModels:
+    """A model rebuilt from a store hit holds its IR encoded until something
+    reads it; every edit path must give the same model as the same edit on a
+    cold compile."""
+
+    @staticmethod
+    def hit(store, build):
+        compile_composition(build(), pipeline="default<O2>", store=store).close_engines()
+        model = compile_composition(build(), pipeline="default<O2>", store=store)
+        assert model.stats.artifact_hits == 1
+        assert not isinstance(model.artifacts.module, Module)
+        return model
+
+    def test_parameter_edit(self, tmp_path):
+        model = self.hit(ArtifactStore(tmp_path / "store"), lambda: pp.build_predator_prey("s"))
+        cold = compile_pp()
+        for edited in (model, cold):
+            assert edited.set_parameter("player_loc", "slope", 1.5)["mode"] == "params-only"
+        assert_bitwise_equal(model, cold)
+
+    def test_projection_matrix_edit(self, tmp_path):
+        model = self.hit(ArtifactStore(tmp_path / "store"), lambda: pp.build_predator_prey("s"))
+        cold = compile_pp()
+        matrix = edited_matrix(cold.composition)
+        for edited in (model, cold):
+            report = edited.set_projection_matrix("player_loc", "control", matrix)
+            assert report["mode"] == "patched"
+        assert model.module is model.artifacts.module
+        assert_bitwise_equal(model, cold)
+
+    def test_full_fallback_adopts_a_store_hit(self, tmp_path):
+        store = ArtifactStore(tmp_path / "store")
+        spec = generate_model_spec(4)
+        edited_spec = copy.deepcopy(spec)
+        edited_spec.max_passes += 1  # a new layout: the edit compiles in full
+        model = self.hit(store, spec.build)
+        compile_composition(edited_spec.build(), pipeline="default<O2>", store=store).close_engines()
+
+        report = model.recompile(composition=edited_spec.build(), store=store)
+        assert report["mode"] == "full"
+        assert model.stats.artifact_hits == 1  # the full compile was a hit too
+        assert not isinstance(model.artifacts.module, Module)
+        assert isinstance(model.module, Module)
+        assert model.module is model.artifacts.module
+
+        cold = compile_composition(edited_spec.build(), pipeline="default<O2>", store=False)
+        try:
+            for engine in ENGINES:
+                a = raw_buffers(model, spec.inputs, spec.num_trials, spec.run_seed, engine)
+                b = raw_buffers(cold, spec.inputs, spec.num_trials, spec.run_seed, engine)
+                assert buffers_equal(a, b) is None, engine
+        finally:
+            model.close_engines()
+            cold.close_engines()
+
+
 class TestStoreEntryWithoutCallBoundary:
     """A model reloaded from a store entry whose ``run_trial`` holds inlined
     node bodies (the pass functions were not ``noinline`` when it was
@@ -335,7 +393,6 @@ class TestStoreEntryWithoutCallBoundary:
 
     def test_node_edit_falls_back_to_a_full_compile(self, monkeypatch, tmp_path):
         from repro.core.codegen import ModelCodeGenerator
-        from repro.driver.artifacts import ArtifactStore
 
         emit_run_pass = ModelCodeGenerator._emit_run_pass
 
