@@ -11,21 +11,23 @@ emits a complete IR module:
 * ``run_pass``      — one scheduler pass: compiled activation conditions plus
   node calls (section 3.5: optimisation crosses the scheduler/node boundary);
 * ``run_pass_rest`` — the same pass with control mechanisms skipped (used by
-  the multicore/GPU drivers which evaluate the grid themselves);
+  the multicore/GPU drivers which evaluate the grid themselves); emitted
+  only for a composition with a grid-search controller — without one it
+  would be an instruction-for-instruction copy of ``run_pass``;
 * ``run_trial``     — per-trial state reset, the pass loop, compiled
   termination condition, monitor recording and the result record;
 * ``run_model``     — the trial loop.
 
 Node functions are marked ``alwaysinline``; at -O2/-O3 the inliner copies
-every node body into ``run_pass`` and ``run_pass_rest``, so one pass is a
-single straight-line function that the optimiser sees whole — the
-scheduler/node boundary the paper crosses for its largest speedups
-(Figure 5b).  The two pass functions themselves are ``noinline``: that call
-is the boundary.  ``run_trial`` keeps one call to ``run_pass`` per pass and
+every node body into ``run_pass`` (and ``run_pass_rest``, where there is
+one), so one pass is a single straight-line function that the optimiser sees
+whole — the scheduler/node boundary the paper crosses for its largest
+speedups (Figure 5b).  The pass functions themselves are ``noinline``: that
+call is the boundary.  ``run_trial`` keeps one call to ``run_pass`` per pass and
 ``run_model`` stays a short trial loop around ``run_trial`` (the inliner may
 still copy a small ``run_trial`` into it).  Because nothing above
 ``run_pass`` ever holds a node body, an incremental recompile
-(:mod:`repro.core.patch`) re-optimizes the edited nodes plus the two pass
+(:mod:`repro.core.patch`) re-optimizes the edited nodes plus the pass
 functions and relinks the live ``run_trial``/``run_model`` to them.
 """
 
@@ -69,7 +71,9 @@ from .structs import StaticLayout
 #: :func:`repro.driver.artifacts.artifact_salt`): bump on any change to the
 #: IR a composition generates.  Version 2 made ``run_pass``/``run_pass_rest``
 #: ``noinline``; an incremental recompile relies on that call boundary.
-IRGEN_VERSION = 2
+#: Version 3 emits ``run_pass_rest`` only for compositions with a control
+#: mechanism.
+IRGEN_VERSION = 3
 
 
 @dataclass
@@ -235,7 +239,8 @@ class ModelCodeGenerator:
             else:
                 emit_node_function(self.module, self.layout, self.composition, self.info, mech)
         self._emit_run_pass("run_pass", include_control=True)
-        self._emit_run_pass("run_pass_rest", include_control=False)
+        if self.composition.control_nodes():
+            self._emit_run_pass("run_pass_rest", include_control=False)
         if drivers:
             self._emit_run_trial()
             self._emit_run_model()

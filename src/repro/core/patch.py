@@ -24,9 +24,10 @@ after a model edit instead of recompiling from scratch:
    only the layout's default param values need swapping).  Otherwise the
    *patch scope* is the stale functions plus every caller that may inline
    one, transitively — callers stop at a ``noinline`` callee.  Node
-   functions are ``alwaysinline`` and ``run_pass``/``run_pass_rest`` are
-   ``noinline`` (see :mod:`repro.core.codegen`), so a node edit scopes to
-   ``node_<name>``, ``run_pass`` and ``run_pass_rest``; every other
+   functions are ``alwaysinline`` and the pass functions are ``noinline``
+   (see :mod:`repro.core.codegen`), so a node edit scopes to
+   ``node_<name>`` and ``run_pass`` — plus ``run_pass_rest`` on a model
+   with a grid-search controller, the only kind that has one; every other
    regenerated function is turned back into a declaration.  Unchanged
    functions are never re-optimized.  A live compile without that call
    boundary (a scope function that is ``noinline`` in the patch module is

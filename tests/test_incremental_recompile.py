@@ -11,6 +11,7 @@ models.
 
 import copy
 
+import numpy as np
 import pytest
 
 from repro.core.distill import compile_composition
@@ -247,8 +248,9 @@ class TestSessionRecompile:
 
 
 class TestPatchScope:
-    """A one-node edit re-optimizes the node and the two pass functions
-    only; the live trial drivers are relinked, never regenerated."""
+    """A one-node edit re-optimizes the node and the pass functions only —
+    ``run_pass``, plus ``run_pass_rest`` on a model with a controller; the
+    live trial drivers are relinked, never regenerated."""
 
     def test_node_edit_scopes_to_the_pass_functions(self, monkeypatch):
         from repro.fuzz.oracle import OracleConfig, _final_rng_counters
@@ -269,7 +271,7 @@ class TestPatchScope:
         report = model.recompile(composition=proj_edit.build())
         monkeypatch.undo()
 
-        scope = sorted([f"node_{receiver}", "run_pass", "run_pass_rest"])
+        scope = sorted([f"node_{receiver}", "run_pass"])
         assert report["mode"] == "patched"
         assert report["relowered"] == [f"node_{receiver}"]
         assert report["optimized"] == scope
@@ -286,6 +288,34 @@ class TestPatchScope:
             for engine in OracleConfig().resolved_engines():
                 a = raw_buffers(model, spec.inputs, spec.num_trials, spec.run_seed, engine)
                 b = raw_buffers(cold, spec.inputs, spec.num_trials, spec.run_seed, engine)
+                assert buffers_equal(a, b) is None, engine
+                assert _final_rng_counters(model, a[2]) == _final_rng_counters(cold, b[2])
+        finally:
+            model.close_engines()
+            cold.close_engines()
+
+    def test_node_edit_on_a_controlled_model_scopes_to_both_pass_functions(self):
+        """On a model with a grid-search controller a non-control node edit
+        re-optimizes ``run_pass_rest`` too; the grid drivers call it."""
+        from repro.fuzz.oracle import _final_rng_counters
+
+        edge = ("player_loc", "obs_player", "location")
+        matrix = 1.25 * np.eye(2)
+        model = compile_pp()
+        report = model.set_projection_matrix(*edge[:2], matrix, port=edge[2])
+        assert report["mode"] == "patched"
+        assert report["relowered"] == ["node_obs_player"]
+        assert report["optimized"] == ["node_obs_player", "run_pass", "run_pass_rest"]
+
+        cold_composition = pp.build_predator_prey("s")
+        for projection in cold_composition.projections:
+            if (projection.sender.name, projection.receiver.name, projection.port) == edge:
+                projection.matrix = matrix
+        cold = compile_composition(cold_composition, pipeline="default<O2>", store=False)
+        try:
+            for engine in ("compiled", "gpu-sim", "mcpu"):
+                a = raw_buffers(model, INPUTS, 1, 0, engine)
+                b = raw_buffers(cold, INPUTS, 1, 0, engine)
                 assert buffers_equal(a, b) is None, engine
                 assert _final_rng_counters(model, a[2]) == _final_rng_counters(cold, b[2])
         finally:
@@ -314,7 +344,7 @@ class TestPatchScope:
         edited = proj_edit.build()
         edited.termination = stop_early(edited)
         report = model.recompile(composition=edited)
-        assert report["optimized"] == sorted([f"node_{receiver}", "run_pass", "run_pass_rest"])
+        assert report["optimized"] == sorted([f"node_{receiver}", "run_pass"])
 
         edited = proj_edit.build()
         edited.termination = stop_early(edited)
