@@ -143,14 +143,8 @@ class MulticoreGridEvaluator:
         self.chunk_multiplier = chunk_multiplier
         self.start_method = start_method or ("spawn" if os.name == "nt" else "fork")
         self.pool_starts = 0
-        # Worker kernels are regenerated from the IR; match the parent
-        # model's codegen shape so a legacy-flagged compile stays uniform
-        # across engines.
-        structured = bool(
-            getattr(compiled, "flags", {}).get("structured_codegen", True)
-        )
-        generator = PythonCodeGenerator(compiled.module, structured=structured)
-        source = generator.generate_source()
+        # Worker kernels are regenerated from the IR.
+        source = PythonCodeGenerator(compiled.module).generate_source()
         self._kernel_sources = {
             info.kernel_name: (source, f"ir_{info.kernel_name}".replace(".", "_"))
             for info in compiled.grid_searches

@@ -21,10 +21,10 @@ are reconstructed from the cached dominator-tree and loop-info analyses and
 rendered as native Python ``while``/``if``/``else``/``continue``/``break``.
 Only genuinely irreducible CFGs (which the model code generator never
 produces, but hand-written or fuzzed IR may) fall back per function to the
-legacy block-dispatch ladder (``_block = N`` + ``while True: if/elif``).
-``flags={"structured_codegen": False}`` selects the legacy emitter for the
-whole module — kept byte-faithful to the pre-relooper backend as the anchor
-of the structured-vs-dispatch differential tests and the Figure 8 report.
+block-dispatch ladder (``_block = N`` + ``while True: if/elif``); a
+fallback is recorded in ``dispatch_fallbacks`` and is never silent.  The
+``ir-interp`` engine is the structured emitter's bitwise reference (the
+fuzz oracle's engine leg).
 
 The structured emitter also plans memory and scalar traffic at codegen time:
 
@@ -49,6 +49,7 @@ from types import CodeType
 from typing import Dict, List, Optional, Tuple
 
 from ..cogframe import prng
+from ..errors import CompilationError
 from ..ir.cfg import is_reducible
 from ..ir.instructions import (
     GEP,
@@ -174,7 +175,8 @@ class _Bailout(Exception):
     """Raised when a function cannot be expressed structurally.
 
     The generator catches it per function and falls back to the dispatch
-    ladder, so a bailout is a performance event, never a correctness one.
+    ladder, so a bailout is a performance event, never a correctness one
+    (except under ``sanitize=True``, which refuses to emit unchecked code).
     """
 
 
@@ -199,9 +201,9 @@ class _Ptr:
 
 
 class _DispatchPointers:
-    """Legacy pointer strategy: every pointer value is a ``_buf``/``_off``
+    """Ladder pointer strategy: every pointer value is a ``_buf``/``_off``
     local pair, allocas allocate their own lists, GEPs compute offsets at
-    run time.  Used by the dispatch-ladder emitter."""
+    run time.  Used by the per-function dispatch-ladder fallback."""
 
     def __init__(self, gen: "PythonCodeGenerator"):
         self.gen = gen
@@ -1189,30 +1191,23 @@ class _LaneFunction(_StructuredFunction):
 class PythonCodeGenerator:
     """Translates every defined function of a module into Python source.
 
-    ``structured=True`` (the default) reconstructs loops and conditionals
-    from the dominator tree and loop info — served by ``analysis_manager``
-    when one is supplied, so a compile reuses the pipeline's cached analyses
-    — and plans alloca frames, GEP offsets, pooled constants and intrinsic
-    bindings at emission time.  ``structured=False`` reproduces the legacy
-    block-dispatch emitter for the whole module.
+    Loops and conditionals are reconstructed from the dominator tree and
+    loop info — served by ``analysis_manager`` when one is supplied, so a
+    compile reuses the pipeline's cached analyses — and alloca frames, GEP
+    offsets, pooled constants and intrinsic bindings are planned at
+    emission time.  A function the relooper bails on is emitted as a
+    block-dispatch ladder instead.
     """
 
     def __init__(
         self,
         module: Module,
         prefix: str = "ir",
-        structured: bool = True,
         analysis_manager=None,
         sanitize: bool = False,
     ):
-        if sanitize and not structured:
-            raise ValueError(
-                "sanitize=True requires the structured emitter "
-                "(structured_codegen cannot be disabled alongside it)"
-            )
         self.module = module
         self.prefix = prefix
-        self.structured = structured
         self.sanitize = sanitize
         self.analysis_manager = analysis_manager
         self._value_names: Dict[int, str] = {}
@@ -1222,8 +1217,8 @@ class PythonCodeGenerator:
         self.dispatch_fallbacks: List[str] = []
         #: function name -> the relooper bail reason (the _Bailout message).
         self.dispatch_fallback_reasons: Dict[str, str] = {}
-        # -- factory-level pools (structured mode only) --------------------
-        self._float_uses = self._count_float_uses() if structured else {}
+        # -- factory-level pools --------------------------------------------
+        self._float_uses = self._count_float_uses()
         self._pool: Dict[str, str] = {}
         self._prelude_lines: List[str] = []
         self._aliases: Dict[str, str] = {}
@@ -1266,8 +1261,6 @@ class PythonCodeGenerator:
             literal = 'float("inf")' if v > 0 else 'float("-inf")'
         else:
             literal = key
-        if not self.structured:
-            return literal
         pooled = self._pool.get(key)
         if pooled is not None:
             return pooled
@@ -1317,7 +1310,7 @@ class PythonCodeGenerator:
             "# Generated by repro.backends.pycodegen — do not edit.",
             "import math",
         ]
-        if not self.structured or not functions:
+        if not functions:
             for source in sources:
                 lines.append("")
                 lines.extend(source)
@@ -1392,12 +1385,16 @@ class PythonCodeGenerator:
 
     # -- per function ------------------------------------------------------------------
     def _emit_function(self, fn: Function) -> List[str]:
-        if self.structured:
-            try:
-                return self._emit_function_structured(fn)
-            except _Bailout as exc:
-                self.dispatch_fallbacks.append(fn.name)
-                self.dispatch_fallback_reasons[fn.name] = str(exc)
+        try:
+            return self._emit_function_structured(fn)
+        except _Bailout as exc:
+            if self.sanitize:
+                raise CompilationError(
+                    f"sanitize=True cannot check @{fn.name}: the relooper bailed "
+                    f"({exc}) and the dispatch-ladder fallback is unsanitized"
+                ) from None
+            self.dispatch_fallbacks.append(fn.name)
+            self.dispatch_fallback_reasons[fn.name] = str(exc)
         return self._emit_function_dispatch(fn)
 
     def _emit_function_structured(self, fn: Function) -> List[str]:
@@ -1415,10 +1412,9 @@ class PythonCodeGenerator:
         return lines
 
     def _emit_function_dispatch(self, fn: Function) -> List[str]:
-        """Legacy emission: a ``while True`` dispatch ladder over block ids.
+        """Fallback emission: a ``while True`` dispatch ladder over block ids.
 
-        Used for the whole module under ``structured=False`` and per function
-        as the fallback for CFGs the structured emitter cannot express
+        Used per function for CFGs the structured emitter cannot express
         (irreducible graphs in particular).
         """
         ptrs = _DispatchPointers(self)
@@ -1770,13 +1766,7 @@ class LanePythonCodeGenerator(PythonCodeGenerator):
     """
 
     def __init__(self, module: Module, prefix: str = "lane", analysis_manager=None):
-        super().__init__(
-            module,
-            prefix=prefix,
-            structured=True,
-            analysis_manager=analysis_manager,
-            sanitize=False,
-        )
+        super().__init__(module, prefix=prefix, analysis_manager=analysis_manager)
         #: Functions emitted as per-lane scalar-dispatch wrappers.
         self.lane_fallbacks: List[str] = []
         #: function name -> the relooper/lowering bail reason.
@@ -1972,9 +1962,9 @@ def exec_code(
     return {name: namespace[py_name] for name, py_name in py_names.items()}
 
 
-def compile_module_to_python(module: Module, structured: bool = True) -> Dict[str, object]:
+def compile_module_to_python(module: Module) -> Dict[str, object]:
     """Compile every defined function of ``module`` to Python callables."""
-    return PythonCodeGenerator(module, structured=structured).compile()
+    return PythonCodeGenerator(module).compile()
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from .harness import (
     figure6_report,
     figure7_report,
     figure7_cache_report,
-    figure8_report,
     fuzz_campaign_report,
 )
 
@@ -44,7 +43,6 @@ __all__ = [
     "figure6_report",
     "figure7_report",
     "figure7_cache_report",
-    "figure8_report",
     "fuzz_campaign_report",
     "bench_payload",
     "current_commit",

@@ -733,109 +733,6 @@ def figure3_report() -> FigureReport:
     return report
 
 
-# ---------------------------------------------------------------------------
-# Figure 8 — codegen shape: dispatch-loop vs structured emission
-# ---------------------------------------------------------------------------
-
-#: The registered models whose run time is dominated by reconstructed loops
-#: (grid searches, settling passes with per-pass PRNG draws) — the workloads
-#: the structured emitter targets.  The acceptance bar (structured >= 1.3x
-#: dispatch) is asserted over these; the remaining suite models appear in the
-#: report as context rows.
-FIG8_LOOP_HEAVY_MODELS = (
-    "predator_prey_s",
-    "vectorized_necker_cube",
-    "necker_cube_m",
-)
-
-FIG8_CONTEXT_MODELS = ("botvinick_stroop", "multitasking")
-
-
-def figure8_report(
-    models: Optional[Sequence[str]] = None,
-    trials_scale: float = 1.0,
-    repeats: int = 5,
-) -> FigureReport:
-    """Codegen shape: dispatch-loop vs structured emission (repro-only figure).
-
-    Every model is compiled twice — the default structured emitter and the
-    legacy block-dispatch ladder (``flags={"structured_codegen": False}``) —
-    and the raw ``run_model`` execution of both artifacts is timed (buffer
-    allocation and result extraction excluded: they are engine-independent).
-    Compiles bypass the shared session deliberately: the two flag values
-    would be distinct cache keys anyway, and the rows also record per-config
-    lowering cost.
-    """
-    report = FigureReport(
-        "Figure 8", "Codegen shape: dispatch-loop vs structured emission"
-    )
-    chosen = list(models) if models is not None else list(
-        FIG8_LOOP_HEAVY_MODELS + FIG8_CONTEXT_MODELS
-    )
-    loop_heavy_speedups = []
-    for name in chosen:
-        entry = get_model(name)
-        inputs = entry.inputs()
-        trials = max(int(entry.num_trials * 3 * trials_scale), 1)
-
-        structured = compile_composition(entry.build(), pipeline="default<O2>")
-        dispatch = compile_composition(
-            entry.build(), pipeline="default<O2>", flags={"structured_codegen": False}
-        )
-        try:
-
-            def run_once(model):
-                buffers = model.allocate_buffers(inputs, trials, 0)
-                model._run_whole_compiled(buffers, trials)
-
-            structured_s = _time_call(lambda: run_once(structured), repeats)
-            dispatch_s = _time_call(lambda: run_once(dispatch), repeats)
-        finally:
-            structured.close_engines()
-            dispatch.close_engines()
-        speedup = dispatch_s / structured_s
-        loop_heavy = name in FIG8_LOOP_HEAVY_MODELS
-        if loop_heavy:
-            loop_heavy_speedups.append(speedup)
-        fallbacks = structured.stats.dispatch_fallbacks
-        report.add(
-            model=name,
-            trials=trials,
-            loop_heavy=loop_heavy,
-            dispatch_s=dispatch_s,
-            structured_s=structured_s,
-            speedup=speedup,
-            structured_lower_s=structured.stats.lower_seconds,
-            dispatch_lower_s=dispatch.stats.lower_seconds,
-            relooper_bails=len(fallbacks),
-        )
-        for fn_name in fallbacks:
-            reason = structured.stats.dispatch_fallback_reasons.get(fn_name, "?")
-            report.note(
-                f"{name}: @{fn_name} fell back to the dispatch emitter: {reason}"
-            )
-    if loop_heavy_speedups:
-        report.add(
-            model="loop-heavy mean",
-            trials="-",
-            loop_heavy=True,
-            dispatch_s="-",
-            structured_s="-",
-            speedup=float(np.mean(loop_heavy_speedups)),
-            structured_lower_s="-",
-            dispatch_lower_s="-",
-            relooper_bails="-",
-        )
-    report.note(
-        "Structured emission replaces the `_block` dispatch ladder with native "
-        "while/if/else, folds constant GEP chains, coalesces allocas into one "
-        "frame buffer, pools constants/intrinsic bindings into closure cells "
-        "and inlines the counter-based PRNG; the dispatch rows rerun the same "
-        "IR through the legacy emitter."
-    )
-    return report
-
-
 FIG10_MODELS = (
     ("necker_cube_s", True),
     ("predator_prey_s", True),
@@ -968,6 +865,5 @@ def all_reports(quick: bool = True) -> List[FigureReport]:
         figure6_report(),
         figure7_report(trials=2 if quick else 4),
         figure7_cache_report(repeats=2 if quick else 4),
-        figure8_report(trials_scale=0.5 if quick else 1.0, repeats=3 if quick else 5),
     ]
     return reports

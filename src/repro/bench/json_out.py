@@ -6,12 +6,11 @@ the schema
 
 .. code-block:: json
 
-    {"bench": "fig8", "commit": "<hex|unknown>", "schema_version": 1,
+    {"bench": "fig5a", "commit": "<hex|unknown>", "schema_version": 1,
      "title": "...", "notes": [...], "rows": [{...}, ...]}
 
 NaN/Inf cells become ``null`` and numpy scalars are unwrapped, so the files
-are strict JSON.  ``BENCH_fig5a.json`` (predator-prey scaling),
-``BENCH_fig8.json`` (dispatch-loop vs structured codegen) and
+are strict JSON.  ``BENCH_fig5a.json`` (predator-prey scaling) and
 ``BENCH_fig10_autotune.json`` (default<O2> vs the tuned pipeline) are
 committed at the repository root; the CI ``bench`` job regenerates them in
 quick mode and uploads them.  This module only writes rows: the perf floors
@@ -21,7 +20,7 @@ engine runs and served requests are measured by ``perfbench/run.py``.
 CLI::
 
     python -m repro.bench.json_out --out-dir . [--quick] \
-        [--benches fig5a,fig8,fig10_autotune]
+        [--benches fig5a,fig10_autotune]
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ import subprocess
 import sys
 from typing import Dict, Optional, Sequence
 
-from .harness import FigureReport, figure5a_report, figure8_report, figure10_autotune_report
+from .harness import FigureReport, figure5a_report, figure10_autotune_report
 
 #: Schema version recorded in every payload (bump on breaking row changes).
 SCHEMA_VERSION = 1
@@ -109,19 +108,12 @@ def _build_fig5a(quick: bool) -> FigureReport:
     return figure5a_report(variants=("s", "m", "l"), include_xl=True, xl_levels=40)
 
 
-def _build_fig8(quick: bool) -> FigureReport:
-    if quick:
-        return figure8_report(trials_scale=1.0, repeats=3)
-    return figure8_report(trials_scale=2.0, repeats=5)
-
-
 def _build_fig10_autotune(quick: bool) -> FigureReport:
     return figure10_autotune_report(quick=quick)
 
 
 BENCH_BUILDERS = {
     "fig5a": _build_fig5a,
-    "fig8": _build_fig8,
     "fig10_autotune": _build_fig10_autotune,
 }
 
@@ -134,7 +126,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--out-dir", default=".", help="directory for BENCH_*.json")
     parser.add_argument(
         "--benches",
-        default="fig5a,fig8",
+        default="fig5a",
         help=f"comma-separated subset of {sorted(BENCH_BUILDERS)}",
     )
     parser.add_argument(

@@ -86,8 +86,7 @@ class CompileStats:
     #: Wall-clock spent in incremental recompiles of this model (cumulative).
     recompile_seconds: float = 0.0
     #: Functions the structured emitter could not express and lowered through
-    #: the legacy dispatch ladder, plus the relooper's reason per function
-    #: (reported by the Figure 8 harness).
+    #: the dispatch ladder, plus the relooper's reason per function.
     dispatch_fallbacks: List[str] = field(default_factory=list)
     dispatch_fallback_reasons: Dict[str, str] = field(default_factory=dict)
 
@@ -523,9 +522,10 @@ def compile_composition(
     its own policy.  An explicit policy always wins; a caller-supplied
     manager is then rewrapped rather than mutated.
 
-    ``flags`` is an optional mapping of auxiliary compilation options; it is
-    recorded on the returned model and participates in
-    :class:`repro.Session` cache keys.
+    ``flags`` is an optional mapping of auxiliary compilation options
+    (``analysis_cache``, ``sanitize``; an unknown flag raises
+    :class:`ValueError`); it is recorded on the returned model and
+    participates in :class:`repro.Session` cache keys.
 
     Each compile owns one :class:`repro.analysis.manager.AnalysisManager`:
     analyses (dominator trees, loop info, ...) computed by one pass are
@@ -539,6 +539,7 @@ def compile_composition(
     from ..analysis.manager import AnalysisManager
     from ..driver.artifacts import (
         model_artifact_key,
+        normalize_flags,
         optimize_artifact_key,
         resolve_store,
         unit_fingerprints,
@@ -547,18 +548,13 @@ def compile_composition(
     from ..ir.fingerprint import function_fingerprint
     from ..ir.serialize import decode_module, encode_module
 
+    # Rejects unknown flags even with the store off: a typo must not
+    # silently compile the default configuration.
+    normalize_flags(flags)
     pipeline = resolve_pipeline(pipeline, verify=verify)
     store = resolve_store(store)
 
     stats = CompileStats()
-
-    structured = bool((flags or {}).get("structured_codegen", True))
-    sanitize_mode = bool((flags or {}).get("sanitize", False))
-    if sanitize_mode and not structured:
-        raise ValueError(
-            'flags={"sanitize": True} requires the structured emitter; '
-            'it cannot be combined with flags={"structured_codegen": False}'
-        )
 
     # Warm-path: a model-entry hit replays the entire compile from the store
     # (stored bytecode, IR left encoded) without running any of the stages
@@ -661,16 +657,14 @@ def compile_composition(
             stats.artifact_writes += 1
 
     # Lowering: the structured emitter reconstructs loops/conditionals from
-    # the dominator-tree and loop-info analyses the pipeline already cached.
-    # ``flags={"structured_codegen": False}`` selects the legacy dispatch
-    # ladder (kept for the structured-vs-dispatch differential tests and the
-    # Figure 8 report).
+    # the dominator-tree and loop-info analyses the pipeline already cached;
+    # a function the relooper bails on falls back to the dispatch ladder
+    # (recorded in ``stats.dispatch_fallbacks``).
     start = time.perf_counter()
     generator = PythonCodeGenerator(
         artifacts.module,
-        structured=structured,
         analysis_manager=analysis_manager if analysis_manager.enabled else None,
-        sanitize=sanitize_mode,
+        sanitize=bool((flags or {}).get("sanitize", False)),
     )
     source = generator.generate_source()
     compiled_functions = generator.exec_source(source)

@@ -214,10 +214,11 @@ def _relink_callers(
 
     ``replaced`` maps names to the grafted IR functions and ``py_names``
     maps their lowered Python names back to IR names.  IR call sites are
-    re-pointed by name.  Lowered code reaches other functions of its compile
-    through closure cells of the generated module factory (structured
-    emitter) or through module globals (dispatch emitter); swapping a
-    shared cell or global relinks every caller of that compile at once.
+    re-pointed by name.  Lowered code reaches a function defined in the
+    same compile through a closure cell of the generated module factory, and
+    a function that was only declared in its (patch) module through a global
+    of the exec namespace, seeded with the live callable; swapping a shared
+    cell or global relinks every caller of that compile at once.
     """
     from ..ir.instructions import Call
 
@@ -467,7 +468,6 @@ def recompile_model(
 
     lowerer = PythonCodeGenerator(
         patch_module,
-        structured=bool(flags.get("structured_codegen", True)),
         analysis_manager=analysis_manager if analysis_manager.enabled else None,
         sanitize=bool(flags.get("sanitize", False)),
     )

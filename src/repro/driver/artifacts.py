@@ -72,7 +72,6 @@ STORE_OFF = "off"
 #: always yields a distinct key.
 _FLAG_DEFAULTS: Dict[str, object] = {
     "analysis_cache": True,
-    "structured_codegen": True,
     "sanitize": False,
 }
 
@@ -80,21 +79,25 @@ _FLAG_DEFAULTS: Dict[str, object] = {
 def normalize_flags(flags: Optional[Dict[str, object]]) -> Tuple:
     """Canonicalise compile flags for cache keying.
 
-    Known flags are coerced to their effective boolean value and dropped when
-    they equal the default; unknown flags are kept verbatim (sorted).  The
-    result is a hashable tuple: ``()`` for every spelling of the default
-    configuration.
+    Flags are coerced to their effective boolean value and dropped when they
+    equal the default.  The result is a hashable tuple: ``()`` for every
+    spelling of the default configuration.  An unknown flag raises
+    :class:`ValueError` naming the known ones (a typo would otherwise compile
+    the default configuration under a new cache key).
     """
     if not flags:
         return ()
+    unknown = sorted(str(key) for key in flags if key not in _FLAG_DEFAULTS)
+    if unknown:
+        raise ValueError(
+            f"unknown compile flag(s) {', '.join(map(repr, unknown))}; "
+            f"known flags: {', '.join(sorted(_FLAG_DEFAULTS))}"
+        )
     items = []
     for key in sorted(flags):
-        value = flags[key]
-        if key in _FLAG_DEFAULTS:
-            value = bool(value)
-            if value == _FLAG_DEFAULTS[key]:
-                continue
-        items.append((str(key), value))
+        value = bool(flags[key])
+        if value != _FLAG_DEFAULTS[key]:
+            items.append((key, value))
     return tuple(items)
 
 

@@ -32,6 +32,7 @@ from ..passes.pass_manager import (
     RepeatPass,
     coerce_verify_policy,
 )
+from .artifacts import normalize_flags, resolve_store, tuned_pipeline_key
 from .engines import EngineInstance, get_engine
 from .pipeline import resolve_pipeline
 
@@ -140,20 +141,6 @@ def structural_fingerprint(composition: Composition) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _freeze_flags(flags: Optional[Dict[str, object]]) -> Tuple:
-    """Canonical cache-key form of a compile ``flags`` mapping.
-
-    Delegates to :func:`repro.driver.artifacts.normalize_flags`: known flags
-    collapse to their *effective* boolean value (so ``{"analysis_cache":
-    True}`` — an explicit default — keys identically to no flags at all,
-    while ``{"sanitize": True}`` or ``{"analysis_cache": False}`` can never
-    alias the clean entry), and unknown flags are kept verbatim.
-    """
-    from .artifacts import normalize_flags
-
-    return normalize_flags(flags)
-
-
 def _pass_struct(pass_) -> object:
     """Structural identity of a pass for cache keying.
 
@@ -227,7 +214,7 @@ class Session:
             _pipeline_fingerprint(pipeline),
             int(seed),
             pipeline.verify,
-            _freeze_flags(flags),
+            normalize_flags(flags),
         )
 
     def compile_model(
@@ -350,7 +337,6 @@ class Session:
         back to the incumbent ``default<O2>``.  Zero search cost either way:
         resolution is one store read.
         """
-        from .artifacts import resolve_store, tuned_pipeline_key
         from .autotune import AutotuneConfig, result_from_payload
 
         config = AutotuneConfig(engine=engine)

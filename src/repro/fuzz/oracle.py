@@ -11,15 +11,13 @@ For one model the oracle runs a matrix of *legs* and demands agreement:
   execution engine; the raw result, monitor and state buffers (the state
   buffer includes every mechanism's final PRNG ``(key, counter)``) must be
   bitwise identical to the ``compiled`` engine's buffers.  An engine raising
-  where the baseline succeeded (or vice versa) is a divergence too.
+  where the baseline succeeded (or vice versa) is a divergence too.  The
+  ``ir-interp`` engine executes the optimized IR directly, so this leg is
+  also the structured Python emitter's bitwise reference: relooping, frame
+  planning and constant pooling must never change observable behaviour.
 * **pipeline conformance** — the ``compiled``-engine buffers must be bitwise
   identical across every pipeline in the matrix (O0 through O3 by default):
   optimisation must not change observable behaviour.
-* **codegen conformance** — the first pipeline is recompiled with
-  ``flags={"structured_codegen": False}`` (the legacy block-dispatch
-  emitter) and its compiled-engine buffers must be bitwise identical to the
-  structured emitter's: relooping, frame planning and constant pooling must
-  never change observable behaviour.
 * **reference conformance** — the interpretive :class:`ReferenceRunner` is
   the semantic baseline; compiled outputs and pass counts must match it to
   the suite-wide tolerance (``rtol=1e-9``, ``atol=1e-12``; engines share one
@@ -69,7 +67,7 @@ BASELINE_ENGINE = "compiled"
 class Divergence:
     """One observed disagreement between oracle legs."""
 
-    kind: str  # "analysis-cache" | "engine" | "engine-error" | "pipeline" | "reference" | "compile-error" | "codegen" | "sanitizer" | "lane"
+    kind: str  # "analysis-cache" | "engine" | "engine-error" | "pipeline" | "reference" | "compile-error" | "sanitizer" | "lane"
     pipeline: str
     engine: Optional[str] = None
     detail: str = ""
@@ -105,10 +103,6 @@ class OracleConfig:
     workers: int = 2
     check_reference: bool = True
     check_analysis_cache: bool = True
-    #: Recompile the first pipeline with ``flags={"structured_codegen":
-    #: False}`` and demand bitwise-identical buffers: the legacy dispatch
-    #: emitter is the conformance anchor for the structured relooper.
-    check_codegen: bool = True
     #: Recompile the first pipeline with ``flags={"sanitize": True}`` and
     #: cross-validate the static safety suite (see :mod:`repro.lint`): a
     #: sanitizer trap on a model with no lint findings is an analysis false
@@ -494,46 +488,6 @@ def check_composition(
                 if baseline is not None:
                     verdict.rng_counters = _final_rng_counters(cached, baseline[2])
                     reference_model = cached
-                if config.check_codegen:
-                    leg_label = "structured vs dispatch codegen"
-                    verdict.legs += 1
-                    legacy = None
-                    try:
-                        legacy = compile_composition(
-                            build(),
-                            pipeline=pipeline_text,
-                            flags={"structured_codegen": False},
-                        )
-                        legacy_buffers = raw_buffers(
-                            legacy, inputs, num_trials, run_seed, BASELINE_ENGINE
-                        )
-                        legacy_error = None
-                    except Exception as exc:  # noqa: BLE001
-                        legacy_buffers = None
-                        legacy_error = f"{type(exc).__name__}: {exc}"
-                    finally:
-                        if legacy is not None:
-                            legacy.close_engines()
-                    if (legacy_buffers is None) != (baseline is None):
-                        verdict.divergences.append(
-                            Divergence(
-                                "codegen",
-                                pipeline_text,
-                                None,
-                                f"{leg_label}: structured="
-                                f"{baseline_error or 'ok'} vs dispatch="
-                                f"{legacy_error or 'ok'}",
-                            )
-                        )
-                    elif baseline is not None:
-                        mismatch = buffers_equal(baseline, legacy_buffers)
-                        if mismatch is not None:
-                            verdict.divergences.append(
-                                Divergence(
-                                    "codegen", pipeline_text, None,
-                                    f"{leg_label}: {mismatch}",
-                                )
-                            )
                 if config.check_sanitizer:
                     verdict.divergences.extend(
                         _sanitizer_leg(

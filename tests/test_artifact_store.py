@@ -38,7 +38,7 @@ from repro.driver.artifacts import (
     resolve_store,
     unit_fingerprints,
 )
-from repro.backends.pycodegen import PythonCodeGenerator
+from repro.backends.pycodegen import PythonCodeGenerator, _StructuredFunction
 from repro.driver.pipeline import parse_pipeline, resolve_pipeline
 from repro.core.distill import compile_composition
 from repro.fuzz.compare import buffers_equal, final_rng_counters, raw_buffers
@@ -50,6 +50,7 @@ from repro.ir.fingerprint import function_fingerprint
 from repro.models import MODEL_REGISTRY
 
 from helpers import build_affine_function, build_struct_sum_function
+from test_structured_codegen import always_bail
 
 
 class TestNormalizeFlags:
@@ -57,7 +58,7 @@ class TestNormalizeFlags:
         assert normalize_flags(None) == ()
         assert normalize_flags({}) == ()
         assert normalize_flags({"analysis_cache": True}) == ()
-        assert normalize_flags({"sanitize": False, "structured_codegen": True}) == ()
+        assert normalize_flags({"sanitize": False, "analysis_cache": True}) == ()
 
     def test_non_default_values_are_kept(self):
         assert normalize_flags({"sanitize": True}) == (("sanitize", True),)
@@ -67,9 +68,17 @@ class TestNormalizeFlags:
         # Truthy spellings coerce to the effective boolean.
         assert normalize_flags({"sanitize": 1}) == (("sanitize", True),)
 
-    def test_unknown_flags_pass_through_sorted(self):
-        frozen = normalize_flags({"zeta": 2, "alpha": "x"})
-        assert frozen == (("alpha", "x"), ("zeta", 2))
+    def test_unknown_flags_raise(self):
+        # A typo must not compile the default configuration under a new key.
+        with pytest.raises(ValueError, match=r"'alpha', 'zeta'.*analysis_cache, sanitize"):
+            normalize_flags({"zeta": 2, "alpha": "x", "sanitize": True})
+
+    @pytest.mark.parametrize("flags", [{"structured_codegen": False}, {"fast_math": True}])
+    def test_compile_rejects_unknown_flags_with_the_store_off(self, flags):
+        with pytest.raises(ValueError, match="unknown compile flag"):
+            compile_composition(
+                MODEL_REGISTRY["necker_cube_s"].build(), flags=flags, store=False
+            )
 
     def test_distinct_configurations_never_collide(self):
         # The satellite regression: {"sanitize": True} and
@@ -436,6 +445,8 @@ class TestEncodeOnce:
     def test_lowering_leaves_the_encoded_module_unchanged(self, monkeypatch, name, structured):
         # A cold compile stores one encoding of the optimized module in both
         # the optimize entry (before lowering) and the model entry (after).
+        # The dispatch case forces a relooper bail in every function, so the
+        # ladder fallback is held to the same contract.
         original = PythonCodeGenerator.generate_source
         unchanged = []
 
@@ -443,13 +454,16 @@ class TestEncodeOnce:
             before = pickle.dumps(serialize.encode_module(generator.module))
             source = original(generator)
             unchanged.append(pickle.dumps(serialize.encode_module(generator.module)) == before)
+            if not structured:
+                assert generator.dispatch_fallbacks
             return source
 
         monkeypatch.setattr(PythonCodeGenerator, "generate_source", generate_source)
+        if not structured:
+            monkeypatch.setattr(_StructuredFunction, "emit", always_bail)
         compile_composition(
             MODEL_REGISTRY[name].build(),
             pipeline="default<O2>",
-            flags={"structured_codegen": structured},
             store=False,
         )
         assert unchanged == [True]

@@ -14,6 +14,7 @@ import copy
 import numpy as np
 import pytest
 
+from repro.backends.pycodegen import _StructuredFunction
 from repro.core.distill import compile_composition
 from repro.driver.artifacts import ArtifactStore
 from repro.driver.session import Session
@@ -21,6 +22,8 @@ from repro.fuzz.gen import generate_model_spec, generate_scale_spec, scale_edit_
 from repro.fuzz.oracle import buffers_equal, raw_buffers
 from repro.ir import Module
 from repro.models import predator_prey as pp
+
+from test_structured_codegen import always_bail
 
 #: Engines for the bitwise comparisons (mcpu excluded for test speed; the
 #: fuzz incremental leg covers the full engine registry in CI).
@@ -323,15 +326,18 @@ class TestPatchScope:
             cold.close_engines()
 
     @pytest.mark.parametrize("structured", [True, False], ids=["structured", "dispatch"])
-    def test_driver_edit_then_node_edit(self, structured):
+    def test_driver_edit_then_node_edit(self, monkeypatch, structured):
         """A termination edit re-optimizes the drivers; a later node edit
         relinks those patched drivers (lowered by the first patch) to the
-        new pass functions."""
+        new pass functions.  The dispatch case forces a relooper bail in every
+        function, so the patches relink ladder-lowered code."""
         from repro.cogframe import conditions as cond
 
-        flags = {"structured_codegen": structured}
+        if not structured:
+            monkeypatch.setattr(_StructuredFunction, "emit", always_bail)
         spec = generate_scale_spec(2, n_mechanisms=16)
-        model = compile_composition(spec.build(), pipeline="default<O2>", store=False, flags=flags)
+        model = compile_composition(spec.build(), pipeline="default<O2>", store=False)
+        assert bool(model.stats.dispatch_fallbacks) is not structured
         (_, _), (proj_edit, receiver) = scale_edit_specs(spec)
         stop_early = lambda composition: cond.AfterNPasses(composition.max_passes - 1)
 
@@ -348,7 +354,7 @@ class TestPatchScope:
 
         edited = proj_edit.build()
         edited.termination = stop_early(edited)
-        cold = compile_composition(edited, pipeline="default<O2>", store=False, flags=flags)
+        cold = compile_composition(edited, pipeline="default<O2>", store=False)
         try:
             for engine in ENGINES:
                 a = raw_buffers(model, spec.inputs, spec.num_trials, spec.run_seed, engine)

@@ -21,17 +21,20 @@ import pytest
 from repro.backends import runtime
 from repro.backends.pycodegen import PythonCodeGenerator
 from repro.core.distill import compile_composition
+from repro.errors import CompilationError
 from repro.fuzz.oracle import OracleConfig, buffers_equal, check_composition, raw_buffers
 from repro.ir import F64, I64, ArrayType, FunctionType, IRBuilder, Module
 from repro.ir.diagnostics import DEFAULT_SEVERITY, at_or_above
+from repro.ir.verifier import verify_module
 from repro.lint import run_lint
 from repro.models import MODEL_REGISTRY
+from test_structured_codegen import build_irreducible_function, build_loop_alloca_function
 
 QUICK_MODELS = ("necker_cube_s", "botvinick_stroop")
 
 
 def sanitized_compile(module):
-    return PythonCodeGenerator(module, structured=True, sanitize=True).compile()
+    return PythonCodeGenerator(module, sanitize=True).compile()
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +123,7 @@ def test_zero_divisor_guard_emitted_for_statically_safe_division():
     phi.add_incoming(b.f64(0.0), entry)
     b.ret(phi)
 
-    gen = PythonCodeGenerator(module, structured=True, sanitize=True)
+    gen = PythonCodeGenerator(module, sanitize=True)
     source = gen.generate_source()
     # The division is classified safe-guard: the sanitizer validates that
     # claim with a runtime zero check (which a correct guard never fires).
@@ -135,16 +138,19 @@ def test_zero_divisor_guard_emitted_for_statically_safe_division():
 # ---------------------------------------------------------------------------
 
 
-def test_sanitize_requires_structured_codegen():
+def test_sanitize_refuses_a_relooper_bail():
+    # The dispatch-ladder fallback carries no checks: a sanitized compile
+    # must fail loudly rather than read "trap-free" as clean.
     module = Module("m")
-    with pytest.raises(ValueError):
-        PythonCodeGenerator(module, structured=False, sanitize=True)
-    entry = MODEL_REGISTRY["necker_cube_s"]
-    with pytest.raises(ValueError):
-        compile_composition(
-            entry.build(),
-            flags={"sanitize": True, "structured_codegen": False},
-        )
+    build_irreducible_function(module, "irr")
+    build_loop_alloca_function(module)
+    verify_module(module)
+    with pytest.raises(CompilationError, match=r"@irr.*irreducible CFG in @irr"):
+        PythonCodeGenerator(module, sanitize=True).generate_source()
+    # Without the sanitizer the same module lowers, the bail recorded.
+    gen = PythonCodeGenerator(module)
+    gen.generate_source()
+    assert gen.dispatch_fallbacks == ["irr"]
 
 
 # ---------------------------------------------------------------------------

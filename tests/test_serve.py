@@ -456,8 +456,16 @@ class TestErrorsAndStats:
                 with pytest.raises(ServeError) as bad_target:
                     client.run(CUSTOM, CUSTOM_INPUTS, target="no-such-engine")
                 assert bad_target.value.code == "bad_request"
+                # Unknown compile flags bounce too: each spelling would
+                # otherwise grow the model cache under a new key.
+                for flags in ({"structured_codegen": False}, {"bogus": [1]}):
+                    with pytest.raises(ServeError) as bad_flags:
+                        client.run(CUSTOM, CUSTOM_INPUTS, flags=flags)
+                    assert bad_flags.value.code == "bad_request"
+                    assert "unknown compile flag" in str(bad_flags.value)
                 # The daemon is still healthy afterwards.
                 assert client.ping()
+                assert client.stats()["session"]["models"] == 0
 
     def test_stats_schema(self, tmp_path):
         with make_server(tmp_path) as server:

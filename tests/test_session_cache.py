@@ -65,7 +65,7 @@ class TestSessionCaching:
         session.compile_model(build_stroop())
         session.compile_model(build_stroop(), pipeline="default<O1>")
         session.compile_model(build_stroop(), seed=7)
-        session.compile_model(build_stroop(), flags={"fast_math": True})
+        session.compile_model(build_stroop(), flags={"sanitize": True})
         info = session.cache_info()
         assert info["misses"] == 4 and info["hits"] == 0
 

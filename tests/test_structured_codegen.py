@@ -6,8 +6,8 @@ Covers the PR-5 emitter rewrite:
   loops/conditionals with no ``_block`` dispatch ladder;
 * the irreducible-CFG fallback — the ladder still exists, is taken exactly
   for unstructurable functions, and executes correctly;
-* the 8-model x O0..O3 structured-vs-dispatch bitwise differential
-  (``flags={"structured_codegen": False}`` keeps the legacy emitter alive);
+* the forced relooper bail — 8 models x O0..O3 with every function lowered
+  through the ladder, bitwise equal to the default structured build;
 * the frame planner — liveness-coalesced alloca slots and per-iteration
   re-zeroing semantics;
 * phi-edge parallel copies, constant pooling, the memoized GEP helpers and
@@ -20,9 +20,9 @@ import pytest
 
 from repro.backends import runtime
 from repro.backends.interp import Interpreter
-from repro.backends.pycodegen import PythonCodeGenerator, _StructuredFunction
+from repro.backends.pycodegen import PythonCodeGenerator, _Bailout, _StructuredFunction
 from repro.core.distill import compile_composition
-from repro.fuzz.oracle import OracleConfig, check_composition, raw_buffers, buffers_equal
+from repro.fuzz.oracle import raw_buffers, buffers_equal
 from repro.ir import F64, I64, ArrayType, FunctionType, IRBuilder, Module, StructType
 from repro.ir.verifier import verify_module
 from repro.models import FIGURE4_MODELS, MODEL_REGISTRY
@@ -150,32 +150,30 @@ def build_disjoint_allocas_function(module: Module, name: str = "disjoint"):
 # ---------------------------------------------------------------------------
 
 
+#: Loop-bearing registered models -> whether their source is also checked
+#: for the native ``while``/``continue``/``break`` loop shape.
+LOOP_MODELS = {
+    "predator_prey_s": True,
+    "vectorized_necker_cube": False,
+    "necker_cube_m": False,
+    "botvinick_stroop": True,
+}
+
+
 class TestGoldenShape:
-    @pytest.mark.parametrize("model", ["predator_prey_s", "botvinick_stroop"])
+    @pytest.mark.parametrize("model", sorted(LOOP_MODELS))
     def test_loop_models_have_no_dispatch_ladder(self, model):
         entry = MODEL_REGISTRY[model]
-        compiled = compile_composition(entry.build(), pipeline="default<O2>")
+        compiled = compile_composition(entry.build(), pipeline="default<O2>", store=False)
+        assert compiled.stats.dispatch_fallbacks == []
         gen = PythonCodeGenerator(compiled.module)
         source = gen.generate_source()
         assert gen.dispatch_fallbacks == []
         assert "_block" not in source
-        # The model's pass/grid loops come back as native Python loops.
-        assert "while True:" in source
-        assert "continue" in source and "break" in source
-
-    def test_structured_is_the_default_and_flag_selects_dispatch(self):
-        entry = MODEL_REGISTRY["predator_prey_s"]
-        structured = compile_composition(entry.build(), pipeline="default<O1>")
-        legacy = compile_composition(
-            entry.build(), pipeline="default<O1>", flags={"structured_codegen": False}
-        )
-        structured_src = PythonCodeGenerator(structured.module).generate_source()
-        legacy_src = PythonCodeGenerator(
-            legacy.module, structured=False
-        ).generate_source()
-        assert "_block" not in structured_src
-        assert "_block = 0" in legacy_src
-        assert "elif _block ==" in legacy_src
+        if LOOP_MODELS[model]:
+            # The model's pass/grid loops come back as native Python loops.
+            assert "while True:" in source
+            assert "continue" in source and "break" in source
 
     def test_constant_pool_and_frame_in_source(self):
         module = Module("pool")
@@ -249,49 +247,40 @@ class TestIrreducibleFallback:
 
 
 # ---------------------------------------------------------------------------
-# Structured vs dispatch: bitwise equivalence, 8 models x O0..O3
+# Forced relooper bail: the ladder for every function, 8 models x O0..O3
 # ---------------------------------------------------------------------------
 
 
-class TestStructuredVsDispatchBitwise:
+def always_bail(self):
+    """Stand-in for ``_StructuredFunction.emit`` that forces the relooper to
+    bail, so every function lowers through the dispatch ladder."""
+    raise _Bailout(f"forced bail in @{self.fn.name}")
+
+
+class TestForcedRelooperBail:
     @pytest.mark.parametrize("opt_level", [0, 1, 2, 3])
-    def test_all_models_bitwise_equal(self, opt_level):
+    def test_all_models_bitwise_equal(self, opt_level, monkeypatch):
+        pipeline = f"default<O{opt_level}>"
         for name in FIGURE4_MODELS:
             entry = MODEL_REGISTRY[name]
             inputs = entry.inputs()
             trials = min(entry.num_trials, 2)
-            structured = compile_composition(
-                entry.build(), pipeline=f"default<O{opt_level}>"
-            )
-            dispatch = compile_composition(
-                entry.build(),
-                pipeline=f"default<O{opt_level}>",
-                flags={"structured_codegen": False},
-            )
+            structured = compile_composition(entry.build(), pipeline=pipeline, store=False)
+            with monkeypatch.context() as patch:
+                patch.setattr(_StructuredFunction, "emit", always_bail)
+                ladder = compile_composition(entry.build(), pipeline=pipeline, store=False)
             try:
+                defined = [fn.name for fn in ladder.module.defined_functions()]
+                assert sorted(ladder.stats.dispatch_fallbacks) == sorted(defined)
+                assert "_block = 0" in ladder.source
                 mismatch = buffers_equal(
                     raw_buffers(structured, inputs, trials, 0, "compiled"),
-                    raw_buffers(dispatch, inputs, trials, 0, "compiled"),
+                    raw_buffers(ladder, inputs, trials, 0, "compiled"),
                 )
                 assert mismatch is None, f"{name} O{opt_level}: {mismatch}"
             finally:
                 structured.close_engines()
-                dispatch.close_engines()
-
-    def test_oracle_codegen_leg_runs(self):
-        entry = MODEL_REGISTRY["predator_prey_s"]
-        config = OracleConfig(
-            pipelines=("default<O1>",),
-            engines=("compiled", "ir-interp"),
-            check_reference=False,
-            check_analysis_cache=False,
-        )
-        verdict = check_composition(
-            entry.build, entry.inputs(), 2, 0, config=config, model_name="pp_s"
-        )
-        assert verdict.ok, [d.describe() for d in verdict.divergences]
-        # compile leg + baseline + ir-interp + codegen leg
-        assert verdict.legs == 4
+                ladder.close_engines()
 
 
 # ---------------------------------------------------------------------------
