@@ -32,16 +32,16 @@ Execution model
 
 The module has two halves: the ``LANE_NAMESPACE`` runtime helpers that the
 generated lane source links against, and the ``lane`` execution engine that
-stacks ``run_batch`` elements onto the lane axis (with an optional
-mcpu-style persistent worker pool running lane chunks).
+stacks ``run_batch`` elements onto the lane axis.  With ``workers=N`` the
+stacked lanes are split into contiguous chunks run on the persistent
+:class:`~repro.backends.workerpool.WorkerPool` that ``mcpu`` also uses; a
+worker that dies mid-batch raises :class:`~repro.errors.WorkerLost` and the
+next call restarts the pool.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing as mp
-import os
-import weakref
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -49,6 +49,7 @@ import numpy as np
 from ..cogframe import prng
 from . import runtime
 from .pycodegen import _fdiv, _sdiv, _srem
+from .workerpool import WorkerPool
 
 # ---------------------------------------------------------------------------
 # Runtime helpers linked into generated lane source
@@ -430,14 +431,6 @@ def _lane_worker_run(task):
     return state, prev, cur, results, monitor
 
 
-def _close_pool(holder: List[Optional[mp.pool.Pool]]) -> None:
-    pool = holder[0]
-    holder[0] = None
-    if pool is not None:
-        pool.terminate()
-        pool.join()
-
-
 # ---------------------------------------------------------------------------
 # Engine registration (see repro.driver.engines)
 # ---------------------------------------------------------------------------
@@ -467,10 +460,7 @@ class _LaneInstance(EngineInstance):
         #: re-run as sequential masked trial loops.
         self.rng_fold_fallbacks = 0
         self._rng_fold_safe_cached: Optional[bool] = None
-        self.pool_starts = 0
-        self._pool_holder: List[Optional[mp.pool.Pool]] = [None]
-        self._pool_workers: Optional[int] = None
-        self._finalizer = weakref.finalize(self, _close_pool, self._pool_holder)
+        self._pool: Optional[WorkerPool] = None
 
     # -- lane compilation ------------------------------------------------
     def _ensure_compiled(self):
@@ -732,33 +722,25 @@ class _LaneInstance(EngineInstance):
             self._run_stacked(fallbacks, options)
 
     # -- worker pool (lane chunks) ---------------------------------------
-    def _ensure_pool(self, workers: int) -> mp.pool.Pool:
-        pool = self._pool_holder[0]
-        if pool is not None and self._pool_workers == workers:
-            return pool
-        if pool is not None:
-            _close_pool(self._pool_holder)
-        program = self._program
-        payload = (
-            program.source,
-            self.model.source,
-            program.scalar_links,
-            self.model.module.name,
-            program.py_names["run_model"],
-        )
-        context = mp.get_context("spawn" if os.name == "nt" else "fork")
-        pool = context.Pool(
-            processes=workers, initializer=_lane_worker_init, initargs=(payload,)
-        )
-        self._pool_holder[0] = pool
-        self._pool_workers = workers
-        self.pool_starts += 1
-        return pool
+    @property
+    def pool_starts(self) -> int:
+        """Worker-pool constructions for the current worker count."""
+        return self._pool.starts if self._pool is not None else 0
 
     def _execute_pooled(self, stacked, workers: int) -> None:
         n_lanes = len(stacked["num_trials"])
         workers = min(workers, n_lanes)
-        pool = self._ensure_pool(workers)
+        if self._pool is None or self._pool.workers != workers:
+            self.close()
+            program = self._program
+            payload = (
+                program.source,
+                self.model.source,
+                program.scalar_links,
+                self.model.module.name,
+                program.py_names["run_model"],
+            )
+            self._pool = WorkerPool(workers, _lane_worker_init, (payload,))
         chunk = (n_lanes + workers - 1) // workers
         spans = [
             (start, min(start + chunk, n_lanes))
@@ -772,7 +754,7 @@ class _LaneInstance(EngineInstance):
             for start, stop in spans
         ]
         for (start, stop), (state, prev, cur, results, monitor) in zip(
-            spans, pool.map(_lane_worker_run, tasks)
+            spans, self._pool.map(_lane_worker_run, tasks)
         ):
             stacked["state"][start:stop] = state
             stacked["prev"][start:stop] = prev
@@ -781,8 +763,9 @@ class _LaneInstance(EngineInstance):
             stacked["monitor"][start:stop] = monitor
 
     def close(self) -> None:
-        _close_pool(self._pool_holder)
-        self._pool_workers = None
+        if self._pool is not None:
+            self._pool.close()
+            self._pool = None
 
 
 @register_engine

@@ -13,20 +13,21 @@ execution because every evaluation's random draws depend only on the
 evaluation index (see :mod:`repro.cogframe.prng`) and the tie-break replay
 consumes exactly the uniforms the serial scan would.
 
-The worker pool is expensive to start (each worker re-builds the kernels),
-so it is **persistent**: the engine instance returned by
+The worker pool (:class:`~repro.backends.workerpool.WorkerPool`, shared
+with the ``lane`` engine) is expensive to start (each worker re-builds the
+kernels), so it is **persistent**: the engine instance returned by
 ``Session.compile(model, target="mcpu")`` / ``model.engine_instance("mcpu")``
 keeps the pool alive across ``run()`` and ``run_batch()`` calls, and
 ``run_batch`` dispatches the grid chunks of *all* batch elements in a single
-``pool.map`` per scheduler step.  ``pool_starts`` counts pool constructions
-so benchmarks and tests can assert reuse.
+pool ``map`` per scheduler step.  ``pool_starts`` counts pool constructions
+so benchmarks and tests can assert reuse.  A worker that dies mid-map raises
+:class:`~repro.errors.WorkerLost`; the next call restarts the pool and
+recomputes every chunk, so results stay bit-identical.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
-import weakref
 from typing import Dict, List, Optional, Tuple
 
 from .grid_driver import (
@@ -35,6 +36,7 @@ from .grid_driver import (
     drive_elements,
     run_with_grid_driver,
 )
+from .workerpool import WorkerPool
 
 # ---------------------------------------------------------------------------
 # Worker-side machinery.  Globals are initialised once per worker process.
@@ -113,19 +115,11 @@ def _worker_evaluate(task) -> Tuple[List[Tuple[int, float]], int]:
     return events, nan_count
 
 
-def _close_pool(holder: List[Optional[mp.pool.Pool]]) -> None:
-    pool = holder[0]
-    holder[0] = None
-    if pool is not None:
-        pool.terminate()
-        pool.join()
-
-
 class MulticoreGridEvaluator:
-    """Evaluates grid-search regions on a persistent process pool.
+    """Evaluates grid-search regions on a persistent :class:`WorkerPool`.
 
-    The pool is created lazily on the first evaluation and reused until
-    :meth:`close` (or garbage collection); ``pool_starts`` counts how many
+    The pool starts lazily on the first evaluation and is reused until
+    :meth:`close` (or garbage collection); ``pool.starts`` counts how many
     times a pool was actually constructed.  The evaluator also works as a
     context manager for one-shot use.
     """
@@ -139,61 +133,25 @@ class MulticoreGridEvaluator:
     ):
         from .pycodegen import PythonCodeGenerator
 
-        self.workers = workers or max(os.cpu_count() or 1, 1)
         self.chunk_multiplier = chunk_multiplier
-        self.start_method = start_method or ("spawn" if os.name == "nt" else "fork")
-        self.pool_starts = 0
         # Worker kernels are regenerated from the IR.
         source = PythonCodeGenerator(compiled.module).generate_source()
-        self._kernel_sources = {
+        kernel_sources = {
             info.kernel_name: (source, f"ir_{info.kernel_name}".replace(".", "_"))
             for info in compiled.grid_searches
         }
-        # The pool lives in a holder list so the GC finalizer can terminate
-        # it without keeping the evaluator itself alive.
-        self._pool_holder: List[Optional[mp.pool.Pool]] = [None]
-        self._finalizer = weakref.finalize(self, _close_pool, self._pool_holder)
-
-    # -- pool management -----------------------------------------------------------
-    @property
-    def _pool(self) -> Optional[mp.pool.Pool]:
-        return self._pool_holder[0]
-
-    def ensure_pool(self) -> mp.pool.Pool:
-        """The live worker pool, constructing it on first use."""
-        pool = self._pool_holder[0]
-        if pool is None:
-            context = mp.get_context(self.start_method)
-            pool = context.Pool(
-                processes=self.workers,
-                initializer=_worker_init,
-                initargs=(self._kernel_sources,),
-            )
-            self._pool_holder[0] = pool
-            self.pool_starts += 1
-        return pool
+        self.pool = WorkerPool(
+            workers or max(os.cpu_count() or 1, 1),
+            _worker_init,
+            (kernel_sources,),
+            start_method=start_method,
+        )
 
     def close(self) -> None:
         """Shut the worker pool down (a later evaluation restarts it)."""
-        pool = self._pool_holder[0]
-        self._pool_holder[0] = None
-        if pool is not None:
-            pool.close()
-            pool.join()
-
-    def terminate(self) -> None:
-        """Forcibly tear the pool down without waiting for in-flight work.
-
-        ``close`` waits for outstanding tasks and joins the pool's result
-        handler — which never returns while a task is *lost* (a worker
-        killed mid-chunk leaves its map permanently unfinished).  Recovery
-        paths (the serving daemon's retry) therefore terminate: abandoned
-        maps stay abandoned and the next evaluation starts a fresh pool.
-        """
-        _close_pool(self._pool_holder)
+        self.pool.close()
 
     def __enter__(self) -> "MulticoreGridEvaluator":
-        self.ensure_pool()
         return self
 
     def __exit__(self, *exc_info) -> None:
@@ -208,12 +166,11 @@ class MulticoreGridEvaluator:
         so a batch of B concurrent elements costs one IPC round-trip instead
         of B.
         """
-        pool = self.ensure_pool()
         tasks = []
         owners: List[int] = []
         for request_index, request in enumerate(requests):
             grid = request.prepared
-            num_chunks = max(self.workers * self.chunk_multiplier, 1)
+            num_chunks = max(self.pool.workers * self.chunk_multiplier, 1)
             chunk = max((grid.grid_size + num_chunks - 1) // num_chunks, 1)
             for start in range(0, grid.grid_size, chunk):
                 stop = min(start + chunk, grid.grid_size)
@@ -232,15 +189,17 @@ class MulticoreGridEvaluator:
                     )
                 )
                 owners.append(request_index)
-        chunk_results = pool.map(_worker_evaluate, tasks)
+        # ``_worker_evaluate`` is looked up at call time, not bound at
+        # import: tests patch it before a fork-started pool inherits it.
+        chunk_results = self.pool.map(_worker_evaluate, tasks)
 
         merged: List[CandidateEvents] = [
             CandidateEvents(events=[], grid_size=r.prepared.grid_size, nan_count=0)
             for r in requests
         ]
         # Chunks were generated in ascending index order per request and
-        # pool.map preserves order, so plain concatenation keeps the events
-        # sorted by grid index — the order the replay requires.
+        # the pool's map preserves order, so plain concatenation keeps the
+        # events sorted by grid index — the order the replay requires.
         for owner, (events, nan_count) in zip(owners, chunk_results):
             merged[owner].events.extend(events)
             merged[owner].nan_count += nan_count
@@ -266,8 +225,10 @@ class _MulticoreInstance(EngineInstance):
         start_method = options.get("start_method")
         evaluator = self._evaluator
         if evaluator is not None:
-            same_workers = workers is None or workers == evaluator.workers
-            same_method = start_method is None or start_method == evaluator.start_method
+            same_workers = workers is None or workers == evaluator.pool.workers
+            same_method = (
+                start_method is None or start_method == evaluator.pool.start_method
+            )
             if same_workers and same_method:
                 return evaluator
             evaluator.close()
@@ -281,7 +242,7 @@ class _MulticoreInstance(EngineInstance):
     def pool_starts(self) -> int:
         """Worker-pool constructions so far (1 after any number of runs
         with consistent options — the proof of pool reuse)."""
-        return self._evaluator.pool_starts if self._evaluator is not None else 0
+        return self._evaluator.pool.starts if self._evaluator is not None else 0
 
     def execute(self, buffers, num_trials, **options):
         if not self.model.grid_searches:
@@ -303,13 +264,6 @@ class _MulticoreInstance(EngineInstance):
     def close(self) -> None:
         if self._evaluator is not None:
             self._evaluator.close()
-            self._evaluator = None
-
-    def reset(self) -> None:
-        """Hard-reset after a suspected worker-pool failure (terminate, not
-        close: a pool holding a lost task never finishes a graceful join)."""
-        if self._evaluator is not None:
-            self._evaluator.terminate()
             self._evaluator = None
 
 

@@ -322,22 +322,6 @@ class CompiledModel:
         for instance in instances:
             instance.close()
 
-    def reset_engine(self, engine: str) -> None:
-        """Drop the cached binding for ``engine``, hard-releasing its pool.
-
-        The serving daemon's retry path calls this after a suspected
-        worker-pool failure so the next :meth:`engine_instance` call starts
-        from a clean binding.  The instance's ``reset()`` (terminate
-        semantics) is preferred over ``close()`` — a pool with a lost
-        in-flight task never finishes a graceful join.
-        """
-        with self._engine_lock:
-            instance = self._engine_instances.pop(engine, None)
-        if instance is None:
-            return
-        reset = getattr(instance, "reset", None)
-        (reset if reset is not None else instance.close)()
-
     # -- incremental recompilation ------------------------------------------------
     def recompile(self, composition=None, changed=None, store=None):
         """Re-lower only the functions affected by an edit, in place.

@@ -35,6 +35,15 @@ class EngineError(ReproError):
     """An execution engine failed or was misconfigured."""
 
 
+class WorkerLost(EngineError):
+    """A worker process of a parallel engine died mid-task.
+
+    Raised by the ``mcpu`` and ``lane`` worker pools
+    (:class:`repro.backends.workerpool.WorkerPool`) after they drop the
+    broken pool; the next call starts a fresh one, so one retry suffices.
+    """
+
+
 class ServeError(ReproError):
     """The serving daemon rejected or failed a request.
 

@@ -6,10 +6,9 @@
 """
 
 from .client import ServeClient, wait_for_server
-from .server import DispatchTimeout, ServeConfig, Server
+from .server import ServeConfig, Server
 
 __all__ = [
-    "DispatchTimeout",
     "ServeClient",
     "ServeConfig",
     "Server",

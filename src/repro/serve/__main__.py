@@ -38,7 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.0,
         help="linger this long after popping a request to grow the batch",
     )
-    parser.add_argument("--dispatch-timeout", type=float, default=60.0)
     parser.add_argument(
         "--deadline-ms",
         type=float,
@@ -65,7 +64,6 @@ def main(argv=None) -> int:
         max_queue=args.max_queue,
         max_coalesce=args.max_coalesce,
         coalesce_window=args.coalesce_window_ms / 1000.0,
-        dispatch_timeout=args.dispatch_timeout,
         default_deadline=None if args.deadline_ms is None else args.deadline_ms / 1000.0,
         default_target=args.target,
         default_pipeline=args.pipeline,

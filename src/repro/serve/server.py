@@ -22,11 +22,15 @@ per request.  ``run_batch`` is documented bitwise-identical to looping
 ``run``, so coalesced clients observe exactly the results solo execution
 would have produced (the concurrency suite asserts this bitwise).
 
-Transient dispatch failures (a worker killed mid-request shows up as a
-watchdog timeout or a pool error) are retried once against a reset engine
-binding before a structured ``engine_error`` is surfaced.  SIGTERM/SIGINT
-flip the daemon into draining mode: queued and in-flight work completes,
-new admissions are rejected with ``shutting_down``.
+The dispatcher calls the engine inline; there is no dispatch timeout.  A
+worker process killed mid-request surfaces as
+:class:`~repro.errors.WorkerLost` from the engine's worker pool, which has
+already dropped the broken pool.  Such transient failures are retried once
+before a structured ``engine_error`` is surfaced.  Admission rejects a
+``workers`` run option outside ``1..os.cpu_count()``, so clients cannot
+size the daemon's worker pools.  SIGTERM/SIGINT flip the daemon into
+draining mode: queued and in-flight work completes, new admissions are
+rejected with ``shutting_down``.
 """
 
 from __future__ import annotations
@@ -43,27 +47,20 @@ from ..cogframe.runner import normalize_inputs
 from ..driver.artifacts import normalize_flags, resolve_store
 from ..driver.engines import get_engine
 from ..driver.session import Session, structural_fingerprint
-from ..errors import CompilationError, EngineError, ModelStructureError, ReproError
+from ..errors import CompilationError, EngineError, ModelStructureError, WorkerLost
 from . import protocol
 
-__all__ = ["DispatchTimeout", "ServeConfig", "Server"]
+__all__ = ["ServeConfig", "Server"]
 
 Address = Union[str, Tuple[str, int]]
 
-
-class DispatchTimeout(ReproError):
-    """An engine dispatch exceeded the watchdog budget.
-
-    A worker process SIGKILLed mid-chunk leaves ``multiprocessing.Pool.map``
-    waiting forever for a task that no longer exists; the watchdog converts
-    that hang into this exception so the dispatcher can reset the pool and
-    retry (see ``_MulticoreInstance.reset``).
-    """
+#: Ring size for the latency percentiles in ``stats``.
+_LATENCY_WINDOW = 4096
 
 
 @dataclass
 class ServeConfig:
-    """Tunables for :class:`Server` admission, coalescing and retries."""
+    """Tunables for :class:`Server` admission and coalescing."""
 
     #: Bounded admission queue: requests beyond this are rejected busy.
     max_queue: int = 64
@@ -73,13 +70,8 @@ class ServeConfig:
     #: same-key requests arrive and coalesce.  0 coalesces only work that
     #: is *already* queued (no added latency).
     coalesce_window: float = 0.0
-    #: Watchdog budget per engine dispatch; ``None`` disables the watchdog
-    #: (a lost-worker hang then blocks the dispatcher forever).
-    dispatch_timeout: Optional[float] = 60.0
     #: Default per-request deadline in seconds (``None``: no deadline).
     default_deadline: Optional[float] = None
-    #: Ring size for the latency percentiles in ``stats``.
-    latency_window: int = 4096
     default_target: str = "compiled"
     default_pipeline: str = "default<O2>"
 
@@ -163,10 +155,11 @@ class _Request:
         return self.deadline is not None and now > self.deadline
 
 
-#: Failures worth one retry against a reset engine binding.  ``OSError``
-#: covers broken pool pipes; ``EOFError`` covers a worker dying while the
-#: parent reads its result; ``DispatchTimeout`` covers lost-task hangs.
-_TRANSIENT = (DispatchTimeout, OSError, EOFError)
+#: Failures worth one retry.  ``WorkerLost`` is a worker process that died
+#: mid-task (its pool restarts on the next call); ``OSError`` covers broken
+#: pool pipes; ``EOFError`` covers a worker dying while the parent reads its
+#: result.
+_TRANSIENT = (WorkerLost, OSError, EOFError)
 
 
 class Server:
@@ -214,7 +207,7 @@ class Server:
             "coalesced_requests": 0,
             "max_batch": 0,
         }
-        self._latencies: deque = deque(maxlen=self.config.latency_window)
+        self._latencies: deque = deque(maxlen=_LATENCY_WINDOW)
         self._started = time.monotonic()
 
         self._listener: Optional[socket.socket] = None
@@ -411,6 +404,16 @@ class Server:
         options = message.get("options") or {}
         if not isinstance(options, dict):
             raise ValueError("'options' must be an object")
+        # The worker count sizes a process pool: an unchecked client value
+        # would make the daemon fork without bound.
+        workers = options.get("workers")
+        max_workers = os.cpu_count() or 1
+        if workers is not None and (
+            type(workers) is not int or not 1 <= workers <= max_workers
+        ):
+            raise ValueError(
+                f"'options.workers' must be an integer in 1..{max_workers}"
+            )
 
         elements: List[Tuple[object, Optional[int], int]] = []
         if op == "run":
@@ -628,13 +631,12 @@ class Server:
             )
 
         try:
-            results = self._call_with_watchdog(dispatch)
+            results = dispatch()
         except _TRANSIENT:
             with self._lock:
                 self._counters["retries"] += 1
-            self._reset_engine(head)
             try:
-                results = self._call_with_watchdog(dispatch)
+                results = dispatch()
             except Exception as exc:  # noqa: BLE001 - mapped to a wire error
                 self._fail_batch(batch, exc, retried=True)
                 return
@@ -696,57 +698,12 @@ class Server:
             code = "internal"
         message = f"{type(exc).__name__}: {exc}"
         if retried:
-            message += " (after one retry against a reset engine binding)"
+            message += " (after one retry)"
         with self._lock:
             self._counters["failed"] += len(batch)
             self._counters["dispatches"] += 1
         for request in batch:
             request.conn.send(protocol.error_payload(request.msg_id, code, message))
-
-    def _reset_engine(self, request: _Request) -> None:
-        """Drop the (suspected-dead) engine binding so the retry rebinds.
-
-        ``reset_engine`` hard-terminates multicore pools — a graceful
-        ``close`` would join the pool's result handler, which never returns
-        while a killed worker's task is lost.
-        """
-        try:
-            model = self.session.compile_model(
-                request.composition,
-                pipeline=request.pipeline,
-                seed=request.compile_seed,
-                flags=request.flags,
-            )
-            model.reset_engine(request.target)
-        except Exception:  # noqa: BLE001 - reset is best-effort
-            pass
-
-    def _call_with_watchdog(self, fn: Callable[[], List]) -> List:
-        timeout = self.config.dispatch_timeout
-        if timeout is None:
-            return fn()
-        box: Dict[str, object] = {}
-        done = threading.Event()
-
-        def runner() -> None:
-            try:
-                box["value"] = fn()
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                box["error"] = exc
-            finally:
-                done.set()
-
-        thread = threading.Thread(
-            target=runner, name="repro-serve-watchdog", daemon=True
-        )
-        thread.start()
-        if not done.wait(timeout):
-            # The stuck thread is abandoned (daemon); its pool is about to
-            # be terminated by the retry path, which unsticks or kills it.
-            raise DispatchTimeout(f"engine dispatch exceeded {timeout:.1f}s")
-        if "error" in box:
-            raise box["error"]
-        return box["value"]
 
     # -- stats -------------------------------------------------------------------
     def stats(self) -> Dict[str, object]:

@@ -1,6 +1,10 @@
-"""Shared helpers for the test suite: small IR and model builders."""
+"""Shared helpers for the test suite: small IR and model builders, and a
+worker killer for the process-pool engines."""
 
 from __future__ import annotations
+
+import os
+import signal
 
 import numpy as np
 
@@ -156,3 +160,32 @@ def build_struct_sum_function(module: Module, name: str = "struct_sum"):
     total = b.fadd(b.fadd(a, b_field), b.fadd(c0, c1))
     b.ret(total)
     return fn
+
+
+# ---------------------------------------------------------------------------
+# Forced worker death in the process-pool engines (mcpu, lane)
+# ---------------------------------------------------------------------------
+#
+# The engines resolve their pool task function through a module global at
+# map time and start their pools with fork on Linux, so patching that global
+# BEFORE a pool starts puts ``kill_worker_if_armed`` into every worker (the
+# ``worker_killer`` fixture in conftest.py does this).  It is module-level so
+# the workers unpickle it by qualified name, and it reads the sentinel path
+# and the original task function from the globals below, which the fork
+# copied.  The first worker to run a task while the sentinel file exists
+# unlinks it and SIGKILLs itself; later tasks and a restarted pool run clean.
+
+_KILL_SENTINEL = None
+_KILL_ORIGINAL = None
+
+
+def kill_worker_if_armed(task):
+    sentinel = _KILL_SENTINEL
+    if sentinel and os.path.exists(sentinel):
+        try:
+            os.unlink(sentinel)
+        except OSError:
+            pass
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _KILL_ORIGINAL(task)
+

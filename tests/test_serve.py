@@ -14,6 +14,7 @@ one: a hang is a failure, never a stuck CI job.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 
@@ -466,6 +467,23 @@ class TestErrorsAndStats:
                 # The daemon is still healthy afterwards.
                 assert client.ping()
                 assert client.stats()["session"]["models"] == 0
+
+    def test_worker_count_outside_cpu_range_is_bad_request(self, tmp_path):
+        """``options.workers`` sizes a process pool: a client must not be
+        able to make the daemon fork more workers than there are CPUs."""
+        with make_server(tmp_path) as server:
+            wait_for_server(server.address)
+            with ServeClient(server.address) as client:
+                for workers in (os.cpu_count() + 1, 0, "2", True):
+                    with pytest.raises(ServeError) as excinfo:
+                        client.run(CUSTOM, CUSTOM_INPUTS, workers=workers)
+                    assert excinfo.value.code == "bad_request", workers
+                    assert "workers" in str(excinfo.value)
+                assert client.stats()["session"]["models"] == 0
+                served = client.run(CUSTOM, CUSTOM_INPUTS, workers=1)
+        assert_results_bitwise(
+            served, solo_results(build_deterministic_cascade, CUSTOM_INPUTS, None, 0)
+        )
 
     def test_stats_schema(self, tmp_path):
         with make_server(tmp_path) as server:

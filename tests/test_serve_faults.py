@@ -1,14 +1,12 @@
 """Fault injection for the serving daemon: dead workers, SIGTERM, bad bytes.
 
-Worker-kill determinism: ``repro.backends.multicore`` resolves its pool task
-function (``_worker_evaluate``) through the module global, and the pool forks
-workers on Linux — so monkeypatching the parent module BEFORE the pool first
-spins up propagates the patched function into every worker.  The patched
-function SIGKILLs the first worker that finds the sentinel file (unlinking it
-first, so the retry's fresh pool runs clean).  A killed worker's chunk is a
-lost task: ``pool.map`` would wait forever, which is exactly the hang the
-daemon's dispatch watchdog + terminate-based reset + single retry recovers
-from.
+Worker-kill determinism: the ``worker_killer`` fixture (conftest.py) patches
+``repro.backends.multicore._worker_evaluate`` before the mcpu pool first
+forks, so every worker carries the patched task function; the first worker
+to find the sentinel file unlinks it and SIGKILLs itself.  The engine's
+worker pool notices the dead worker, drops the broken pool and raises
+``WorkerLost``; the daemon retries the dispatch once, and the retry's fresh
+pool runs clean.
 """
 
 from __future__ import annotations
@@ -25,61 +23,31 @@ import pytest
 from helpers import build_deterministic_cascade
 from repro.errors import ServeError, ServerUnavailable
 from repro.models import get_model
-from repro.serve import ServeClient, ServeConfig, wait_for_server
+from repro.serve import ServeClient, wait_for_server
 
 from test_serve import assert_results_bitwise, make_server, solo_results
 
 GRID_MODEL = "predator_prey_s"  # grid searches run on the mcpu worker pool
 
-# Module-level so the forked workers can unpickle the patched task function
-# by qualified name; set by the fixture before any pool starts.
-_ORIGINAL_EVALUATE = None
-_SENTINEL = None
-
-
-def _killer_evaluate(task):
-    sentinel = _SENTINEL
-    if sentinel and os.path.exists(sentinel):
-        try:
-            os.unlink(sentinel)
-        except OSError:
-            pass
-        os.kill(os.getpid(), signal.SIGKILL)
-    return _ORIGINAL_EVALUATE(task)
-
-
-@pytest.fixture
-def worker_killer(tmp_path, monkeypatch):
-    """Arm the worker-kill sentinel; returns a path whose existence is fatal
-    to the next pool worker that picks up a chunk."""
-    from repro.backends import multicore
-
-    global _ORIGINAL_EVALUATE, _SENTINEL
-    sentinel = str(tmp_path / "kill-next-worker")
-    _ORIGINAL_EVALUATE = multicore._worker_evaluate
-    _SENTINEL = sentinel
-    monkeypatch.setattr(multicore, "_worker_evaluate", _killer_evaluate)
-    yield sentinel
-    _ORIGINAL_EVALUATE = None
-    _SENTINEL = None
-
 
 class TestWorkerDeath:
     def test_killed_worker_retries_and_recovers(self, tmp_path, worker_killer):
+        from repro.backends import multicore
+
+        sentinel = worker_killer(multicore, "_worker_evaluate")
         entry = get_model(GRID_MODEL)
         inputs = entry.inputs()
-        config = ServeConfig(dispatch_timeout=5.0)
-        with make_server(tmp_path, config=config) as server:
+        with make_server(tmp_path) as server:
             wait_for_server(server.address)
             with ServeClient(server.address, timeout=300.0) as client:
                 # Arm the sentinel: the first chunk of the next mcpu dispatch
-                # SIGKILLs its worker, losing the task and hanging the map.
-                open(worker_killer, "w").close()
+                # SIGKILLs its worker.
+                open(sentinel, "w").close()
                 served = client.run(
                     GRID_MODEL, inputs, num_trials=1, seed=3, target="mcpu"
                 )
                 stats = client.stats()
-        assert not os.path.exists(worker_killer)  # the kill really fired
+        assert not os.path.exists(sentinel)  # the kill really fired
         assert stats["requests"]["retries"] == 1
         assert stats["requests"]["completed"] == 1
         assert stats["requests"]["failed"] == 0
@@ -89,8 +57,7 @@ class TestWorkerDeath:
 
     def test_second_failure_surfaces_structured_engine_error(self, tmp_path):
         """When the retry also fails, clients get engine_error, not a hang."""
-        config = ServeConfig(dispatch_timeout=1.0)
-        with make_server(tmp_path, config=config) as server:
+        with make_server(tmp_path) as server:
             wait_for_server(server.address)
             # Both the dispatch and its retry hit the (injected) dead pool.
             server.session.compile = lambda *a, **k: (_ for _ in ()).throw(
