@@ -23,9 +23,11 @@ Execution model
   frame planner's slot offsets; model buffers are stacked element rows of a
   2-D float64 array.
 * The splitmix PRNG draws through
-  :func:`repro.cogframe.prng.vectorized_uniform` / ``vectorized_normal`` —
-  bit-identical per lane to the scalar inline emission, with counters
-  advanced only for active lanes.
+  :func:`repro.cogframe.prng.vectorized_uniform` / ``vectorized_normal``,
+  with counters advanced only for active lanes.  Counters and uniforms are
+  bit-identical per lane to the scalar inline emission; normal draws and the
+  transcendental intrinsics (:data:`LANE_INTRINSICS`) use numpy's kernels,
+  which may differ from libm in the final ulp.
 * Functions the relooper (or the lane lowerer) bails on run *per lane*
   through the scalar compiled program (:func:`_per_lane`), recorded in
   ``lane_fallbacks`` — correctness never depends on lane-lowerability.
@@ -297,11 +299,18 @@ def _guarded(fn):
     return impl
 
 
-#: Vectorised intrinsic implementations, element-wise equal to the guarded
-#: scalar table in :data:`repro.backends.runtime.INTRINSIC_IMPLS` (verified
-#: by the conformance tests; ``pow`` needs an explicit patch, the rest of
-#: numpy's ufuncs already match the guards — e.g. ``np.log(0.) == -inf``,
-#: ``np.sqrt(-1.) == nan``, ``np.fmin(nan, x) == x``).  Calls to intrinsics
+#: Vectorised intrinsic implementations of the guarded scalar table in
+#: :data:`repro.backends.runtime.INTRINSIC_IMPLS`.  The IEEE-exact ops
+#: (sqrt, fabs, floor, ceil, fmin, fmax, copysign) agree bit for bit; the
+#: transcendental ones (exp, log, log1p, tanh, pow, and sin/cos on some
+#: hosts) run numpy's kernels, which may round differently from libm in the
+#: final ulp — within :data:`repro.fuzz.oracle.LANE_RTOL`, never beyond.
+#: NaN, ±inf and ±0 results match exactly; inputs on which the scalar
+#: implementation raises (``math.sin(inf)``, ``math.floor(nan)``) yield
+#: NaN/±inf here.  ``tests/test_lane_backend.py::TestLaneIntrinsics`` checks
+#: all of this.  ``pow`` needs an explicit patch, the rest of numpy's ufuncs
+#: already match the guards — e.g. ``np.log(0.) == -inf``,
+#: ``np.sqrt(-1.) == nan``, ``np.fmin(nan, x) == x``.  Calls to intrinsics
 #: not in this table bail the function to the per-lane fallback.
 LANE_INTRINSICS = {
     "exp": _guarded(np.exp),
@@ -312,8 +321,10 @@ LANE_INTRINSICS = {
     "cos": _guarded(np.cos),
     "tanh": _guarded(np.tanh),
     "fabs": _guarded(np.abs),
-    "floor": _guarded(np.floor),
-    "ceil": _guarded(np.ceil),
+    # math.floor/math.ceil return ints, which have no negative zero:
+    # ``+ 0.0`` turns numpy's -0.0 (``ceil(-0.5)``) into the scalar +0.0.
+    "floor": _guarded(lambda x: np.floor(x) + 0.0),
+    "ceil": _guarded(lambda x: np.ceil(x) + 0.0),
     "pow": _lane_pow,
     "fmin": _guarded(np.fmin),
     "fmax": _guarded(np.fmax),
@@ -781,7 +792,9 @@ class LaneEngine:
                 "structured codegen re-emitted as numpy array programs over a "
                 "lane axis: run_batch elements execute in lockstep under "
                 "divergence masks (DISTILL-GPU's per-thread mapping, applied "
-                "to batches); bitwise identical to the scalar compiled engine"
+                "to batches); PRNG counters, uniforms and IEEE-exact ops are "
+                "bitwise identical to the scalar compiled engine, transcendental "
+                "intrinsics and normal draws agree to the final ulp"
             ),
             parallel=True,
             supports_workers=True,

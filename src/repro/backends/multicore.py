@@ -47,23 +47,12 @@ _WORKER_KERNELS: Dict[str, object] = {}
 
 def _worker_init(kernel_sources: Dict[str, tuple]) -> None:
     """Rebuild the compiled kernels inside the worker process."""
-    import math
-
-    from ..backends import runtime
-    from ..cogframe import prng
+    from .pycodegen import PythonCodeGenerator
 
     global _WORKER_KERNELS
     _WORKER_KERNELS = {}
     for name, (source, py_name) in kernel_sources.items():
-        namespace = {
-            "math": math,
-            "_fdiv": lambda a, b: runtime.eval_float_binop("fdiv", a, b),
-            "_sdiv": lambda a, b: runtime.eval_int_binop("sdiv", a, b),
-            "_srem": lambda a, b: runtime.eval_int_binop("srem", a, b),
-            "_intrinsics": runtime.INTRINSIC_IMPLS,
-            "_uniform_from_state": prng.uniform_from_state,
-            "_normal_from_state": prng.normal_from_state,
-        }
+        namespace = PythonCodeGenerator.exec_namespace()
         exec(compile(source, f"<distill-worker:{name}>", "exec"), namespace)
         _WORKER_KERNELS[name] = namespace[py_name]
 

@@ -19,12 +19,17 @@ smaller than the paper's native-code numbers; see DESIGN.md).
 Control flow is emitted **structurally**: natural loops and if/else regions
 are reconstructed from the cached dominator-tree and loop-info analyses and
 rendered as native Python ``while``/``if``/``else``/``continue``/``break``.
-Only genuinely irreducible CFGs (which the model code generator never
-produces, but hand-written or fuzzed IR may) fall back per function to the
-block-dispatch ladder (``_block = N`` + ``while True: if/elif``); a
-fallback is recorded in ``dispatch_fallbacks`` and is never silent.  The
-``ir-interp`` engine is the structured emitter's bitwise reference (the
-fuzz oracle's engine leg).
+There is one region walk (:class:`_StructuredFunction`); the masked lane
+emitter (:class:`_LaneFunction`) reuses it and overrides only how each
+region is printed.  Only genuinely irreducible CFGs (which the model code
+generator never produces, but hand-written or fuzzed IR may) fall back per
+function to the block-dispatch ladder (``_block = N`` + ``while True:
+if/elif``); a fallback is recorded in ``dispatch_fallbacks`` and is never
+silent.  The ladder differs from the structured emitter only in its
+control flow and its pointer strategy (:class:`_DispatchPointers`): every
+instruction is lowered by the same :meth:`PythonCodeGenerator._emit_instruction`
+dialect.  The ``ir-interp`` engine is the structured emitter's bitwise
+reference (the fuzz oracle's engine leg).
 
 The structured emitter also plans memory and scalar traffic at codegen time:
 
@@ -37,7 +42,8 @@ The structured emitter also plans memory and scalar traffic at codegen time:
   loop-invariant ``(buffer, offset)`` call tuples are pooled into locals of
   the module factory function, captured by the generated functions' closures;
 * phi copies on an edge collapse into one parallel multiple-assignment, and
-  comparisons produce raw bools instead of ``1 if … else 0`` wrappers.
+  comparisons produce raw bools instead of ``1 if … else 0`` wrappers (both
+  are part of the one instruction dialect, so the ladder shares them).
 
 See DESIGN.md, "Structured emission and the frame planner".
 """
@@ -48,7 +54,6 @@ import math
 from types import CodeType
 from typing import Dict, List, Optional, Tuple
 
-from ..cogframe import prng
 from ..errors import CompilationError
 from ..ir.cfg import is_reducible
 from ..ir.instructions import (
@@ -77,15 +82,19 @@ from . import runtime
 #: Version of the Python lowering.  Artifact-store keys include it so cached
 #: compiled sources are invalidated whenever the emitter's output changes
 #: (bump on any change that alters generated source or its runtime contract).
-CODEGEN_VERSION = 1
+CODEGEN_VERSION = 2
 
 
+#: Operands are always simple names or constants, so ``fdiv`` tests the
+#: denominator inline and only calls the helper at the singular point,
+#: keeping the common case a single BINARY_OP; ``_fmod`` is the factory's
+#: ``math.fmod`` binding.
 _BINOP_FMT = {
     "fadd": "({a} + {b})",
     "fsub": "({a} - {b})",
     "fmul": "({a} * {b})",
-    "fdiv": "_fdiv({a}, {b})",
-    "frem": "math.fmod({a}, {b})",
+    "fdiv": "({a} / {b} if {b} else _fdiv({a}, {b}))",
+    "frem": "_fmod({a}, {b})",
     "add": "({a} + {b})",
     "sub": "({a} - {b})",
     "mul": "({a} * {b})",
@@ -98,18 +107,12 @@ _BINOP_FMT = {
     "ashr": "({a} >> {b})",
 }
 
-#: Structured-mode overrides: operands are always simple names or constants,
-#: so ``fdiv`` can test the denominator inline and only call the helper at
-#: the singular point, keeping the common case a single BINARY_OP.
-_BINOP_FMT_STRUCTURED = dict(
-    _BINOP_FMT,
-    fdiv="({a} / {b} if {b} else _fdiv({a}, {b}))",
-    frem="_fmod({a}, {b})",
-)
-
+#: Python's (and numpy's) ``<``/``==``/... are already False for a NaN
+#: operand, which is the ordered semantics; ``!=`` is True, so ``one``
+#: is spelled as ``<`` or ``>`` (``|`` works on bools and lane arrays).
 _FCMP_FMT = {
     "oeq": "({a} == {b})",
-    "one": "({a} != {b})",
+    "one": "(({a} < {b}) | ({a} > {b}))",
     "olt": "({a} < {b})",
     "ole": "({a} <= {b})",
     "ogt": "({a} > {b})",
@@ -203,7 +206,9 @@ class _Ptr:
 class _DispatchPointers:
     """Ladder pointer strategy: every pointer value is a ``_buf``/``_off``
     local pair, allocas allocate their own lists, GEPs compute offsets at
-    run time.  Used by the per-function dispatch-ladder fallback."""
+    run time.  Used by the per-function dispatch-ladder fallback, because an
+    irreducible CFG has no valid frame plan: the planner's liveness
+    intervals are widened over natural loops, which such a CFG lacks."""
 
     def __init__(self, gen: "PythonCodeGenerator"):
         self.gen = gen
@@ -229,40 +234,11 @@ class _DispatchPointers:
         return [f"{name}_buf = [0.0] * {slots}", f"{name}_off = 0"]
 
     def emit_gep(self, instr: GEP) -> List[str]:
-        gen = self.gen
-        name = gen._name(instr)
+        name = self.gen._name(instr)
         base_buf, base_off = self._pair(instr.pointer)
-        pointee = instr.pointer.type.pointee
-        indices = instr.indices
-
-        offset_terms: List[str] = [base_off]
-        # First index scales by the whole pointee size.
-        first = indices[0]
-        stride = pointee.slot_count()
-        offset_terms.append(self._scaled_index(first, stride))
-        current = pointee
-        for idx in indices[1:]:
-            if isinstance(current, StructType):
-                if not isinstance(idx, Constant):
-                    raise NotImplementedError("dynamic struct indices are not supported")
-                field_index = int(idx.value)
-                offset_terms.append(str(current.field_slot_offset(field_index)))
-                current = current.field_type(field_index)
-            elif isinstance(current, ArrayType):
-                offset_terms.append(self._scaled_index(idx, current.element.slot_count()))
-                current = current.element
-            else:
-                raise NotImplementedError(f"cannot index into {current}")
-        non_zero = [t for t in offset_terms if t not in ("0",)]
-        offset_expr = " + ".join(non_zero) if non_zero else "0"
-        return [f"{name}_buf = {base_buf}", f"{name}_off = {offset_expr}"]
-
-    def _scaled_index(self, index: Value, stride: int) -> str:
-        if isinstance(index, Constant):
-            return str(int(index.value) * stride)
-        if stride == 1:
-            return f"int({self.gen._name(index)})"
-        return f"int({self.gen._name(index)}) * {stride}"
+        const, dynamic = self.gen._gep_terms(instr)
+        terms = [base_off] + dynamic + ([str(const)] if const else [])
+        return [f"{name}_buf = {base_buf}", f"{name}_off = " + " + ".join(terms)]
 
 
 class _AllocaPlan:
@@ -313,6 +289,8 @@ class _StructuredFunction:
                 )
             self.loop_follow[id(loop.header)] = exits[0] if exits else None
         self.emitted: set[int] = set()
+        #: The region mask of the block being printed (lane emitter only).
+        self.cur_mask: Optional[str] = self._ENTRY_MASK
 
         # -- memory / pointer planning (before any emission) -----------------
         self.frame_size = 0
@@ -478,36 +456,7 @@ class _StructuredFunction:
                 self.hoisted[key] = f"_{base}_{suffix}"
 
     def _fold_gep(self, instr: GEP, base: _Ptr) -> None:
-        gen = self.gen
-        pointee = instr.pointer.type.pointee
-        indices = instr.indices
-        const = 0
-        dynamic: List[str] = []
-
-        def add_index(idx: Value, stride: int) -> None:
-            nonlocal const
-            if isinstance(idx, Constant):
-                const += int(idx.value) * stride
-            elif stride == 1:
-                dynamic.append(gen._name(idx))
-            else:
-                dynamic.append(f"{gen._name(idx)} * {stride}")
-
-        add_index(indices[0], pointee.slot_count())
-        current = pointee
-        for idx in indices[1:]:
-            if isinstance(current, StructType):
-                if not isinstance(idx, Constant):
-                    raise NotImplementedError("dynamic struct indices are not supported")
-                field_index = int(idx.value)
-                const += current.field_slot_offset(field_index)
-                current = current.field_type(field_index)
-            elif isinstance(current, ArrayType):
-                add_index(idx, current.element.slot_count())
-                current = current.element
-            else:
-                raise NotImplementedError(f"cannot index into {current}")
-
+        const, dynamic = self.gen._gep_terms(instr)
         if not dynamic:
             self.ptrs[id(instr)] = _Ptr(base.buf, base.base, base.const + const)
             return
@@ -518,7 +467,7 @@ class _StructuredFunction:
         total_const = base.const + const
         if total_const:
             terms.append(str(total_const))
-        name = f"{gen._name(instr)}_off"
+        name = f"{self.gen._name(instr)}_off"
         self.gep_code[id(instr)] = f"{name} = " + " + ".join(terms)
         self.ptrs[id(instr)] = _Ptr(base.buf, name, 0)
 
@@ -541,12 +490,7 @@ class _StructuredFunction:
 
     def prologue(self) -> List[str]:
         """Per-call setup: the frame, hoisted offsets, pooled call tuples."""
-        lines: List[str] = []
-        if self.frame_size:
-            lines.append(f"_frame = [0.0] * {self.frame_size}")
-            if self.gen.sanitize:
-                # Shadow init map: one byte per frame slot, set on store.
-                lines.append(f"_init = bytearray({self.frame_size})")
+        lines = self._frame_lines()
         for (base, const), name in sorted(self.hoisted.items(), key=lambda kv: kv[1]):
             op = f"+ {const}" if const > 0 else f"- {-const}"
             lines.append(f"{name} = {base} {op}")
@@ -555,6 +499,15 @@ class _StructuredFunction:
         ):
             off = self._offset_expr(_Ptr(buf, base, const))
             lines.append(f"{name} = ({buf}, {off})")
+        return lines
+
+    def _frame_lines(self) -> List[str]:
+        if not self.frame_size:
+            return []
+        lines = [f"_frame = [0.0] * {self.frame_size}"]
+        if self.gen.sanitize:
+            # Shadow init map: one byte per frame slot, set on store.
+            lines.append(f"_init = bytearray({self.frame_size})")
         return lines
 
     # -- pointer strategy interface ------------------------------------
@@ -755,42 +708,50 @@ class _StructuredFunction:
         return [f"if {name} != {name}: _san_trap({msg!r})"]
 
     # ------------------------------------------------------------------
-    # The relooper
+    # The relooper: one region walk.  Every decision (bails, loop follows,
+    # merge selection, edge realization, goto resolution) lives here; how a
+    # region is *printed* is delegated to the hooks below, which
+    # :class:`_LaneFunction` overrides.  ``mask`` is the lane emitter's
+    # region mask and stays ``None`` in the scalar walk.
     # ------------------------------------------------------------------
     def emit(self) -> List[str]:
-        lines = self._emit_chain(self.fn.entry_block, (), 0)
+        lines = self._emit_chain(self.fn.entry_block, (), 0, self._ENTRY_MASK)
         if len(self.emitted) != len(self.reachable):
             raise _Bailout(
                 f"structured emission missed blocks in @{self.fn.name}"
             )
         return lines
 
-    def _emit_chain(self, block: BasicBlock, ctx: tuple, depth: int) -> List[str]:
+    def _emit_chain(
+        self, block: BasicBlock, ctx: tuple, depth: int, mask: Optional[str]
+    ) -> List[str]:
         if depth > self._MAX_DEPTH:
             raise _Bailout(f"region nesting too deep in @{self.fn.name}")
         if id(block) in self.emitted:
             raise _Bailout(f"block {block.name} reached twice in @{self.fn.name}")
         self.emitted.add(id(block))
-        loop = self.loops_by_header.get(id(block))
-        if loop is not None:
-            follow = self.loop_follow[id(block)]
-            inner_ctx = ctx + ((self._LOOP, block, follow),)
-            body = self._emit_block_code(block, inner_ctx, depth + 1)
-            lines = ["while True:"] + [f"    {line}" for line in (body or ["pass"])]
-            if follow is not None:
-                # Phi copies for the exit edges were emitted at the break
-                # sites; here the follow either continues the enclosing
-                # construct or is emitted inline.
-                jump = self._try_goto(follow, ctx, copies=[])
-                if jump is not None:
-                    lines.extend(jump)
-                else:
-                    lines.extend(self._emit_chain(follow, ctx, depth + 1))
-            return lines
-        return self._emit_block_code(block, ctx, depth + 1)
+        if id(block) not in self.loops_by_header:
+            return self._emit_block_code(block, ctx, depth + 1, mask)
+        follow = self.loop_follow[id(block)]
+        entry, body_mask, exit_mask = self._open_loop(block, follow)
+        body = self._emit_block_code(block, ctx + (entry,), depth + 1, body_mask)
+        lines = self._loop_lines(entry, mask, body)
+        if follow is not None:
+            # Phi copies for the exit edges were emitted at the break
+            # sites; here the follow either continues the enclosing
+            # construct or is emitted inline.
+            jump = self._try_goto(follow, ctx, [], exit_mask)
+            if jump is not None:
+                lines.extend(jump)
+            else:
+                lines.extend(self._emit_chain(follow, ctx, depth + 1, exit_mask))
+        return lines
 
-    def _emit_block_code(self, block: BasicBlock, ctx: tuple, depth: int) -> List[str]:
+    def _emit_block_code(
+        self, block: BasicBlock, ctx: tuple, depth: int, mask: Optional[str]
+    ) -> List[str]:
         gen = self.gen
+        self.cur_mask = mask
         lines: List[str] = []
         term = None
         for instr in block.instructions:
@@ -803,20 +764,19 @@ class _StructuredFunction:
         if term is None:
             raise _Bailout(f"block {block.name} has no terminator")
         if isinstance(term, Return):
-            if term.value is None:
-                lines.append("return None")
-            else:
-                lines.append(f"return {gen._name(term.value)}")
+            lines.extend(self._return_lines(term, mask))
             return lines
         if isinstance(term, Branch):
-            lines.extend(self._realize_edge(block, term.target, ctx, depth))
+            lines.extend(self._realize_edge(block, term.target, ctx, depth, mask))
             return lines
         if isinstance(term, CondBranch):
-            lines.extend(self._emit_cond(block, term, ctx, depth))
+            lines.extend(self._emit_cond(block, term, ctx, depth, mask))
             return lines
         raise _Bailout(f"unsupported terminator {term.opcode}")
 
-    def _emit_cond(self, block: BasicBlock, term: CondBranch, ctx: tuple, depth: int) -> List[str]:
+    def _emit_cond(
+        self, block: BasicBlock, term: CondBranch, ctx: tuple, depth: int, mask: Optional[str]
+    ) -> List[str]:
         deferred = self._deferred_ids(ctx)
         merges = [
             child
@@ -827,37 +787,24 @@ class _StructuredFunction:
             and len(self._forward_preds(child)) >= 2
         ]
         merges.sort(key=lambda b: self.rpo_index[id(b)])
-        arm_ctx = ctx + tuple((self._FOLLOW, m) for m in reversed(merges))
-
-        true_lines = self._realize_edge(block, term.true_block, arm_ctx, depth)
-        false_lines = self._realize_edge(block, term.false_block, arm_ctx, depth)
-        cond = self.gen._name(term.condition)
-
-        lines: List[str] = []
-        if true_lines and false_lines:
-            lines.append(f"if {cond}:")
-            lines.extend(f"    {line}" for line in true_lines)
-            lines.append("else:")
-            lines.extend(f"    {line}" for line in false_lines)
-        elif true_lines:
-            lines.append(f"if {cond}:")
-            lines.extend(f"    {line}" for line in true_lines)
-        elif false_lines:
-            lines.append(f"if not {cond}:")
-            lines.extend(f"    {line}" for line in false_lines)
-        # Both arms empty: both targets fall through to the same merge with
-        # no phi traffic — the branch is a no-op.
-
+        lines, tmask, fmask, merge_masks = self._open_cond(term.condition, mask, merges)
+        follows = [(self._FOLLOW, m, acc) for m, acc in zip(merges, merge_masks)]
+        arm_ctx = ctx + tuple(reversed(follows))
+        true_lines = self._realize_edge(block, term.true_block, arm_ctx, depth, tmask)
+        false_lines = self._realize_edge(block, term.false_block, arm_ctx, depth, fmask)
+        lines.extend(
+            self._cond_lines(term.condition, tmask, fmask, true_lines, false_lines)
+        )
         for i, merge in enumerate(merges):
-            rest = ctx + tuple((self._FOLLOW, m) for m in reversed(merges[i + 1 :]))
-            lines.extend(self._emit_chain(merge, rest, depth + 1))
+            rest = ctx + tuple(reversed(follows[i + 1 :]))
+            lines.extend(self._emit_chain(merge, rest, depth + 1, merge_masks[i]))
         return lines
 
     def _realize_edge(
-        self, source: BasicBlock, target: BasicBlock, ctx: tuple, depth: int
+        self, source: BasicBlock, target: BasicBlock, ctx: tuple, depth: int, mask: Optional[str]
     ) -> List[str]:
-        copies = self.gen._phi_copies(source, target, structured=True)
-        jump = self._try_goto(target, ctx, copies)
+        copies = self._edge_copies(source, target, mask)
+        jump = self._try_goto(target, ctx, copies, mask)
         if jump is not None:
             return jump
         forward = self._forward_preds(target)
@@ -866,10 +813,10 @@ class _StructuredFunction:
                 f"edge {source.name} -> {target.name} in @{self.fn.name} is "
                 f"not expressible structurally"
             )
-        return copies + self._emit_chain(target, ctx, depth + 1)
+        return copies + self._emit_chain(target, ctx, depth + 1, mask)
 
     def _try_goto(
-        self, target: BasicBlock, ctx: tuple, copies: List[str]
+        self, target: BasicBlock, ctx: tuple, copies: List[str], mask: Optional[str]
     ) -> Optional[List[str]]:
         """Realize a jump using the enclosing constructs, if possible.
 
@@ -880,14 +827,14 @@ class _StructuredFunction:
         for entry in reversed(ctx):
             if entry[0] == self._FOLLOW:
                 if allow_fallthrough and entry[1] is target:
-                    return copies
+                    return copies + self._fallthrough_lines(entry, mask)
                 allow_fallthrough = False
             else:  # loop
-                _, header, follow = entry
+                header, follow = entry[1], entry[2]
                 if header is target:
-                    return copies + ["continue"]
+                    return copies + self._continue_lines(entry, mask)
                 if follow is target:
-                    return copies + ["break"]
+                    return copies + self._break_lines(entry, mask)
                 return None
         return None
 
@@ -907,13 +854,70 @@ class _StructuredFunction:
             return preds
         return [p for p in preds if not loop.contains(p)]
 
+    # -- region printing hooks (scalar Python control flow) ------------
+    # Context entries are ``(_LOOP, header, follow, ...)`` and
+    # ``(_FOLLOW, block, merge_mask)``; the lane emitter appends its names.
+
+    #: The mask the walk starts from (``None``: scalar code has no mask).
+    _ENTRY_MASK: Optional[str] = None
+
+    def _open_loop(self, header: BasicBlock, follow: Optional[BasicBlock]):
+        """The loop's context entry, its body mask and its exit mask."""
+        return (self._LOOP, header, follow), None, None
+
+    def _loop_lines(self, entry: tuple, mask: Optional[str], body: List[str]) -> List[str]:
+        return ["while True:"] + [f"    {line}" for line in (body or ["pass"])]
+
+    def _open_cond(self, cond: Value, mask: Optional[str], merges: List[BasicBlock]):
+        """Lines before the arms, the true/false arm masks and each merge's
+        entry mask."""
+        return [], None, None, [None] * len(merges)
+
+    def _cond_lines(
+        self, cond: Value, tmask, fmask, true_lines: List[str], false_lines: List[str]
+    ) -> List[str]:
+        cond = self.gen._name(cond)
+        lines: List[str] = []
+        if true_lines and false_lines:
+            lines.append(f"if {cond}:")
+            lines.extend(f"    {line}" for line in true_lines)
+            lines.append("else:")
+            lines.extend(f"    {line}" for line in false_lines)
+        elif true_lines:
+            lines.append(f"if {cond}:")
+            lines.extend(f"    {line}" for line in true_lines)
+        elif false_lines:
+            lines.append(f"if not {cond}:")
+            lines.extend(f"    {line}" for line in false_lines)
+        # Both arms empty: both targets fall through to the same merge with
+        # no phi traffic — the branch is a no-op.
+        return lines
+
+    def _return_lines(self, term: Return, mask: Optional[str]) -> List[str]:
+        if term.value is None:
+            return ["return None"]
+        return [f"return {self.gen._name(term.value)}"]
+
+    def _edge_copies(self, source: BasicBlock, target: BasicBlock, mask) -> List[str]:
+        return self.gen._phi_copies(source, target)
+
+    def _fallthrough_lines(self, entry: tuple, mask: Optional[str]) -> List[str]:
+        return []
+
+    def _continue_lines(self, entry: tuple, mask: Optional[str]) -> List[str]:
+        return ["continue"]
+
+    def _break_lines(self, entry: tuple, mask: Optional[str]) -> List[str]:
+        return ["break"]
+
 
 class _LaneFunction(_StructuredFunction):
     """Masked (SIMT) variant of the structured emitter for the lane backend.
 
-    Reuses the relooper, frame planner and pointer planner of
-    :class:`_StructuredFunction` unchanged, but renders every structured
-    region under an explicit *lane mask*: an ``(n_lanes,)`` bool array naming
+    Inherits the region walk, frame planner and pointer planner of
+    :class:`_StructuredFunction` and overrides only the region printing
+    hooks, rendering every structured region under an explicit *lane mask*
+    (carried as the walk's ``mask``): an ``(n_lanes,)`` bool array naming
     which lanes are executing the region.  Control transfers become mask
     algebra instead of Python control flow:
 
@@ -939,7 +943,6 @@ class _LaneFunction(_StructuredFunction):
 
     def __init__(self, gen: "PythonCodeGenerator", fn: Function):
         super().__init__(gen, fn)
-        self.cur_mask = "_m"
         self._loop_counter = 0
         self._cond_counter = 0
         #: id(loop header) -> runtime local names live-out of that loop.
@@ -989,18 +992,10 @@ class _LaneFunction(_StructuredFunction):
     # ------------------------------------------------------------------
     # Per-call prologue (lane layout: 2-D frame, no sanitizer)
     # ------------------------------------------------------------------
-    def prologue(self) -> List[str]:
+    def _frame_lines(self) -> List[str]:
         lines = ["_zf = _np.zeros(len(_m), dtype=bool)"]
         if self.frame_size:
             lines.append(f"_frame = _np.zeros((len(_m), {self.frame_size}))")
-        for (base, const), name in sorted(self.hoisted.items(), key=lambda kv: kv[1]):
-            op = f"+ {const}" if const > 0 else f"- {-const}"
-            lines.append(f"{name} = {base} {op}")
-        for (buf, base, const), name in sorted(
-            self._pointer_tuples.items(), key=lambda kv: kv[1]
-        ):
-            off = self._offset_expr(_Ptr(buf, base, const))
-            lines.append(f"{name} = ({buf}, {off})")
         return lines
 
     def emit_alloca(self, instr: Alloca) -> List[str]:
@@ -1014,178 +1009,82 @@ class _LaneFunction(_StructuredFunction):
         ]
 
     # ------------------------------------------------------------------
-    # The masked relooper
+    # Masked region printing (the walk itself is inherited)
     # ------------------------------------------------------------------
-    def emit(self) -> List[str]:
-        lines = self._emit_chain(self.fn.entry_block, (), 0, "_m")
-        if len(self.emitted) != len(self.reachable):
-            raise _Bailout(
-                f"structured emission missed blocks in @{self.fn.name}"
-            )
+    _ENTRY_MASK = "_m"
+
+    def _open_loop(self, header: BasicBlock, follow: Optional[BasicBlock]):
+        index = self._loop_counter
+        self._loop_counter += 1
+        return (self._LOOP, header, follow, index), f"_lm{index}", f"_bm{index}"
+
+    def _loop_lines(self, entry: tuple, mask: Optional[str], body: List[str]) -> List[str]:
+        header, index = entry[1], entry[3]
+        live, brk, cont = f"_lm{index}", f"_bm{index}", f"_cm{index}"
+        outs = self.loop_liveouts.get(id(header), [])
+        # Int inits: np.where promotes to float on the first capture of a
+        # float value, while a float init would poison int live-outs.
+        lines = [f"{name}__x{index} = 0" for name in outs]
+        lines += [f"{live} = {mask}", f"{brk} = _zf", f"while {live}.any():"]
+        body = [f"{cont} = _zf"] + body + [f"{live} = {cont}"]
+        lines.extend(f"    {line}" for line in body)
+        lines.extend(f"{name} = {name}__x{index}" for name in outs)
         return lines
 
-    def _emit_chain(
-        self, block: BasicBlock, ctx: tuple, depth: int, mask: str
-    ) -> List[str]:
-        if depth > self._MAX_DEPTH:
-            raise _Bailout(f"region nesting too deep in @{self.fn.name}")
-        if id(block) in self.emitted:
-            raise _Bailout(f"block {block.name} reached twice in @{self.fn.name}")
-        self.emitted.add(id(block))
-        loop = self.loops_by_header.get(id(block))
-        if loop is not None:
-            follow = self.loop_follow[id(block)]
-            index = self._loop_counter
-            self._loop_counter += 1
-            live, brk, cont = f"_lm{index}", f"_bm{index}", f"_cm{index}"
-            outs = self.loop_liveouts.get(id(block), [])
-            # Int inits: np.where promotes to float on the first capture of a
-            # float value, while a float init would poison int live-outs.
-            lines = [f"{name}__x{index} = 0" for name in outs]
-            lines += [f"{live} = {mask}", f"{brk} = _zf"]
-            inner_ctx = ctx + ((self._LOOP, block, follow, cont, brk, index),)
-            body = [f"{cont} = _zf"]
-            body += self._emit_block_code(block, inner_ctx, depth + 1, live)
-            body.append(f"{live} = {cont}")
-            lines.append(f"while {live}.any():")
-            lines.extend(f"    {line}" for line in body)
-            lines.extend(f"{name} = {name}__x{index}" for name in outs)
-            if follow is not None:
-                jump = self._try_goto(follow, ctx, [], brk)
-                if jump is not None:
-                    lines.extend(jump)
-                else:
-                    lines.extend(self._emit_chain(follow, ctx, depth + 1, brk))
-            return lines
-        return self._emit_block_code(block, ctx, depth + 1, mask)
-
-    def _emit_block_code(
-        self, block: BasicBlock, ctx: tuple, depth: int, mask: str
-    ) -> List[str]:
-        gen = self.gen
-        self.cur_mask = mask
-        lines: List[str] = []
-        term = None
-        for instr in block.instructions:
-            if isinstance(instr, Phi):
-                continue
-            if instr.is_terminator:
-                term = instr
-                break
-            lines.extend(gen._emit_instruction(instr, self))
-        if term is None:
-            raise _Bailout(f"block {block.name} has no terminator")
-        if isinstance(term, Return):
-            if term.value is not None:
-                lines.append(f"_rv = _w({mask}, {gen._name(term.value)}, _rv)")
-            # Returned lanes simply join no accumulator and die out.
-            return lines
-        if isinstance(term, Branch):
-            lines.extend(self._realize_edge(block, term.target, ctx, depth, mask))
-            return lines
-        if isinstance(term, CondBranch):
-            lines.extend(self._emit_cond(block, term, ctx, depth, mask))
-            return lines
-        raise _Bailout(f"unsupported terminator {term.opcode}")
-
-    def _emit_cond(
-        self, block: BasicBlock, term: CondBranch, ctx: tuple, depth: int, mask: str
-    ) -> List[str]:
-        deferred = self._deferred_ids(ctx)
-        merges = [
-            child
-            for child in self.domtree.children.get(block, [])
-            if id(child) in self._reachable_ids
-            and id(child) not in self.emitted
-            and id(child) not in deferred
-            and len(self._forward_preds(child)) >= 2
-        ]
-        merges.sort(key=lambda b: self.rpo_index[id(b)])
-        acc = {id(m): f"_fm{self.rpo_index[id(m)]}" for m in merges}
-        arm_ctx = ctx + tuple(
-            (self._FOLLOW, m, acc[id(m)]) for m in reversed(merges)
-        )
+    def _open_cond(self, cond: Value, mask: Optional[str], merges: List[BasicBlock]):
+        merge_masks = [f"_fm{self.rpo_index[id(m)]}" for m in merges]
         index = self._cond_counter
         self._cond_counter += 1
         tmask, fmask = f"_tm{index}", f"_em{index}"
+        lines = [f"{acc} = _zf" for acc in merge_masks]
+        lines.append(f"{tmask}, {fmask} = _bmask({mask}, {self.gen._name(cond)})")
+        return lines, tmask, fmask, merge_masks
 
-        lines: List[str] = [f"{acc[id(m)]} = _zf" for m in merges]
-        cond = self.gen._name(term.condition)
-        lines.append(f"{tmask}, {fmask} = _bmask({mask}, {cond})")
-        true_lines = self._realize_edge(block, term.true_block, arm_ctx, depth, tmask)
-        false_lines = self._realize_edge(block, term.false_block, arm_ctx, depth, fmask)
+    def _cond_lines(
+        self, cond: Value, tmask, fmask, true_lines: List[str], false_lines: List[str]
+    ) -> List[str]:
         # Each arm is skipped wholesale when no lane takes it — safe because
         # everything dominated by an arm entry is emitted textually inside
         # the arm, so a skipped arm can't strand a later (unguarded) use.
+        lines: List[str] = []
         if true_lines:
             lines.append(f"if {tmask}.any():")
             lines.extend(f"    {line}" for line in true_lines)
         if false_lines:
             lines.append(f"if {fmask}.any():")
             lines.extend(f"    {line}" for line in false_lines)
-        for i, merge in enumerate(merges):
-            rest = ctx + tuple(
-                (self._FOLLOW, m, acc[id(m)]) for m in reversed(merges[i + 1 :])
-            )
-            lines.extend(self._emit_chain(merge, rest, depth + 1, acc[id(merge)]))
         return lines
 
-    def _realize_edge(
-        self, source: BasicBlock, target: BasicBlock, ctx: tuple, depth: int, mask: str
-    ) -> List[str]:
-        copies = self._lane_phi_copies(source, target, mask)
-        jump = self._try_goto(target, ctx, copies, mask)
-        if jump is not None:
-            return jump
-        forward = self._forward_preds(target)
-        if id(target) in self.emitted or len(forward) != 1 or forward[0] is not source:
-            raise _Bailout(
-                f"edge {source.name} -> {target.name} in @{self.fn.name} is "
-                f"not expressible structurally"
-            )
-        return copies + self._emit_chain(target, ctx, depth + 1, mask)
-
-    def _try_goto(
-        self, target: BasicBlock, ctx: tuple, copies: List[str], mask: str
-    ) -> Optional[List[str]]:
-        allow_fallthrough = True
-        for entry in reversed(ctx):
-            if entry[0] == self._FOLLOW:
-                if allow_fallthrough and entry[1] is target:
-                    accumulator = entry[2]
-                    return copies + [f"{accumulator} = {accumulator} | {mask}"]
-                allow_fallthrough = False
-            else:  # loop
-                _, header, follow, cont, brk, index = entry
-                if header is target:
-                    return copies + [f"{cont} = {cont} | {mask}"]
-                if follow is target:
-                    captures = [
-                        f"{name}__x{index} = _w({mask}, {name}, {name}__x{index})"
-                        for name in self.loop_liveouts.get(id(header), [])
-                    ]
-                    return copies + captures + [f"{brk} = {brk} | {mask}"]
-                return None
-        return None
-
-    def _lane_phi_copies(
-        self, source: BasicBlock, target: BasicBlock, mask: str
-    ) -> List[str]:
-        gen = self.gen
-        targets: List[str] = []
-        sources: List[str] = []
-        for phi in target.phis():
-            incoming = phi.incoming_for_block(source)
-            if incoming is None:
-                continue
-            phi_name = gen._name(phi)
-            value_name = gen._name(incoming)
-            if phi_name != value_name:
-                targets.append(phi_name)
-                sources.append(f"_w({mask}, {value_name}, {phi_name})")
-        if not targets:
+    def _return_lines(self, term: Return, mask: Optional[str]) -> List[str]:
+        # Returned lanes simply join no accumulator and die out.
+        if term.value is None:
             return []
-        return [f"{', '.join(targets)} = {', '.join(sources)}"]
+        return [f"_rv = _w({mask}, {self.gen._name(term.value)}, _rv)"]
+
+    def _edge_copies(self, source: BasicBlock, target: BasicBlock, mask) -> List[str]:
+        moves = self.gen._phi_moves(source, target)
+        if not moves:
+            return []
+        targets = ", ".join(phi for phi, _ in moves)
+        sources = ", ".join(f"_w({mask}, {value}, {phi})" for phi, value in moves)
+        return [f"{targets} = {sources}"]
+
+    def _fallthrough_lines(self, entry: tuple, mask: Optional[str]) -> List[str]:
+        accumulator = entry[2]
+        return [f"{accumulator} = {accumulator} | {mask}"]
+
+    def _continue_lines(self, entry: tuple, mask: Optional[str]) -> List[str]:
+        cont = f"_cm{entry[3]}"
+        return [f"{cont} = {cont} | {mask}"]
+
+    def _break_lines(self, entry: tuple, mask: Optional[str]) -> List[str]:
+        header, index = entry[1], entry[3]
+        brk = f"_bm{index}"
+        captures = [
+            f"{name}__x{index} = _w({mask}, {name}, {name}__x{index})"
+            for name in self.loop_liveouts.get(id(header), [])
+        ]
+        return captures + [f"{brk} = {brk} | {mask}"]
 
 
 class PythonCodeGenerator:
@@ -1302,6 +1201,39 @@ class PythonCodeGenerator:
             self._value_names[key] = f"v{self._counter}"
         return self._value_names[key]
 
+    def _gep_terms(self, instr: GEP) -> Tuple[int, List[str]]:
+        """A GEP's slot offset from its base: the constant part and the
+        dynamic ``index * stride`` terms."""
+        pointee = instr.pointer.type.pointee
+        indices = instr.indices
+        const = 0
+        dynamic: List[str] = []
+
+        def add_index(idx: Value, stride: int) -> None:
+            nonlocal const
+            if isinstance(idx, Constant):
+                const += int(idx.value) * stride
+            elif stride == 1:
+                dynamic.append(self._name(idx))
+            else:
+                dynamic.append(f"{self._name(idx)} * {stride}")
+
+        add_index(indices[0], pointee.slot_count())
+        current = pointee
+        for idx in indices[1:]:
+            if isinstance(current, StructType):
+                if not isinstance(idx, Constant):
+                    raise NotImplementedError("dynamic struct indices are not supported")
+                field_index = int(idx.value)
+                const += current.field_slot_offset(field_index)
+                current = current.field_type(field_index)
+            elif isinstance(current, ArrayType):
+                add_index(idx, current.element.slot_count())
+                current = current.element
+            else:
+                raise NotImplementedError(f"cannot index into {current}")
+        return const, dynamic
+
     # -- source emission -------------------------------------------------------------
     def generate_source(self) -> str:
         functions = self.module.defined_functions()
@@ -1372,8 +1304,6 @@ class PythonCodeGenerator:
             "_sdiv": _sdiv,
             "_srem": _srem,
             "_intrinsics": runtime.INTRINSIC_IMPLS,
-            "_uniform_from_state": prng.uniform_from_state,
-            "_normal_from_state": prng.normal_from_state,
             "_san_trap": runtime.sanitizer_trap,
         }
         if extra_symbols:
@@ -1402,34 +1332,31 @@ class PythonCodeGenerator:
         body = emitter.emit()
         args = ", ".join(self._name(arg) for arg in fn.args)
         lines = [f"def {self._py_name(fn)}({args}):"]
-        prologue: List[str] = []
-        for arg in fn.args:
-            if arg.type.is_pointer:
-                name = self._name(arg)
-                prologue.append(f"{name}_buf, {name}_off = {name}")
-        prologue.extend(emitter.prologue())
+        prologue = self._unpack_pointer_args(fn) + emitter.prologue()
         lines.extend(f"    {line}" for line in prologue + body)
         return lines
+
+    def _unpack_pointer_args(self, fn: Function) -> List[str]:
+        """Unpack each pointer argument into its ``(buffer, offset)`` pair."""
+        return [
+            f"{name}_buf, {name}_off = {name}"
+            for name in (self._name(arg) for arg in fn.args if arg.type.is_pointer)
+        ]
 
     def _emit_function_dispatch(self, fn: Function) -> List[str]:
         """Fallback emission: a ``while True`` dispatch ladder over block ids.
 
         Used per function for CFGs the structured emitter cannot express
-        (irreducible graphs in particular).
+        (irreducible graphs in particular).  Only the control flow
+        (this method, :meth:`_emit_block_body`, :meth:`_emit_terminator`)
+        and the pointer strategy are the ladder's own; instructions and phi
+        copies are emitted exactly as in structured code.
         """
         ptrs = _DispatchPointers(self)
         args = ", ".join(self._name(arg) for arg in fn.args)
         lines = [f"def {self._py_name(fn)}({args}):"]
-        body: List[str] = []
-
         block_ids = {id(block): i for i, block in enumerate(fn.blocks)}
-
-        # Unpack pointer arguments into (buffer, offset) pairs.
-        for arg in fn.args:
-            if arg.type.is_pointer:
-                name = self._name(arg)
-                body.append(f"{name}_buf, {name}_off = {name}")
-
+        body = self._unpack_pointer_args(fn)
         if len(fn.blocks) == 1:
             body.extend(self._emit_block_body(fn, fn.blocks[0], block_ids, True, ptrs))
         else:
@@ -1465,70 +1392,61 @@ class PythonCodeGenerator:
         return lines
 
     def _emit_instruction(self, instr, ptrs) -> List[str]:
+        """One instruction in the one scalar dialect.
+
+        ``ptrs`` is the pointer strategy: the :class:`_StructuredFunction`
+        frame planner, or the ladder's :class:`_DispatchPointers`.  The
+        ladder never runs under ``sanitize`` (a bail raises instead), so
+        the sanitizer hooks are only reached through the planner.
+        """
         name = self._name(instr)
-        structured = isinstance(ptrs, _StructuredFunction)
         if isinstance(instr, BinaryOp):
-            fmt = (_BINOP_FMT_STRUCTURED if structured else _BINOP_FMT)[instr.opcode]
-            if structured and instr.opcode == "frem":
+            if instr.opcode == "frem":
                 self._alias("_fmod", "math.fmod")
-            line = f"{name} = " + fmt.format(a=self._name(instr.lhs), b=self._name(instr.rhs))
-            if structured and self.sanitize:
+            line = f"{name} = " + _BINOP_FMT[instr.opcode].format(
+                a=self._name(instr.lhs), b=self._name(instr.rhs)
+            )
+            if self.sanitize:
                 return ptrs.sanitized_binop(instr, name, line)
             return [line]
         if isinstance(instr, FCmp):
             a, b = self._name(instr.lhs), self._name(instr.rhs)
             if instr.predicate in _FCMP_FMT:
-                expr = _FCMP_FMT[instr.predicate].format(a=a, b=b)
-                # Ordered comparisons are False when either side is NaN; Python's
-                # comparisons already return False for NaN operands.
-                if structured:
-                    return [f"{name} = {expr}"]
-                return [f"{name} = 1 if {expr} else 0"]
-            if structured:
-                # x == x is the NaN self-test: no math.isnan call needed.
-                op = "and" if instr.predicate == "ord" else "or"
-                eq = "==" if instr.predicate == "ord" else "!="
-                return [f"{name} = ({a} {eq} {a} {op} {b} {eq} {b})"]
-            if instr.predicate == "ord":
-                return [
-                    f"{name} = 0 if (math.isnan({a}) or math.isnan({b})) else 1"
-                ]
-            return [
-                f"{name} = 1 if (math.isnan({a}) or math.isnan({b})) else 0"
-            ]
+                return [f"{name} = " + _FCMP_FMT[instr.predicate].format(a=a, b=b)]
+            # x == x is the NaN self-test: no math.isnan call needed.
+            op = "and" if instr.predicate == "ord" else "or"
+            eq = "==" if instr.predicate == "ord" else "!="
+            return [f"{name} = ({a} {eq} {a} {op} {b} {eq} {b})"]
         if isinstance(instr, ICmp):
             expr = _ICMP_FMT[instr.predicate].format(
                 a=self._name(instr.lhs), b=self._name(instr.rhs)
             )
-            if structured:
-                return [f"{name} = {expr}"]
-            return [f"{name} = 1 if {expr} else 0"]
+            return [f"{name} = {expr}"]
         if isinstance(instr, Select):
             return [
                 f"{name} = {self._name(instr.true_value)} if {self._name(instr.condition)} "
                 f"else {self._name(instr.false_value)}"
             ]
         if isinstance(instr, Cast):
-            return [self._emit_cast(instr, name, structured)]
+            return [self._emit_cast(instr, name)]
         if isinstance(instr, Alloca):
             return ptrs.emit_alloca(instr)
         if isinstance(instr, Load):
-            if structured and self.sanitize:
+            if self.sanitize:
                 return ptrs.sanitized_load(instr, name)
             buf, off = ptrs.pointer_ref(instr.pointer)
             return [f"{name} = {buf}[{off}]"]
         if isinstance(instr, Store):
-            if structured and self.sanitize:
+            if self.sanitize:
                 return ptrs.sanitized_store(instr, self._name(instr.value))
             buf, off = ptrs.pointer_ref(instr.pointer)
             return [f"{buf}[{off}] = {self._name(instr.value)}"]
         if isinstance(instr, GEP):
             return ptrs.emit_gep(instr)
         if isinstance(instr, Call):
-            lines = self._emit_call(instr, name, ptrs, structured)
+            lines = self._emit_call(instr, name, ptrs)
             if (
-                structured
-                and self.sanitize
+                self.sanitize
                 and not instr.type.is_void
                 and instr.type.is_float
                 and instr.callee.intrinsic_name is not None
@@ -1537,15 +1455,13 @@ class PythonCodeGenerator:
             return lines
         raise NotImplementedError(f"cannot generate Python for {instr.opcode}")
 
-    def _emit_cast(self, instr: Cast, name: str, structured: bool) -> str:
+    def _emit_cast(self, instr: Cast, name: str) -> str:
         source = self._name(instr.value)
         if instr.opcode == "sitofp":
             return f"{name} = float({source})"
         if instr.opcode == "fptosi":
-            if structured:
-                # NaN != NaN: the self-test replaces the math.isnan lookup.
-                return f"{name} = 0 if {source} != {source} else int({source})"
-            return f"{name} = 0 if math.isnan({source}) else int({source})"
+            # NaN != NaN: the self-test replaces the math.isnan lookup.
+            return f"{name} = 0 if {source} != {source} else int({source})"
         if instr.opcode in ("zext", "sext", "bitcast", "fpext", "fptrunc"):
             return f"{name} = {source}"
         if instr.opcode == "trunc":
@@ -1553,7 +1469,7 @@ class PythonCodeGenerator:
             return f"{name} = int({source}) & {mask}"
         raise NotImplementedError(f"cast {instr.opcode}")
 
-    def _emit_call(self, instr: Call, name: str, ptrs, structured: bool) -> List[str]:
+    def _emit_call(self, instr: Call, name: str, ptrs) -> List[str]:
         callee = instr.callee
         arg_exprs = []
         for arg in instr.args:
@@ -1566,16 +1482,8 @@ class PythonCodeGenerator:
             if intrinsic in ("rng_uniform", "rng_normal"):
                 buf, off = ptrs.pointer_ref(instr.args[0])
                 buf1, off1 = ptrs.pointer_ref_plus1(instr.args[0])
-                if structured:
-                    return self._emit_rng_inline(intrinsic, name, buf, off, buf1, off1)
-                helper = (
-                    "_uniform_from_state" if intrinsic == "rng_uniform" else "_normal_from_state"
-                )
-                return [
-                    f"{name}, _ctr = {helper}(int({buf}[{off}]), int({buf1}[{off1}]))",
-                    f"{buf1}[{off1}] = _ctr",
-                ]
-            if structured and intrinsic == "exp":
+                return self._emit_rng_inline(intrinsic, name, buf, off, buf1, off1)
+            if intrinsic == "exp":
                 # math.exp only raises OverflowError for large *finite*
                 # arguments (inf and NaN pass through), so the common case
                 # is one comparison + the direct C call; the rare huge
@@ -1587,7 +1495,7 @@ class PythonCodeGenerator:
                 if instr.type.is_void:
                     return [f"({expr})"]
                 return [f"{name} = {expr}"]
-            if structured and intrinsic in ("sqrt", "log"):
+            if intrinsic in ("sqrt", "log"):
                 # The guard folds to one comparison around the direct call
                 # (NaN inputs take the else arm and stay NaN, as the guarded
                 # runtime implementations do).
@@ -1608,16 +1516,10 @@ class PythonCodeGenerator:
                 return [f"{name} = {expr}"]
             if intrinsic in _GUARDED_INTRINSICS:
                 # These need the guarded runtime semantics (NaN/Inf edge cases).
-                if structured:
-                    target = self._alias(f"_i_{intrinsic}", f"_intrinsics[{intrinsic!r}]")
-                else:
-                    target = f"_intrinsics[{intrinsic!r}]"
-                call = f"{target}({', '.join(arg_exprs)})"
+                target = self._alias(f"_i_{intrinsic}", f"_intrinsics[{intrinsic!r}]")
             else:
-                direct = _DIRECT_INTRINSICS[intrinsic]
-                if structured:
-                    direct = self._alias(f"_m_{intrinsic}", direct)
-                call = f"{direct}({', '.join(arg_exprs)})"
+                target = self._alias(f"_m_{intrinsic}", _DIRECT_INTRINSICS[intrinsic])
+            call = f"{target}({', '.join(arg_exprs)})"
             if instr.type.is_void:
                 return [call]
             return [f"{name} = {call}"]
@@ -1672,42 +1574,29 @@ class PythonCodeGenerator:
         return lines
 
     # -- terminators and phi copies ------------------------------------------------------------
-    def _phi_copies(
-        self, source: BasicBlock, target: BasicBlock, structured: bool = False
-    ) -> List[str]:
-        phis = target.phis()
-        if not phis:
-            return []
-        if structured:
-            # One parallel multiple-assignment: the RHS tuple is evaluated
-            # in full before any phi local is written, which is exactly the
-            # simultaneous-assignment semantics of phi nodes.
-            targets: List[str] = []
-            sources: List[str] = []
-            for phi in phis:
-                incoming = phi.incoming_for_block(source)
-                if incoming is None:
-                    continue
-                phi_name = self._name(phi)
-                value_name = self._name(incoming)
-                if phi_name != value_name:
-                    targets.append(phi_name)
-                    sources.append(value_name)
-            if not targets:
-                return []
-            return [f"{', '.join(targets)} = {', '.join(sources)}"]
-        lines: List[str] = []
-        temporaries: List[tuple[str, str]] = []
-        for i, phi in enumerate(phis):
+    def _phi_moves(self, source: BasicBlock, target: BasicBlock) -> List[Tuple[str, str]]:
+        """``(phi, incoming value)`` local pairs the edge must assign."""
+        moves: List[Tuple[str, str]] = []
+        for phi in target.phis():
             incoming = phi.incoming_for_block(source)
             if incoming is None:
                 continue
-            temp = f"_phi{i}"
-            lines.append(f"{temp} = {self._name(incoming)}")
-            temporaries.append((self._name(phi), temp))
-        for phi_name, temp in temporaries:
-            lines.append(f"{phi_name} = {temp}")
-        return lines
+            phi_name = self._name(phi)
+            value_name = self._name(incoming)
+            if phi_name != value_name:
+                moves.append((phi_name, value_name))
+        return moves
+
+    def _phi_copies(self, source: BasicBlock, target: BasicBlock) -> List[str]:
+        """The edge's phi copies as one parallel multiple-assignment: the RHS
+        tuple is evaluated in full before any phi local is written, which is
+        exactly the simultaneous-assignment semantics of phi nodes."""
+        moves = self._phi_moves(source, target)
+        if not moves:
+            return []
+        targets = ", ".join(phi for phi, _ in moves)
+        sources = ", ".join(value for _, value in moves)
+        return [f"{targets} = {sources}"]
 
     def _emit_terminator(
         self,
@@ -1756,8 +1645,11 @@ class LanePythonCodeGenerator(PythonCodeGenerator):
     scalar, e.g. a constant), every generated function takes a trailing lane
     mask ``_m``, allocas share one ``(n_lanes, frame_size)`` array using the
     structured planner's slot offsets, and the splitmix PRNG draws through
-    :func:`repro.cogframe.prng.vectorized_uniform` / ``vectorized_normal`` —
-    bit-identical per lane to the scalar inline emission.
+    :func:`repro.cogframe.prng.vectorized_uniform` / ``vectorized_normal``
+    with per-lane counters bit-identical to the scalar inline emission.
+    Uniform draws and IEEE-exact ops are bitwise; normal draws and the
+    transcendental intrinsics (``LANE_INTRINSICS``) run numpy's kernels and
+    may differ from libm in the final ulp (:data:`repro.fuzz.oracle.LANE_RTOL`).
 
     Functions the relooper bails on (irreducible CFGs, multi-exit loops …)
     are emitted as per-lane wrappers that dispatch each active lane to the
@@ -1799,12 +1691,7 @@ class LanePythonCodeGenerator(PythonCodeGenerator):
         body = emitter.emit()
         arg_names = [self._name(arg) for arg in fn.args]
         lines = [f"def {self._py_name(fn)}({', '.join(arg_names + ['_m'])}):"]
-        prologue: List[str] = []
-        for arg in fn.args:
-            if arg.type.is_pointer:
-                name = self._name(arg)
-                prologue.append(f"{name}_buf, {name}_off = {name}")
-        prologue.extend(emitter.prologue())
+        prologue = self._unpack_pointer_args(fn) + emitter.prologue()
         # Phi locals must exist before their first masked np.where update
         # (lanes outside the update mask read the previous binding).
         for block in fn.blocks:
@@ -1858,7 +1745,7 @@ class LanePythonCodeGenerator(PythonCodeGenerator):
         if isinstance(instr, FCmp):
             a, b = self._name(instr.lhs), self._name(instr.rhs)
             if instr.predicate in _FCMP_FMT:
-                # Elementwise numpy comparisons are already False for NaN.
+                # The ordered formats hold elementwise too (see _FCMP_FMT).
                 return [f"{name} = " + _FCMP_FMT[instr.predicate].format(a=a, b=b)]
             combine = "&" if instr.predicate == "ord" else "|"
             eq = "==" if instr.predicate == "ord" else "!="

@@ -16,7 +16,6 @@ from .harness import (
     figure6_report,
     figure7_report,
     figure7_cache_report,
-    fuzz_campaign_report,
 )
 
 
@@ -43,7 +42,6 @@ __all__ = [
     "figure6_report",
     "figure7_report",
     "figure7_cache_report",
-    "fuzz_campaign_report",
     "bench_payload",
     "current_commit",
     "write_bench_json",

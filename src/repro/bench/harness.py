@@ -814,45 +814,6 @@ def figure10_autotune_report(quick: bool = False) -> FigureReport:
     return report
 
 
-def fuzz_campaign_report(
-    seed: int = 0, n_models: int = 10, pipelines=None
-) -> FigureReport:
-    """Timing/coverage report for a generative conformance campaign.
-
-    Not a paper figure — a harness-level health report: how much wall clock a
-    campaign of ``n_models`` random models costs per oracle leg, how large
-    the generated models are, and whether any leg diverged.  The nightly CI
-    fuzz job uploads this table next to any reproducers.
-    """
-    from .. import fuzz
-
-    kwargs = {"pipelines": pipelines} if pipelines is not None else {}
-    campaign = fuzz.run_campaign(
-        seed=seed, n_models=n_models, shrink=False, **kwargs
-    )
-    report = FigureReport(
-        figure="fuzz-campaign",
-        title=f"generative conformance campaign ({n_models} models, seed {seed})",
-    )
-    seconds = [float(row["seconds"]) for row in campaign.rows]
-    grids = [int(row["grid"]) for row in campaign.rows]
-    report.add(
-        models=n_models,
-        failures=len(campaign.failures),
-        legs=campaign.legs,
-        grid_models=sum(1 for g in grids if g),
-        mean_seconds_per_model=float(np.mean(seconds)) if seconds else 0.0,
-        max_seconds_per_model=max(seconds) if seconds else 0.0,
-        seconds_per_leg=(campaign.elapsed_seconds / campaign.legs) if campaign.legs else 0.0,
-        total_seconds=campaign.elapsed_seconds,
-    )
-    for failure in campaign.failures:
-        report.note(failure.describe())
-    if not campaign.failures:
-        report.note("all legs bitwise-identical (engines x pipelines x cold/cached)")
-    return report
-
-
 def all_reports(quick: bool = True) -> List[FigureReport]:
     """Regenerate every figure (used by ``examples/regenerate_paper_figures.py``)."""
     reports = [

@@ -149,8 +149,10 @@ def vectorized_uniform(keys, counters) -> Tuple[np.ndarray, np.ndarray]:
 def vectorized_normal(keys, counters) -> Tuple[np.ndarray, np.ndarray]:
     """Normal draws from float-typed state slots; counters return as float64.
 
-    Bit-identical per lane to :func:`normal_from_state` (two counters per
-    draw, Box-Muller with the same ``1e-300`` guard).
+    Per lane, the counters (two per draw) and the two uniforms are
+    bit-identical to :func:`normal_from_state`, with the same ``1e-300``
+    guard; the Box-Muller value goes through numpy's ``log``/``cos``/``sqrt``
+    kernels, which may differ from libm's in the final ulp.
     """
     keys_u, counters_u = _coerce_states(keys, counters)
     values, new_counters = normal_array(keys_u, counters_u)

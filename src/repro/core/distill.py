@@ -29,7 +29,6 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..backends.interp import Interpreter
 from ..backends.pycodegen import PythonCodeGenerator, exec_code
 from ..cogframe import conditions as cond
 from ..cogframe.composition import Composition
@@ -381,10 +380,6 @@ class CompiledModel:
     def _run_whole_compiled(self, buffers, num_trials: int) -> None:
         run_model = self._compiled["run_model"]
         run_model(*self._model_args(buffers, num_trials))
-
-    def _run_whole_interp(self, buffers, num_trials: int) -> None:
-        interp = Interpreter(self.module)
-        interp.call("run_model", self._model_args(buffers, num_trials))
 
     def _run_per_node(self, buffers, num_trials: int) -> None:
         """Compiled node functions driven by a Python scheduler (Figure 5b)."""

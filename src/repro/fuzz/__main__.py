@@ -78,8 +78,10 @@ def main(argv=None) -> int:
         help=(
             "add the batched-lane oracle leg: a small run_batch on the lane "
             "engine must reproduce the scalar compiled engine's per-element "
-            "buffers (bitwise, ulp-toleranced only for rng_normal values) "
-            "and final PRNG counters"
+            "buffers (bitwise first, else within LANE_RTOL: numpy's "
+            "transcendental kernels - exp, log, log1p, tanh, pow and the "
+            "rng_normal draw - may round differently from libm) and final "
+            "PRNG counters bitwise"
         ),
     )
     parser.add_argument(

@@ -26,7 +26,8 @@ For one model the oracle runs a matrix of *legs* and demands agreement:
   element, distinct seeds) on the vectorised lane engine must reproduce the
   scalar ``compiled`` engine's per-element buffers: bitwise, except for a
   documented ulp-level fallback (:data:`LANE_RTOL`) absorbing numpy-vs-libm
-  transcendental rounding inside ``rng_normal``; PRNG counters stay bitwise.
+  transcendental rounding (the ``exp``/``log``/``log1p``/``tanh``/``pow``
+  intrinsics and the ``rng_normal`` draw); PRNG counters stay bitwise.
 
 Buffers are compared NaN-aware (two NaNs at the same slot agree): engines
 must diverge from each other, not merely from IEEE comfort.
@@ -122,8 +123,9 @@ class OracleConfig:
     #: seeds) on the lane engine and demand per-element result/monitor/state
     #: buffers equal to running the same elements on the scalar ``compiled``
     #: engine — bitwise, with the documented :data:`LANE_RTOL` fallback for
-    #: float values (numpy's transcendental kernels, e.g. ``np.log`` inside
-    #: ``rng_normal``, may differ from libm's in the final ulp); final
+    #: float values (numpy's transcendental kernels — the exp/log/log1p/
+    #: tanh/pow intrinsics and ``np.log`` inside ``rng_normal`` — may differ
+    #: from libm's in the final ulp); final
     #: per-mechanism PRNG counters must stay bitwise.  Off by default (the
     #: nightly campaign and ``python -m repro.fuzz --lane`` enable it).
     check_lane: bool = False
@@ -132,8 +134,9 @@ class OracleConfig:
         if self.engines is not None:
             return list(self.engines)
         # The lane engine is deliberately absent from the default (bitwise)
-        # engine matrix: its ``rng_normal`` values may differ from the scalar
-        # engines' in the final ulp (numpy vs libm transcendental kernels),
+        # engine matrix: its transcendental intrinsics and ``rng_normal``
+        # values may differ from the scalar engines' in the final ulp (numpy
+        # vs libm kernels),
         # so it is checked by its own ``check_lane`` leg under the documented
         # :data:`LANE_RTOL` instead.  Passing ``engines=[..., "lane"]``
         # explicitly still opts it into the bitwise legs.
@@ -254,13 +257,14 @@ def _sanitizer_leg(
 # ---------------------------------------------------------------------------
 
 #: Relative tolerance of the lane leg's *fallback* comparison.  The lane
-#: engine evaluates ``rng_normal`` through numpy ufuncs whose transcendental
-#: kernels (``np.log``) may differ from libm's (``math.log``) in the final
-#: ulp, so normal draws — and any value computed from them — can sit a few
-#: ulps away from the scalar engine's.  Bitwise equality is always tried
-#: first; integers, uniforms and PRNG counters therefore stay exact, and the
-#: tolerance only absorbs last-ulp transcendental rounding (DESIGN.md, "Lane
-#: backend: tolerance policy").
+#: engine evaluates the exp/log/log1p/tanh/pow intrinsics and ``rng_normal``
+#: through numpy ufuncs whose transcendental kernels may differ from libm's
+#: in the final ulp (measured up to 4e-16 relative on numpy 2.4.6), so those
+#: values — and any value computed from them — can sit a few ulps away from
+#: the scalar engine's.  Bitwise equality is always tried first; integers,
+#: uniforms and PRNG counters therefore stay exact, and the tolerance only
+#: absorbs last-ulp transcendental rounding (DESIGN.md, "Lane backend:
+#: tolerance policy").
 LANE_RTOL = 1e-14
 
 #: Batch elements (= lanes) the lane leg runs; each gets a distinct seed so

@@ -5,10 +5,11 @@ over a batch axis: every IR value is an ``(n_lanes,)`` array, batch elements
 map onto lanes, and divergent control flow runs under boolean masks.  The
 claim under test is *bit-identical* results to the scalar compiled engine —
 outputs, monitor records, per-element pass counts and final PRNG counters —
-with one documented exception: ``rng_normal`` values may differ in the final
-ulp because numpy's ``np.log`` and libm's ``math.log`` are both
-correctly-rounded-ish but not identical on every platform (see
-:data:`repro.fuzz.oracle.LANE_RTOL` and DESIGN.md, "Lane backend").
+with one documented exception: values from numpy's transcendental kernels
+(the exp/log/log1p/tanh/pow intrinsics and ``rng_normal``) may differ from
+libm's in the final ulp, within :data:`repro.fuzz.oracle.LANE_RTOL` (see
+DESIGN.md, "Lane backend").  ``TestLaneIntrinsics`` pins that bound, the
+exact edge cases and the bitwise IEEE-exact ops.
 
 Also covers the run_batch edge cases pinned across engines (empty batch,
 batch of one, mismatched input shapes, per-element seed streams), the
@@ -16,14 +17,19 @@ per-lane scalar fallback for IR the lane emitter cannot vectorise, and the
 persistent lane worker pool.
 """
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 import repro
 from repro.backends import lane as lane_backend
+from repro.backends import runtime
 from repro.cogframe import prng
 from repro.core.distill import compile_composition
 from repro.errors import EngineError
+from repro.fuzz.oracle import LANE_RTOL
 from repro.models import predator_prey as pp
 from repro.models import stroop
 
@@ -95,6 +101,93 @@ class TestVectorizedPrng:
         for i in range(3):
             value, counter = prng.uniform_from_state(12345, i)
             assert values[i] == value and counters[i] == counter
+
+
+# ---------------------------------------------------------------------------
+# The vectorised intrinsic table against the scalar guarded table
+# ---------------------------------------------------------------------------
+
+
+#: Sampling domain of each lane intrinsic's arguments (one range per arg).
+INTRINSIC_DOMAINS = {
+    "exp": [(-700.0, 700.0)],
+    "log": [(-1.0, 1e6)],
+    "log1p": [(-1.5, 1e3)],
+    "sqrt": [(-1.0, 1e6)],
+    "sin": [(-100.0, 100.0)],
+    "cos": [(-100.0, 100.0)],
+    "tanh": [(-20.0, 20.0)],
+    "fabs": [(-1e6, 1e6)],
+    "floor": [(-4.0, 4.0)],
+    "ceil": [(-4.0, 4.0)],
+    "pow": [(-2.0, 10.0), (-5.0, 5.0)],
+    "fmin": [(-10.0, 10.0), (-10.0, 10.0)],
+    "fmax": [(-10.0, 10.0), (-10.0, 10.0)],
+    "copysign": [(-10.0, 10.0), (-10.0, 10.0)],
+}
+
+#: Ops whose IEEE result is exactly determined (no transcendental rounding):
+#: numpy and libm must agree bit for bit.
+IEEE_EXACT = ("sqrt", "fabs", "floor", "ceil", "fmin", "fmax", "copysign")
+
+EDGE_VALUES = (math.nan, math.inf, -math.inf, 0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 1e3, -1e3)
+
+
+def _scalar_reference(name, args):
+    impl = runtime.INTRINSIC_IMPLS[name]
+    return np.array([float(impl(*row)) for row in zip(*(a.tolist() for a in args))])
+
+
+class TestLaneIntrinsics:
+    SAMPLES = 20_000
+
+    def _samples(self, name):
+        rng = np.random.default_rng(sorted(INTRINSIC_DOMAINS).index(name))
+        return [rng.uniform(lo, hi, self.SAMPLES) for lo, hi in INTRINSIC_DOMAINS[name]]
+
+    def test_table_covers_every_sampled_intrinsic(self):
+        assert sorted(INTRINSIC_DOMAINS) == sorted(lane_backend.LANE_INTRINSICS)
+
+    @pytest.mark.parametrize("name", sorted(INTRINSIC_DOMAINS))
+    def test_agrees_with_scalar_within_lane_rtol(self, name):
+        """numpy's transcendental kernels may round differently from libm
+        (by host and SIMD path), but never beyond :data:`LANE_RTOL`."""
+        args = self._samples(name)
+        lane = np.asarray(lane_backend.LANE_INTRINSICS[name](*args), dtype=float)
+        scalar = _scalar_reference(name, args)
+        assert np.array_equal(np.isnan(lane), np.isnan(scalar))
+        assert np.allclose(lane, scalar, rtol=LANE_RTOL, atol=0.0, equal_nan=True)
+
+    @pytest.mark.parametrize("name", sorted(INTRINSIC_DOMAINS))
+    def test_edge_cases_match_exactly(self, name):
+        """NaN, ±inf and ±0 results match exactly, the sign of zero included.
+
+        Inputs on which the scalar implementation raises (``math.sin(inf)``,
+        ``math.floor(nan)``) are skipped: the lane program evaluates every
+        lane, active or not, so it cannot trap per lane."""
+        impl = runtime.INTRINSIC_IMPLS[name]
+        arity = len(INTRINSIC_DOMAINS[name])
+        for combo in itertools.product(EDGE_VALUES, repeat=arity):
+            try:
+                expected = float(impl(*combo))
+            except (ValueError, OverflowError):
+                continue
+            got = lane_backend.LANE_INTRINSICS[name](*(np.array([c]) for c in combo))
+            got = float(np.asarray(got)[0])
+            if math.isnan(expected):
+                assert math.isnan(got), (name, combo, got)
+            else:
+                assert got == expected, (name, combo, got, expected)
+                assert math.copysign(1.0, got) == math.copysign(1.0, expected), (
+                    name, combo, got, expected,
+                )
+
+    @pytest.mark.parametrize("name", IEEE_EXACT)
+    def test_ieee_exact_ops_are_bitwise(self, name):
+        args = self._samples(name)
+        lane = np.asarray(lane_backend.LANE_INTRINSICS[name](*args), dtype=float)
+        scalar = _scalar_reference(name, args)
+        assert np.array_equal(lane.view(np.int64), scalar.view(np.int64))
 
 
 # ---------------------------------------------------------------------------

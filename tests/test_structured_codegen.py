@@ -16,14 +16,32 @@ Covers the PR-5 emitter rewrite:
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.backends import runtime
 from repro.backends.interp import Interpreter
-from repro.backends.pycodegen import PythonCodeGenerator, _Bailout, _StructuredFunction
+from repro.backends.lane import compile_lane_program
+from repro.backends.pycodegen import (
+    PythonCodeGenerator,
+    _Bailout,
+    _LaneFunction,
+    _StructuredFunction,
+)
 from repro.core.distill import compile_composition
 from repro.fuzz.oracle import raw_buffers, buffers_equal
-from repro.ir import F64, I64, ArrayType, FunctionType, IRBuilder, Module, StructType
+from repro.ir import (
+    F64,
+    I32,
+    I64,
+    ArrayType,
+    FunctionType,
+    IRBuilder,
+    Module,
+    StructType,
+    pointer,
+)
+from repro.ir.instructions import FCMP_PREDICATES
 from repro.ir.verifier import verify_module
 from repro.models import FIGURE4_MODELS, MODEL_REGISTRY
 
@@ -33,16 +51,27 @@ from repro.models import FIGURE4_MODELS, MODEL_REGISTRY
 # ---------------------------------------------------------------------------
 
 
-def build_irreducible_function(module: Module, name: str = "irr"):
-    """A two-entry cycle (A <-> B, both reachable from entry): irreducible."""
-    fn = module.add_function(name, FunctionType(F64, [F64]), ["x"])
+def build_irreducible_function(module: Module, name: str = "irr", payload=None):
+    """A two-entry cycle (A <-> B, both reachable from entry): irreducible.
+
+    ``payload``, when given, is ``(params, emit)``: extra parameters
+    ``[(name, type), ...]`` appended after ``x``, and ``emit(builder, args)``
+    adding straight-line code to the entry block."""
+    params, emit = payload if payload is not None else ([], None)
+    fn = module.add_function(
+        name,
+        FunctionType(F64, [F64] + [ty for _, ty in params]),
+        ["x"] + [pname for pname, _ in params],
+    )
     entry = fn.append_block("entry")
     a = fn.append_block("a")
     b_blk = fn.append_block("b")
     exit_blk = fn.append_block("exit")
 
     b = IRBuilder(entry)
-    (x,) = fn.args
+    x = fn.args[0]
+    if emit is not None:
+        emit(b, fn.args)
     cell = b.alloca(F64, "cell")
     b.store(b.f64(0.0), cell)
     b.cond_br(b.fcmp("ogt", x, b.f64(0.0)), a, b_blk)
@@ -145,6 +174,51 @@ def build_disjoint_allocas_function(module: Module, name: str = "disjoint"):
     return fn
 
 
+#: Output slots of the ladder dialect payload: ``out`` holds the rng state
+#: (key, counter) then float results, ``iout`` the integer results.
+LADDER_F64_SLOTS = 10
+LADDER_I64_SLOTS = 15
+
+
+def _emit_ladder_dialect(b: IRBuilder, args) -> None:
+    x, out, iout = args
+    f_slots = iter(range(2, LADDER_F64_SLOTS))
+    i_slots = iter(range(LADDER_I64_SLOTS))
+
+    def put(value):
+        b.store(value, b.gep(out, [b.i64(0), b.i64(next(f_slots))]))
+
+    def put_int(value):
+        b.store(value, b.gep(iout, [b.i64(0), b.i64(next(i_slots))]))
+
+    for predicate in FCMP_PREDICATES:
+        put_int(b.zext(b.fcmp(predicate, x, b.f64(1.0))))
+    n = b.fptosi(b.fmul(x, b.f64(3.0)))
+    put_int(b.zext(b.icmp("slt", n, b.i64(1))))
+    put_int(b.zext(b.icmp("eq", n, b.i64(3))))
+    put_int(b.sdiv(n, b.i64(-4)))
+    put_int(b.srem(n, b.i64(4)))
+    put_int(b.fptosi(b.f64(float("nan"))))
+    put_int(b.fptosi(b.fdiv(x, x)))  # NaN at x == 0
+    put_int(b.zext(b.trunc(b.add(n, b.i64(2**33 + 5)), I32)))
+    put(b.frem(x, b.f64(0.75)))
+    put(b.select(b.fcmp("olt", x, b.f64(1.0)), x, b.fmul(x, b.f64(2.0))))
+    state = b.gep(out, [b.i64(0), b.i64(0)])
+    put(b.rng_uniform(state))
+    put(b.rng_normal(state))
+    put(b.exp(b.fmul(x, b.f64(1000.0))))  # overflows to inf for x > 0
+    put(b.exp(b.f64(1000.0)))
+    put(b.log(b.f64(0.0)))
+    put(b.sqrt(b.f64(-1.0)))
+
+
+LADDER_DIALECT_PAYLOAD = (
+    [("out", pointer(ArrayType(F64, LADDER_F64_SLOTS))),
+     ("iout", pointer(ArrayType(I64, LADDER_I64_SLOTS)))],
+    _emit_ladder_dialect,
+)
+
+
 # ---------------------------------------------------------------------------
 # Golden shape: structured emission is the default and ladder-free
 # ---------------------------------------------------------------------------
@@ -219,6 +293,30 @@ class TestIrreducibleFallback:
         for x in (-1.0, 0.0, 1.0, 3.5):
             assert compiled["irr"](x) == interp.call("irr", [x])
 
+    def test_ladder_instruction_dialect_matches_interpreter(self):
+        """Every instruction form the ladder shares with the structured
+        emitter, checked against the IR interpreter."""
+        module = Module("dialect")
+        build_irreducible_function(module, "irr", payload=LADDER_DIALECT_PAYLOAD)
+        verify_module(module)
+        gen = PythonCodeGenerator(module)
+        source = gen.generate_source()
+        assert gen.dispatch_fallbacks == ["irr"]
+        assert "_block = 0" in source
+        compiled = gen.compile()
+        interp = Interpreter(module)
+        for x in (-2.5, -1.0, 0.0, 0.5, 1.0, 2.0, float("nan")):
+            results = []
+            for run in (compiled["irr"], lambda *args: interp.call("irr", list(args))):
+                out = [0.0] * LADDER_F64_SLOTS
+                out[0], out[1] = 12345.0, 7.0  # rng state: key, counter
+                iout = [0] * LADDER_I64_SLOTS
+                value = run(x, (out, 0), (iout, 0))
+                results.append(([value] + out, iout))
+            (got, got_int), (want, want_int) = results
+            assert buffers_equal((got, got_int, []), (want, want_int, [])) is None, x
+            assert got[2] == want[2] and got[2] != 0.0  # the counter moved
+
     def test_reducible_functions_in_same_module_stay_structured(self):
         module = Module("mixed")
         build_irreducible_function(module, "irr")
@@ -251,9 +349,18 @@ class TestIrreducibleFallback:
 # ---------------------------------------------------------------------------
 
 
+_STRUCTURED_EMIT = _StructuredFunction.emit
+
+
 def always_bail(self):
-    """Stand-in for ``_StructuredFunction.emit`` that forces the relooper to
-    bail, so every function lowers through the dispatch ladder."""
+    """Stand-in for ``_StructuredFunction.emit`` that forces the scalar
+    relooper to bail, so every function lowers through the dispatch ladder.
+
+    The lane emitter inherits ``emit`` (one region walk); it keeps its
+    structured lowering, so lane engines still run masked lane code linked
+    against the ladder-lowered scalar program."""
+    if isinstance(self, _LaneFunction):
+        return _STRUCTURED_EMIT(self)
     raise _Bailout(f"forced bail in @{self.fn.name}")
 
 
@@ -344,6 +451,30 @@ class TestFramePlanner:
 # ---------------------------------------------------------------------------
 # Phi-edge parallel copies
 # ---------------------------------------------------------------------------
+
+
+class TestFloatCompares:
+    def test_every_predicate_matches_interpreter_on_nan(self):
+        """Structured and lane code agree with the IR semantics, where
+        ``one`` is False for a NaN operand (Python's ``!=`` is True)."""
+        module = Module("fcmp")
+        for predicate in FCMP_PREDICATES:
+            fn = module.add_function(predicate, FunctionType(I64, [F64, F64]), ["x", "y"])
+            b = IRBuilder(fn.append_block("entry"))
+            b.ret(b.zext(b.fcmp(predicate, fn.args[0], fn.args[1])))
+        verify_module(module)
+        scalar = PythonCodeGenerator(module).compile()
+        lane = compile_lane_program(module, scalar.__getitem__)
+        interp = Interpreter(module)
+        nan = float("nan")
+        xs, ys = [nan, 1.0, nan, 1.0, 2.0], [1.0, nan, nan, 1.0, 1.0]
+        for predicate in FCMP_PREDICATES:
+            want = [interp.call(predicate, [x, y]) for x, y in zip(xs, ys)]
+            assert [scalar[predicate](x, y) for x, y in zip(xs, ys)] == want, predicate
+            got = lane.functions[predicate](
+                np.array(xs), np.array(ys), np.ones(len(xs), dtype=bool)
+            )
+            assert np.asarray(got).tolist() == want, predicate
 
 
 class TestPhiCopies:
