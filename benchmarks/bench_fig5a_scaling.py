@@ -38,8 +38,8 @@ def test_figure5a_report(print_report):
     # magnitude of each other (the paper's "nearly the same" observation).
     assert rows["L"]["distill_s"] < rows["L"]["reference_s"]
     # Distill wins where the evaluation count is large; the S variant may sit
-    # below the crossover (compilation overhead dominates a 2^3 grid), in
-    # which case the report must say so instead of presenting a uniform win.
+    # below the crossover (a 2^3 grid leaves little work per run), in which
+    # case the report must say so instead of presenting a uniform win.
     assert rows["L"]["speedup"] > 1.0 and not rows["L"]["regression"]
     for row in rows.values():
         assert row["regression"] == (row["speedup"] < 1.0)

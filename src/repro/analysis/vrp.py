@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Optional, Sequence
 
+from ..backends import runtime
 from ..ir.cfg import predecessor_map, reverse_post_order
 from ..ir.instructions import (
     GEP,
@@ -41,6 +42,11 @@ from ..ir.instructions import (
 from ..ir.module import BasicBlock, Function
 from ..ir.values import Argument, Constant, UndefValue, Value
 from .intervals import Interval
+
+
+def _may_be_infinite(iv: Interval) -> bool:
+    return not iv.is_empty_range() and (math.isinf(iv.lo) or math.isinf(iv.hi))
+
 
 #: Number of fixpoint iterations before widening kicks in.
 WIDENING_DELAY = 4
@@ -263,7 +269,10 @@ class ValueRangePropagation:
                 return a.div(b)
             if instr.opcode in ("frem", "srem"):
                 bound = max(abs(b.lo), abs(b.hi)) if b.is_finite() else math.inf
-                return Interval(-bound, bound, a.may_nan or b.may_nan or b.contains(0.0))
+                # fmod is NaN for a NaN operand, a zero divisor or an
+                # infinite dividend.
+                may_nan = a.may_nan or b.may_nan or b.contains(0.0) or _may_be_infinite(a)
+                return Interval(-bound, bound, may_nan)
             return Interval.top()
         if isinstance(instr, (FCmp, ICmp)):
             return Interval(0.0, 1.0)
@@ -279,8 +288,11 @@ class ValueRangePropagation:
             return result
         if isinstance(instr, Cast):
             base = get(instr.value)
-            if instr.opcode == "fptosi" and base.is_finite():
-                return Interval(math.floor(base.lo), math.ceil(base.hi))
+            if instr.opcode == "fptosi":
+                # The saturating cast is monotone; NaN converts to 0.
+                ends = [runtime.fptosi(x, instr.type.width) for x in (base.lo, base.hi)]
+                ends += [0] if base.may_nan else []
+                return Interval(float(min(ends)), float(max(ends)))
             return base
         if isinstance(instr, Call):
             return self._transfer_call(instr, get)
@@ -307,8 +319,8 @@ class ValueRangePropagation:
         if name == "fabs":
             return get(instr.args[0]).fabs()
         if name in ("sin", "cos"):
-            nan = get(instr.args[0]).may_nan
-            return Interval(-1.0, 1.0, nan)
+            arg = get(instr.args[0])
+            return Interval(-1.0, 1.0, arg.may_nan or _may_be_infinite(arg))
         if name == "floor" or name == "ceil":
             base = get(instr.args[0])
             if base.is_finite():

@@ -11,7 +11,6 @@ environment (see DESIGN.md).
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Optional, Sequence
 
 from ..ir.instructions import (
@@ -170,9 +169,8 @@ class Interpreter:
         if isinstance(instr, BinaryOp):
             a = self._value(instr.lhs, env)
             b = self._value(instr.rhs, env)
-            if instr.opcode.startswith("f"):
-                return runtime.eval_float_binop(instr.opcode, float(a), float(b))
-            return runtime.eval_int_binop(instr.opcode, int(a), int(b))
+            convert = float if instr.opcode.startswith("f") else int
+            return runtime.BINOP_IMPLS[instr.opcode](convert(a), convert(b))
         if isinstance(instr, FCmp):
             a = float(self._value(instr.lhs, env))
             b = float(self._value(instr.rhs, env))
@@ -190,7 +188,7 @@ class Interpreter:
             )
         if isinstance(instr, Cast):
             value = self._value(instr.value, env)
-            return self._cast(instr.opcode, value, instr)
+            return runtime.cast(instr.opcode, value, instr.type)
         if isinstance(instr, Alloca):
             return runtime.allocate(instr.allocated_type)
         if isinstance(instr, Load):
@@ -206,26 +204,6 @@ class Interpreter:
             args = [self._value(a, env) for a in instr.args]
             return self._call_function(instr.callee, args)
         raise InterpreterError(f"unsupported instruction {instr.opcode}")
-
-    def _cast(self, opcode: str, value, instr: Cast):
-        if opcode == "sitofp":
-            return float(int(value))
-        if opcode == "fptosi":
-            f = float(value)
-            if math.isnan(f):
-                return 0
-            return int(f)
-        if opcode in ("zext", "sext"):
-            return int(value)
-        if opcode == "trunc":
-            width = instr.type.width
-            mask = (1 << width) - 1
-            return int(value) & mask
-        if opcode in ("fpext", "fptrunc"):
-            return float(value)
-        if opcode == "bitcast":
-            return value
-        raise InterpreterError(f"unsupported cast {opcode}")
 
     def _gep(self, instr: GEP, env: Dict[int, object]):
         buffer, base = self._value(instr.pointer, env)

@@ -50,7 +50,6 @@ import numpy as np
 
 from ..cogframe import prng
 from . import runtime
-from .pycodegen import _fdiv, _sdiv, _srem
 from .workerpool import WorkerPool
 
 # ---------------------------------------------------------------------------
@@ -59,9 +58,13 @@ from .workerpool import WorkerPool
 #
 # Generated lane code mixes ``(n_lanes,)`` arrays with lane-uniform Python
 # scalars (constants, values hoisted out of masked regions), so every helper
-# accepts either.  The array paths reproduce the *guarded* scalar semantics
-# of :mod:`repro.backends.runtime` bit-for-bit — the fuzz oracle's lane leg
-# compares buffers and PRNG counters against the scalar compiled engine.
+# accepts either.  Lane-uniform operands go straight to the scalar
+# definitions in :mod:`repro.backends.runtime`; the array paths reproduce
+# them bit-for-bit — the fuzz oracle's lane leg compares buffers and PRNG
+# counters against the scalar compiled engine.  Every caller of a lane
+# program (``_run_stacked``, the pool worker, ``gpu_sim``) runs it under
+# ``np.errstate(all="ignore")``: both arms of a branch are evaluated, so
+# inactive lanes may divide by zero or overflow by design.
 
 
 def _bmask(m, c) -> Tuple[np.ndarray, np.ndarray]:
@@ -76,30 +79,22 @@ def _bmask(m, c) -> Tuple[np.ndarray, np.ndarray]:
     return m & c, m & ~c
 
 
-def _lfdiv(a, b):
-    """IEEE float division (matches ``_fdiv``: 0/0 and NaN/0 give NaN)."""
-    if not isinstance(a, np.ndarray) and not isinstance(b, np.ndarray):
-        return _fdiv(a, b)
-    with np.errstate(all="ignore"):
-        return np.divide(a, b)
+def _lane(scalar, vector):
+    """A lane op: ``vector`` (a numpy kernel giving ``scalar``'s results
+    per lane) when any operand is a lane array, else ``scalar`` itself."""
+
+    def impl(*args):
+        for arg in args:
+            if isinstance(arg, np.ndarray):
+                return vector(*args)
+        return scalar(*args)
+
+    return impl
 
 
-def _lfrem(a, b, m):
-    """Float remainder with ``math.fmod`` error semantics on active lanes.
-
-    ``math.fmod(x, 0)`` raises ``ValueError`` unless x is NaN; ``np.fmod``
-    quietly returns NaN — so the zero-divisor check must run explicitly,
-    ignoring inactive lanes (whose operands are garbage by design).
-    """
-    if not isinstance(a, np.ndarray) and not isinstance(b, np.ndarray):
-        if not m.any():
-            return 0.0
-        return math.fmod(a, b)
-    with np.errstate(all="ignore"):
-        bad = m & (np.asarray(b) == 0) & ~(np.asarray(a) != np.asarray(a))
-        if bad.any():
-            raise ValueError("math domain error")
-        return np.fmod(a, b)
+#: ``np.divide`` is IEEE division and ``np.fmod`` is C ``fmod`` per lane.
+_lfdiv = _lane(runtime.fdiv, np.divide)
+_lfrem = _lane(runtime.frem, np.fmod)
 
 
 def _int_zero_check(b, m, message: str) -> None:
@@ -111,7 +106,7 @@ def _lsdiv(a, b, m):
     """Truncating signed division; zero check ignores inactive lanes."""
     if not isinstance(a, np.ndarray) and not isinstance(b, np.ndarray):
         if m.any():
-            return _sdiv(a, b)
+            return runtime.sdiv(a, b)
         return 0
     _int_zero_check(b, m, "integer division by zero in IR execution")
     a_arr = np.asarray(a)
@@ -124,13 +119,11 @@ def _lsrem(a, b, m):
     """C-style signed remainder; zero check ignores inactive lanes."""
     if not isinstance(a, np.ndarray) and not isinstance(b, np.ndarray):
         if m.any():
-            return _srem(a, b)
+            return runtime.srem(a, b)
         return 0
     _int_zero_check(b, m, "integer remainder by zero in IR execution")
-    a_arr = np.asarray(a)
-    b_arr = np.where(np.asarray(b) == 0, 1, b)
-    q = np.abs(a_arr) // np.abs(b_arr)
-    return a_arr - np.where((a_arr >= 0) == (b_arr >= 0), q, -q) * b_arr
+    b = np.where(np.asarray(b) == 0, 1, b)  # inactive-lane garbage
+    return a - _lsdiv(a, b, m) * b
 
 
 def _lsel(c, a, b):
@@ -147,12 +140,16 @@ def _lfloat(x):
     return float(x)
 
 
-def _lint(x):
-    """``fptosi`` with the scalar emitter's NaN guard (NaN converts to 0)."""
-    if isinstance(x, np.ndarray):
-        with np.errstate(all="ignore"):
-            return np.where(x != x, 0.0, x).astype(np.int64)
-    return 0 if x != x else int(x)
+def _lint(x, width: int):
+    """``fptosi`` to ``width`` bits (``runtime.fptosi``: NaN converts to 0,
+    out-of-range values saturate)."""
+    if not isinstance(x, np.ndarray):
+        return runtime.fptosi(x, width)
+    bound = float(1 << (width - 1))
+    # The clip keeps the cast exact; the largest double below 2**63 is
+    # 1024 short of the i64 maximum, so the top lanes are patched after.
+    clipped = np.clip(np.where(x != x, 0.0, x), -bound, np.nextafter(bound, 0.0))
+    return np.where(x >= bound, (1 << (width - 1)) - 1, clipped.astype(np.int64))
 
 
 def _ltrunc(x, bits_mask: int):
@@ -279,56 +276,46 @@ def _per_lane(scalar_fn, args, is_ptr, m):
 
 
 def _lane_pow(x, y):
-    """``pow`` with the guarded scalar semantics: ``math.pow`` raises
-    ``OverflowError``/``ValueError`` (finite overflow, ``0**-n``, …) where
-    ``np.power`` returns inf — the guard maps those cases to NaN, so patch
-    finite inputs whose numpy result is infinite."""
-    with np.errstate(all="ignore"):
-        r = np.power(x, y)
-        bad = np.isinf(r) & np.isfinite(np.asarray(x)) & np.isfinite(np.asarray(y))
-        if bad.ndim:
-            return np.where(bad, np.nan, r)
-        return float("nan") if bad else r
+    """``pow`` (``runtime.intrinsic_pow``): where ``math.pow`` raises
+    (finite overflow, ``0**-n``, …) ``np.power`` returns inf and the runtime
+    returns NaN, so patch finite inputs whose numpy result is infinite."""
+    r = np.power(x, y)
+    bad = np.isinf(r) & np.isfinite(x) & np.isfinite(y)
+    return np.where(bad, np.nan, r)
 
 
-def _guarded(fn):
-    def impl(*args):
-        with np.errstate(all="ignore"):
-            return fn(*args)
-
-    return impl
-
-
-#: Vectorised intrinsic implementations of the guarded scalar table in
+#: Vectorised intrinsic implementations of the scalar table in
 #: :data:`repro.backends.runtime.INTRINSIC_IMPLS`.  The IEEE-exact ops
 #: (sqrt, fabs, floor, ceil, fmin, fmax, copysign) agree bit for bit; the
 #: transcendental ones (exp, log, log1p, tanh, pow, and sin/cos on some
 #: hosts) run numpy's kernels, which may round differently from libm in the
 #: final ulp — within :data:`repro.fuzz.oracle.LANE_RTOL`, never beyond.
-#: NaN, ±inf and ±0 results match exactly; inputs on which the scalar
-#: implementation raises (``math.sin(inf)``, ``math.floor(nan)``) yield
-#: NaN/±inf here.  ``tests/test_lane_backend.py::TestLaneIntrinsics`` checks
+#: NaN, ±inf and ±0 results match exactly (DESIGN.md, "Scalar operation
+#: semantics"); ``tests/test_lane_backend.py::TestLaneIntrinsics`` checks
 #: all of this.  ``pow`` needs an explicit patch, the rest of numpy's ufuncs
-#: already match the guards — e.g. ``np.log(0.) == -inf``,
-#: ``np.sqrt(-1.) == nan``, ``np.fmin(nan, x) == x``.  Calls to intrinsics
-#: not in this table bail the function to the per-lane fallback.
+#: already give the runtime's edge results — e.g. ``np.log(0.) == -inf``,
+#: ``np.sin(inf)`` and ``np.floor(nan)`` are NaN, ``np.fmin(nan, x) == x``.
+#: Calls to intrinsics not in this table bail the function to the per-lane
+#: fallback.
 LANE_INTRINSICS = {
-    "exp": _guarded(np.exp),
-    "log": _guarded(np.log),
-    "log1p": _guarded(np.log1p),
-    "sqrt": _guarded(np.sqrt),
-    "sin": _guarded(np.sin),
-    "cos": _guarded(np.cos),
-    "tanh": _guarded(np.tanh),
-    "fabs": _guarded(np.abs),
-    # math.floor/math.ceil return ints, which have no negative zero:
-    # ``+ 0.0`` turns numpy's -0.0 (``ceil(-0.5)``) into the scalar +0.0.
-    "floor": _guarded(lambda x: np.floor(x) + 0.0),
-    "ceil": _guarded(lambda x: np.ceil(x) + 0.0),
-    "pow": _lane_pow,
-    "fmin": _guarded(np.fmin),
-    "fmax": _guarded(np.fmax),
-    "copysign": _guarded(np.copysign),
+    name: _lane(runtime.INTRINSIC_IMPLS[name], fn)
+    for name, fn in {
+        "exp": np.exp,
+        "log": np.log,
+        "log1p": np.log1p,
+        "sqrt": np.sqrt,
+        "sin": np.sin,
+        "cos": np.cos,
+        "tanh": np.tanh,
+        "fabs": np.abs,
+        # ``+ 0.0`` turns numpy's -0.0 (``ceil(-0.5)``) into the runtime's +0.0.
+        "floor": lambda x: np.floor(x) + 0.0,
+        "ceil": lambda x: np.ceil(x) + 0.0,
+        "pow": _lane_pow,
+        "fmin": np.fmin,
+        "fmax": np.fmax,
+        "copysign": np.copysign,
+    }.items()
 }
 
 

@@ -8,7 +8,9 @@ a C toolchain in this environment, the closest equivalent that preserves the
 * no per-instruction dispatch (the interpreter's cost),
 * no framework objects, dictionaries, Parameter descriptors or string keys —
   only local variables and flat slot buffers,
-* math/PRNG intrinsics bound directly to C-implemented ``math`` functions,
+* math intrinsics inlined around the C-implemented ``math`` functions
+  (calling :mod:`runtime` only at their singular points, see
+  ``_INTRINSIC_FMT``) and the PRNG inlined as integer arithmetic,
 
 compile it once with :func:`compile` and call the resulting functions.  The
 per-operation overhead drops from "framework bookkeeping + dict lookups" to a
@@ -82,19 +84,20 @@ from . import runtime
 #: Version of the Python lowering.  Artifact-store keys include it so cached
 #: compiled sources are invalidated whenever the emitter's output changes
 #: (bump on any change that alters generated source or its runtime contract).
-CODEGEN_VERSION = 2
+CODEGEN_VERSION = 3
 
 
 #: Operands are always simple names or constants, so ``fdiv`` tests the
-#: denominator inline and only calls the helper at the singular point,
-#: keeping the common case a single BINARY_OP; ``_fmod`` is the factory's
-#: ``math.fmod`` binding.
+#: denominator inline and only calls the runtime at the singular point,
+#: keeping the common case a single BINARY_OP.  ``_fdiv``, ``_frem``,
+#: ``_sdiv`` and ``_srem`` are :mod:`runtime`'s functions (see
+#: :meth:`PythonCodeGenerator.exec_namespace`).
 _BINOP_FMT = {
     "fadd": "({a} + {b})",
     "fsub": "({a} - {b})",
     "fmul": "({a} * {b})",
     "fdiv": "({a} / {b} if {b} else _fdiv({a}, {b}))",
-    "frem": "_fmod({a}, {b})",
+    "frem": "_frem({a}, {b})",
     "add": "({a} + {b})",
     "sub": "({a} - {b})",
     "mul": "({a} * {b})",
@@ -128,18 +131,28 @@ _ICMP_FMT = {
     "sge": "({a} >= {b})",
 }
 
-#: Intrinsics needing the guarded runtime semantics (NaN/Inf edge cases).
-_GUARDED_INTRINSICS = ("exp", "log", "sqrt", "pow", "log1p", "fmin", "fmax")
-
-#: Intrinsics emitted as direct calls.
-_DIRECT_INTRINSICS = {
-    "sin": "math.sin",
-    "cos": "math.cos",
-    "tanh": "math.tanh",
-    "fabs": "abs",
-    "floor": "math.floor",
-    "ceil": "math.ceil",
-    "copysign": "math.copysign",
+#: The scalar intrinsic lowering (the PRNG draws are inlined separately).
+#: A template is an expression over the argument names ``{a}``/``{b}``, the
+#: runtime implementation ``{f}`` (``runtime.INTRINSIC_IMPLS``) and the C
+#: function ``{m}`` of the same name in ``math``: the fast path runs inline
+#: and calls ``{f}`` only at its singular point (``x - x == 0.0`` is the
+#: finiteness test; ``math.exp`` overflows past 709.78).  An intrinsic
+#: without a cheap fast path is a plain call to ``{f}``.
+_INTRINSIC_FMT = {
+    "exp": "{m}({a}) if {a} < 700.0 else {f}({a})",
+    "log": "{m}({a}) if {a} > 0.0 else {f}({a})",
+    "sqrt": "{m}({a}) if {a} >= 0.0 else {f}({a})",
+    "sin": "{m}({a}) if {a} - {a} == 0.0 else {f}({a})",
+    "cos": "{m}({a}) if {a} - {a} == 0.0 else {f}({a})",
+    "floor": "{m}({a}) + 0.0 if {a} - {a} == 0.0 else {f}({a})",
+    "ceil": "{m}({a}) + 0.0 if {a} - {a} == 0.0 else {f}({a})",
+    "fmin": "{b} if {b} < {a} or {a} != {a} else {a}",
+    "fmax": "{b} if {b} > {a} or {a} != {a} else {a}",
+    "log1p": "{f}({a})",
+    "tanh": "{f}({a})",
+    "fabs": "{f}({a})",
+    "pow": "{f}({a}, {b})",
+    "copysign": "{f}({a}, {b})",
 }
 
 #: Finite float constants shorter than this stay literals: a ``LOAD_CONST``
@@ -147,31 +160,6 @@ _DIRECT_INTRINSICS = {
 #: mantissas (source-size + compile-time win) and non-finite values (which
 #: would otherwise be a ``float("nan")`` call per use).
 _POOL_MIN_REPR = 6
-
-
-def _fdiv(a: float, b: float) -> float:
-    """IEEE-style float division (same semantics as ``eval_float_binop``)."""
-    if b == 0.0:
-        if a == 0.0 or math.isnan(a):
-            return math.nan
-        return math.copysign(math.inf, a) * math.copysign(1.0, b)
-    return a / b
-
-
-def _sdiv(a: int, b: int) -> int:
-    """Truncating signed division (same semantics as ``eval_int_binop``)."""
-    if b == 0:
-        raise ZeroDivisionError("integer division by zero in IR execution")
-    q = abs(a) // abs(b)
-    return q if (a >= 0) == (b >= 0) else -q
-
-
-def _srem(a: int, b: int) -> int:
-    """C-style signed remainder (same semantics as ``eval_int_binop``)."""
-    if b == 0:
-        raise ZeroDivisionError("integer remainder by zero in IR execution")
-    q = abs(a) // abs(b)
-    return a - (q if (a >= 0) == (b >= 0) else -q) * b
 
 
 class _Bailout(Exception):
@@ -1300,9 +1288,11 @@ class PythonCodeGenerator:
         """The runtime bindings generated source is linked against."""
         namespace: Dict[str, object] = {
             "math": math,
-            "_fdiv": _fdiv,
-            "_sdiv": _sdiv,
-            "_srem": _srem,
+            "_fdiv": runtime.fdiv,
+            "_frem": runtime.frem,
+            "_sdiv": runtime.sdiv,
+            "_srem": runtime.srem,
+            "_fptosi": runtime.fptosi,
             "_intrinsics": runtime.INTRINSIC_IMPLS,
             "_san_trap": runtime.sanitizer_trap,
         }
@@ -1401,8 +1391,6 @@ class PythonCodeGenerator:
         """
         name = self._name(instr)
         if isinstance(instr, BinaryOp):
-            if instr.opcode == "frem":
-                self._alias("_fmod", "math.fmod")
             line = f"{name} = " + _BINOP_FMT[instr.opcode].format(
                 a=self._name(instr.lhs), b=self._name(instr.rhs)
             )
@@ -1460,8 +1448,14 @@ class PythonCodeGenerator:
         if instr.opcode == "sitofp":
             return f"{name} = float({source})"
         if instr.opcode == "fptosi":
-            # NaN != NaN: the self-test replaces the math.isnan lookup.
-            return f"{name} = 0 if {source} != {source} else int({source})"
+            # In range, int() truncates; NaN fails both comparisons and,
+            # with out-of-range values, takes the saturating runtime cast.
+            width = instr.type.width
+            bound = float(1 << (width - 1))
+            return (
+                f"{name} = int({source}) if {-bound!r} <= {source} < {bound!r} "
+                f"else _fptosi({source}, {width})"
+            )
         if instr.opcode in ("zext", "sext", "bitcast", "fpext", "fptrunc"):
             return f"{name} = {source}"
         if instr.opcode == "trunc":
@@ -1483,46 +1477,13 @@ class PythonCodeGenerator:
                 buf, off = ptrs.pointer_ref(instr.args[0])
                 buf1, off1 = ptrs.pointer_ref_plus1(instr.args[0])
                 return self._emit_rng_inline(intrinsic, name, buf, off, buf1, off1)
-            if intrinsic == "exp":
-                # math.exp only raises OverflowError for large *finite*
-                # arguments (inf and NaN pass through), so the common case
-                # is one comparison + the direct C call; the rare huge
-                # argument falls back to the guarded helper.
-                a = arg_exprs[0]
-                fn_name = self._alias("_m_exp", "math.exp")
-                guarded = self._alias("_i_exp", "_intrinsics['exp']")
-                expr = f"{fn_name}({a}) if {a} < 700.0 else {guarded}({a})"
-                if instr.type.is_void:
-                    return [f"({expr})"]
-                return [f"{name} = {expr}"]
-            if intrinsic in ("sqrt", "log"):
-                # The guard folds to one comparison around the direct call
-                # (NaN inputs take the else arm and stay NaN, as the guarded
-                # runtime implementations do).
-                a = arg_exprs[0]
-                nan = self._float_expr(math.nan)
-                if intrinsic == "sqrt":
-                    fn_name = self._alias("_m_sqrt", "math.sqrt")
-                    expr = f"{fn_name}({a}) if {a} >= 0.0 else {nan}"
-                else:
-                    fn_name = self._alias("_m_log", "math.log")
-                    ninf = self._float_expr(-math.inf)
-                    expr = (
-                        f"{fn_name}({a}) if {a} > 0.0 else "
-                        f"({ninf} if {a} == 0.0 else {nan})"
-                    )
-                if instr.type.is_void:
-                    return [f"({expr})"]
-                return [f"{name} = {expr}"]
-            if intrinsic in _GUARDED_INTRINSICS:
-                # These need the guarded runtime semantics (NaN/Inf edge cases).
-                target = self._alias(f"_i_{intrinsic}", f"_intrinsics[{intrinsic!r}]")
-            else:
-                target = self._alias(f"_m_{intrinsic}", _DIRECT_INTRINSICS[intrinsic])
-            call = f"{target}({', '.join(arg_exprs)})"
-            if instr.type.is_void:
-                return [call]
-            return [f"{name} = {call}"]
+            fmt = _INTRINSIC_FMT[intrinsic]
+            bindings = dict(zip("ab", arg_exprs))
+            if "{f}" in fmt:
+                bindings["f"] = self._alias(f"_i_{intrinsic}", f"_intrinsics[{intrinsic!r}]")
+            if "{m}" in fmt:
+                bindings["m"] = self._alias(f"_m_{intrinsic}", f"math.{intrinsic}")
+            return [f"{name} = " + fmt.format(**bindings)]
         target = self._py_name(callee)
         call = f"{target}({', '.join(arg_exprs)})"
         if instr.type.is_void:
@@ -1735,11 +1696,8 @@ class LanePythonCodeGenerator(PythonCodeGenerator):
             op = instr.opcode
             if op in _LANE_INLINE_BINOPS:
                 return [f"{name} = " + _BINOP_FMT[op].format(a=a, b=b)]
-            if op == "fdiv":
-                return [f"{name} = _lfdiv({a}, {b})"]
-            if op == "frem":
-                # math.fmod(x, 0) raises; the check must ignore inactive lanes.
-                return [f"{name} = _lfrem({a}, {b}, {mask})"]
+            if op in ("fdiv", "frem"):
+                return [f"{name} = _l{op}({a}, {b})"]
             # sdiv/srem: the zero check must ignore inactive lanes.
             return [f"{name} = _l{op}({a}, {b}, {mask})"]
         if isinstance(instr, FCmp):
@@ -1789,7 +1747,7 @@ class LanePythonCodeGenerator(PythonCodeGenerator):
         if instr.opcode == "sitofp":
             return f"{name} = _lfloat({source})"
         if instr.opcode == "fptosi":
-            return f"{name} = _lint({source})"
+            return f"{name} = _lint({source}, {instr.type.width})"
         if instr.opcode in ("zext", "sext"):
             # i1 sources may be bool arrays; ``+ 0`` promotes them to int
             # lanes exactly as Python bools promote in the scalar emitter.

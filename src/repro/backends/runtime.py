@@ -7,15 +7,19 @@ model:
 * a pointer is a ``(buffer, offset)`` pair,
 * ``getelementptr`` becomes slot-offset arithmetic with statically known
   strides, and
-* math and PRNG intrinsics dispatch to the functions defined here.
+* every scalar operation with an edge case (``fdiv``, ``frem``, ``sdiv``,
+  ``srem``, the casts and the math intrinsics) and the PRNG intrinsics are
+  the functions defined here.
 
-Keeping these semantics in one module guarantees that the interpreter and the
-generated code agree bit-for-bit, which the differential tests rely on.
+Keeping these semantics in one module guarantees that the interpreter,
+constant folding, the generated code and the lane helpers agree
+bit-for-bit, which the differential tests rely on.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from typing import List, Sequence, Tuple
 
 from ..cogframe import prng
@@ -174,8 +178,77 @@ def sanitizer_trap(message: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Scalar intrinsic implementations
+# Scalar operation semantics (DESIGN.md, "Scalar operation semantics")
 # ---------------------------------------------------------------------------
+#
+# Every function is total except ``sdiv``/``srem`` by zero, which raise
+# ``ZeroDivisionError`` (the IR's one trapping arithmetic).
+
+
+def fdiv(a: float, b: float) -> float:
+    """IEEE division: ``x/±0`` is ±inf by the operand signs, ``0/0`` and
+    ``NaN/0`` are NaN."""
+    if b == 0.0:
+        if a == 0.0 or a != a:
+            return math.nan
+        return math.copysign(math.inf, a) * math.copysign(1.0, b)
+    return a / b
+
+
+def frem(a: float, b: float) -> float:
+    """C ``fmod``: NaN for a zero divisor, an infinite dividend or a NaN
+    operand; ``fmod(x, ±inf) == x`` for finite ``x``."""
+    if b == 0.0 or math.isinf(a):
+        return math.nan
+    return math.fmod(a, b)
+
+
+def sdiv(a: int, b: int) -> int:
+    """Truncating signed division; a zero divisor raises."""
+    if b == 0:
+        raise ZeroDivisionError("integer division by zero in IR execution")
+    q = abs(a) // abs(b)
+    return q if (a >= 0) == (b >= 0) else -q
+
+
+def srem(a: int, b: int) -> int:
+    """C-style signed remainder (the sign of the dividend); a zero divisor
+    raises."""
+    if b == 0:
+        raise ZeroDivisionError("integer remainder by zero in IR execution")
+    return a - sdiv(a, b) * b
+
+
+def fptosi(x: float, width: int) -> int:
+    """``llvm.fptosi.sat``: truncate toward zero, NaN to 0, everything else
+    saturated to the signed ``width``-bit range."""
+    if x != x:
+        return 0
+    bound = 1 << (width - 1)
+    if x >= bound:
+        return bound - 1
+    if x < -bound:
+        return -bound
+    return int(x)
+
+
+def cast(opcode: str, value, ty: IRType):
+    """The cast ``opcode`` of ``value`` to type ``ty``."""
+    if opcode == "sitofp":
+        return float(int(value))
+    if opcode == "fptosi":
+        return fptosi(float(value), ty.width)
+    if opcode == "trunc":
+        # The low bits, read as an unsigned value.
+        return int(value) & ((1 << ty.width) - 1)
+    if opcode in ("zext", "sext"):
+        return int(value)
+    if opcode in ("fpext", "fptrunc"):
+        return float(value)
+    if opcode == "bitcast":
+        return value
+    raise ValueError(f"unsupported cast {opcode}")
+
 
 def intrinsic_exp(x: float) -> float:
     try:
@@ -206,28 +279,43 @@ def intrinsic_sqrt(x: float) -> float:
     return math.sqrt(x)
 
 
+# ``x - x == 0.0`` is the finiteness test.  ``sin``/``cos`` of ±inf are NaN
+# (``math.sin`` raises); ``floor``/``ceil`` return floats and pass NaN and
+# ±inf through, a zero result being +0.0 (``ceil(-0.5)``) as from an int.
+
+
+def intrinsic_sin(x: float) -> float:
+    return math.sin(x) if x - x == 0.0 else math.nan
+
+
+def intrinsic_cos(x: float) -> float:
+    return math.cos(x) if x - x == 0.0 else math.nan
+
+
+def intrinsic_floor(x: float) -> float:
+    return float(math.floor(x)) if x - x == 0.0 else x
+
+
+def intrinsic_ceil(x: float) -> float:
+    return float(math.ceil(x)) if x - x == 0.0 else x
+
+
 def intrinsic_pow(x: float, y: float) -> float:
     try:
-        result = math.pow(x, y)
+        return math.pow(x, y)
     except (OverflowError, ValueError):
         return math.nan
-    return result
+
+
+# A NaN operand yields the other one; of two equal operands, the first.
 
 
 def intrinsic_fmin(x: float, y: float) -> float:
-    if math.isnan(x):
-        return y
-    if math.isnan(y):
-        return x
-    return min(x, y)
+    return y if y < x or x != x else x
 
 
 def intrinsic_fmax(x: float, y: float) -> float:
-    if math.isnan(x):
-        return y
-    if math.isnan(y):
-        return x
-    return max(x, y)
+    return y if y > x or x != x else x
 
 
 def rng_uniform_ptr(state: Pointer) -> float:
@@ -250,19 +338,21 @@ def rng_normal_ptr(state: Pointer) -> float:
     return value
 
 
-#: Dispatch table used by the interpreter and by generated code.  Keys are
-#: intrinsic names as they appear in :data:`repro.ir.instructions.INTRINSICS`.
+#: Dispatch table used by the interpreter, constant folding, generated code
+#: and the lane helpers.  Keys are intrinsic names as they appear in
+#: :data:`repro.ir.instructions.INTRINSICS`.  ``tanh``, ``fabs`` and
+#: ``copysign`` are total as C functions and bound directly.
 INTRINSIC_IMPLS = {
     "exp": intrinsic_exp,
     "log": intrinsic_log,
     "log1p": intrinsic_log1p,
     "sqrt": intrinsic_sqrt,
-    "sin": math.sin,
-    "cos": math.cos,
+    "sin": intrinsic_sin,
+    "cos": intrinsic_cos,
     "tanh": math.tanh,
     "fabs": abs,
-    "floor": math.floor,
-    "ceil": math.ceil,
+    "floor": intrinsic_floor,
+    "ceil": intrinsic_ceil,
     "pow": intrinsic_pow,
     "fmin": intrinsic_fmin,
     "fmax": intrinsic_fmax,
@@ -272,57 +362,25 @@ INTRINSIC_IMPLS = {
 }
 
 
-# ---------------------------------------------------------------------------
-# Scalar binary-operation semantics (shared by interpreter and constant folder)
-# ---------------------------------------------------------------------------
-
-def eval_float_binop(opcode: str, a: float, b: float) -> float:
-    if opcode == "fadd":
-        return a + b
-    if opcode == "fsub":
-        return a - b
-    if opcode == "fmul":
-        return a * b
-    if opcode == "fdiv":
-        if b == 0.0:
-            if a == 0.0 or math.isnan(a):
-                return math.nan
-            return math.copysign(math.inf, a) * math.copysign(1.0, b)
-        return a / b
-    if opcode == "frem":
-        if b == 0.0:
-            return math.nan
-        return math.fmod(a, b)
-    raise ValueError(f"unknown float binop {opcode}")
-
-
-def eval_int_binop(opcode: str, a: int, b: int) -> int:
-    if opcode == "add":
-        return a + b
-    if opcode == "sub":
-        return a - b
-    if opcode == "mul":
-        return a * b
-    if opcode == "sdiv":
-        if b == 0:
-            raise ZeroDivisionError("integer division by zero in IR execution")
-        q = abs(a) // abs(b)
-        return q if (a >= 0) == (b >= 0) else -q
-    if opcode == "srem":
-        if b == 0:
-            raise ZeroDivisionError("integer remainder by zero in IR execution")
-        return a - eval_int_binop("sdiv", a, b) * b
-    if opcode == "and":
-        return a & b
-    if opcode == "or":
-        return a | b
-    if opcode == "xor":
-        return a ^ b
-    if opcode == "shl":
-        return a << b
-    if opcode == "ashr":
-        return a >> b
-    raise ValueError(f"unknown int binop {opcode}")
+#: Opcode -> implementation of every binop (the float and int opcodes are
+#: disjoint), for the interpreter and the constant folder.
+BINOP_IMPLS = {
+    "fadd": operator.add,
+    "fsub": operator.sub,
+    "fmul": operator.mul,
+    "fdiv": fdiv,
+    "frem": frem,
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
+    "sdiv": sdiv,
+    "srem": srem,
+    "and": operator.and_,
+    "or": operator.or_,
+    "xor": operator.xor,
+    "shl": operator.lshift,
+    "ashr": operator.rshift,
+}
 
 
 def eval_fcmp(predicate: str, a: float, b: float) -> int:

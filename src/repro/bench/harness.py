@@ -83,9 +83,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _time_call(fn: Callable[[], object], repeats: int = 1) -> float:
+def _time_call(fn: Callable[[], object], repeats: int = 3, warm: bool = True) -> float:
+    """Steady-state seconds per call: one untimed call (which pays first-run
+    costs such as a lane program build or a pool start), then the best of
+    ``repeats``.  ``warm=False`` times one cold call instead."""
+    if warm:
+        fn()
     best = float("inf")
-    for _ in range(max(repeats, 1)):
+    for _ in range(max(repeats, 1) if warm else 1):
         start = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - start)
@@ -258,10 +263,10 @@ def figure5a_report(
             if not row.get("regression") and row["speedup"] == row["speedup"]
         ]
         report.note(
-            f"compilation overhead dominates the smallest grids: {', '.join(regressed)} "
-            f"run slower compiled than interpreted (speedup < 1), and the crossover "
-            f"sits between {regressed[-1]} and {winners[0] if winners else '?'} — "
-            "distill wins as the evaluation count grows, not uniformly."
+            f"{', '.join(regressed)} ran slower on the compiled engine than on the "
+            f"reference runner (speedup < 1, both timed warm as the best of 3); the "
+            f"crossover sits between {regressed[-1]} and "
+            f"{winners[0] if winners else '?'}."
         )
     return report
 
@@ -316,8 +321,8 @@ def figure5c_report(
     The mCPU rows run on a *persistent* engine instance: the worker pool is
     built once and reused across every timed ``run()``/``run_batch()`` call
     (``pool_starts`` proves it — it stays at 1 however many rows are timed).
-    The first mCPU row therefore pays pool start-up; the warm row and the
-    batched row show the amortised cost.
+    The "cold" row deliberately times the first call, which pays pool
+    start-up; every other row is timed warm (see :func:`_time_call`).
     """
     report = FigureReport(
         "Figure 5c", f"Predator-Prey parallel execution ({levels_per_entity}^3 evaluations/pass)"
@@ -334,7 +339,8 @@ def figure5c_report(
     mcpu_timings = 0
     try:
         mcpu_cold = _time_call(
-            lambda: mcpu_instance.run(inputs, num_trials=1, seed=0, workers=workers)
+            lambda: mcpu_instance.run(inputs, num_trials=1, seed=0, workers=workers),
+            warm=False,
         )
         mcpu_warm = _time_call(
             lambda: mcpu_instance.run(inputs, num_trials=1, seed=0, workers=workers)
@@ -355,9 +361,6 @@ def figure5c_report(
         # must not leave idle worker processes behind in the caller.
         mcpu_instance.close()
 
-    # The first gpu-sim run of a binding builds its lane program, a one-time
-    # compile cost like the mCPU pool start; the GPU row times a warm run.
-    compiled.run(inputs, num_trials=1, seed=0, engine="gpu-sim")
     gpu = _time_call(lambda: compiled.run(inputs, num_trials=1, seed=0, engine="gpu-sim"))
     for label, seconds, paper_seconds, paper_speedup in (
         ("Distill serial", serial, 4.4, 1.0),

@@ -9,8 +9,6 @@ Constant semantics are shared with the interpreter via
 
 from __future__ import annotations
 
-import math
-
 from ..backends import runtime
 from ..ir.instructions import (
     BinaryOp,
@@ -32,16 +30,14 @@ def fold_instruction(instr) -> Constant | None:
     if isinstance(instr, BinaryOp):
         lhs, rhs = instr.lhs, instr.rhs
         if isinstance(lhs, Constant) and isinstance(rhs, Constant):
+            convert = float if instr.opcode.startswith("f") else int
             try:
-                if instr.opcode.startswith("f"):
-                    value = runtime.eval_float_binop(
-                        instr.opcode, float(lhs.value), float(rhs.value)
-                    )
-                else:
-                    value = runtime.eval_int_binop(
-                        instr.opcode, int(lhs.value), int(rhs.value)
-                    )
-            except ZeroDivisionError:
+                value = runtime.BINOP_IMPLS[instr.opcode](
+                    convert(lhs.value), convert(rhs.value)
+                )
+            except (ZeroDivisionError, ValueError):
+                # sdiv/srem by zero and negative shift counts trap at run
+                # time; the instruction stays to trap there.
                 return None
             return Constant(instr.type, value)
     elif isinstance(instr, FCmp):
@@ -67,28 +63,16 @@ def fold_instruction(instr) -> Constant | None:
         ):
             return instr.true_value
     elif isinstance(instr, Cast):
-        value = instr.value
-        if isinstance(value, Constant):
-            if instr.opcode == "sitofp":
-                return Constant(instr.type, float(int(value.value)))
-            if instr.opcode == "fptosi":
-                v = float(value.value)
-                if math.isnan(v) or math.isinf(v):
-                    return None
-                return Constant(instr.type, int(v))
-            if instr.opcode in ("zext", "sext", "trunc", "bitcast", "fpext", "fptrunc"):
-                return Constant(instr.type, value.value)
+        if isinstance(instr.value, Constant):
+            value = runtime.cast(instr.opcode, instr.value.value, instr.type)
+            return Constant(instr.type, value)
     elif isinstance(instr, Call) and instr.callee.intrinsic_name:
         name = instr.callee.intrinsic_name
         impl = runtime.INTRINSIC_IMPLS.get(name)
         if impl is None or name in ("rng_uniform", "rng_normal"):
             return None
         if all(isinstance(a, Constant) for a in instr.args):
-            try:
-                value = impl(*[float(a.value) for a in instr.args])
-            except (ValueError, OverflowError):
-                return None
-            return Constant(instr.type, value)
+            return Constant(instr.type, impl(*[float(a.value) for a in instr.args]))
     return None
 
 

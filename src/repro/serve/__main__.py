@@ -44,8 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="default per-request deadline (requests may override)",
     )
-    parser.add_argument("--target", default="compiled", help="default engine target")
-    parser.add_argument("--pipeline", default="default<O2>", help="default pipeline")
     parser.add_argument(
         "--final-stats",
         action="store_true",
@@ -65,8 +63,6 @@ def main(argv=None) -> int:
         max_coalesce=args.max_coalesce,
         coalesce_window=args.coalesce_window_ms / 1000.0,
         default_deadline=None if args.deadline_ms is None else args.deadline_ms / 1000.0,
-        default_target=args.target,
-        default_pipeline=args.pipeline,
     )
     server = Server(address, artifact_dir=artifact_dir, config=config)
 

@@ -27,8 +27,9 @@ worker process killed mid-request surfaces as
 :class:`~repro.errors.WorkerLost` from the engine's worker pool, which has
 already dropped the broken pool.  Such transient failures are retried once
 before a structured ``engine_error`` is surfaced.  Admission rejects a
-``workers`` run option outside ``1..os.cpu_count()``, so clients cannot
-size the daemon's worker pools.  SIGTERM/SIGINT flip the daemon into
+``workers`` run option outside ``1..os.cpu_count()`` and a ``num_trials``
+outside ``1..MAX_NUM_TRIALS``, so clients cannot size the daemon's worker
+pools or its per-dispatch buffers.  SIGTERM/SIGINT flip the daemon into
 draining mode: queued and in-flight work completes, new admissions are
 rejected with ``shutting_down``.
 """
@@ -57,6 +58,14 @@ Address = Union[str, Tuple[str, int]]
 #: Ring size for the latency percentiles in ``stats``.
 _LATENCY_WINDOW = 4096
 
+#: Engine target and pipeline of a request that names none.
+DEFAULT_TARGET = "compiled"
+DEFAULT_PIPELINE = "default<O2>"
+
+#: Largest per-element ``num_trials`` admitted: each trial allocates a
+#: result and a monitor record in the coalesced dispatch.
+MAX_NUM_TRIALS = 10_000
+
 
 @dataclass
 class ServeConfig:
@@ -72,8 +81,16 @@ class ServeConfig:
     coalesce_window: float = 0.0
     #: Default per-request deadline in seconds (``None``: no deadline).
     default_deadline: Optional[float] = None
-    default_target: str = "compiled"
-    default_pipeline: str = "default<O2>"
+
+
+def _admit_trials(trials) -> Optional[int]:
+    """One element's ``num_trials``: ``None`` (one trial per input row) or
+    an int in ``1..MAX_NUM_TRIALS`` (bools, floats and strings bounce)."""
+    if trials is None:
+        return None
+    if type(trials) is not int or not 1 <= trials <= MAX_NUM_TRIALS:
+        raise ValueError(f"'num_trials' must be an integer in 1..{MAX_NUM_TRIALS}")
+    return trials
 
 
 class _Connection:
@@ -392,9 +409,9 @@ class Server:
             raise ValueError("'model' must be a model name string")
         composition, fingerprint = self._composition(name)
 
-        target = message.get("target", self.config.default_target)
+        target = message.get("target", DEFAULT_TARGET)
         get_engine(target)  # unknown targets fail admission, not dispatch
-        pipeline = message.get("pipeline", self.config.default_pipeline)
+        pipeline = message.get("pipeline", DEFAULT_PIPELINE)
         if not isinstance(pipeline, str):
             raise ValueError("'pipeline' must be a pipeline description string")
         compile_seed = int(message.get("compile_seed", 0))
@@ -420,7 +437,7 @@ class Server:
             inputs = message["inputs"]
             trials = message.get("num_trials")
             seed = int(message.get("seed", 0))
-            elements.append((inputs, None if trials is None else int(trials), seed))
+            elements.append((inputs, _admit_trials(trials), seed))
         elif op == "run_batch":
             inputs_batch = message["inputs_batch"]
             if not isinstance(inputs_batch, list) or not inputs_batch:
@@ -442,7 +459,7 @@ class Server:
                 elements.append(
                     (
                         inputs,
-                        None if element_trials is None else int(element_trials),
+                        _admit_trials(element_trials),
                         int(element_seed),
                     )
                 )

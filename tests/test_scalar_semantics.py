@@ -1,0 +1,264 @@
+"""Cross-engine sweep of every scalar operation's edge cases.
+
+:mod:`repro.backends.runtime` is the one definition of each scalar
+operation (DESIGN.md, "Scalar operation semantics").  This sweep runs every
+float and int binop, every cast and every non-PRNG intrinsic as a
+one-instruction function over the edge inputs — ±0, ±0.5, ±1, ±1e308, 1e30,
+the smallest subnormal, ±inf and NaN — on the reference interpreter,
+constant folding, the structured ``compiled`` lowering, the forced-bail
+dispatch ladder and the ``lane`` program (lane arrays and lane-uniform
+scalars), and requires the same result everywhere: the same bits (sign of
+zero included, NaN for NaN) or the same exception type.
+
+The one tolerance is the lane engine's documented one: over lane arrays,
+numpy's transcendental kernels may differ from libm in the final ulp
+(:data:`repro.fuzz.oracle.LANE_RTOL`); NaN, ±inf and ±0 still match exactly.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from test_structured_codegen import always_bail
+
+from repro.backends.interp import Interpreter
+from repro.backends.lane import compile_lane_program
+from repro.backends.pycodegen import PythonCodeGenerator, _StructuredFunction
+from repro.fuzz.oracle import LANE_RTOL
+from repro.ir import F64, I32, I64, FunctionType, IRBuilder, Module
+from repro.ir.instructions import (
+    FLOAT_BINOPS,
+    INT_BINOPS,
+    MATH_INTRINSICS,
+    BinaryOp,
+    Cast,
+)
+from repro.ir.types import F32
+from repro.ir.values import Constant
+from repro.ir.verifier import verify_module
+from repro.passes.constprop import fold_instruction
+
+EDGE_FLOATS = (
+    0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 1e308, -1e308, 1e30, 5e-324,
+    math.inf, -math.inf, math.nan,
+)
+
+#: Integer operands: zero (the divisor edge), both signs, and a magnitude
+#: that exercises truncating division.
+EDGE_INTS = (0, 1, -1, 7, -7)
+
+#: Integer cast sources add the i64 extremes.
+CAST_INTS = EDGE_INTS + (2**63 - 1, -(2**63))
+
+#: Intrinsics whose lane-array results come from numpy's transcendental
+#: kernels (within LANE_RTOL of libm).
+TRANSCENDENTAL = frozenset(("exp", "log", "log1p", "tanh", "pow", "sin", "cos"))
+
+#: Cast case -> ``(source type, target type, inputs)``; the opcode is the
+#: case name up to an ``_`` suffix.
+CASTS = {
+    "sitofp": (I64, F64, CAST_INTS),
+    "fptosi": (F64, I64, EDGE_FLOATS),
+    "fptosi_i32": (F64, I32, EDGE_FLOATS),
+    "fpext": (F32, F64, EDGE_FLOATS),
+    "fptrunc": (F64, F32, EDGE_FLOATS),
+    "zext": (I32, I64, EDGE_INTS),
+    "sext": (I32, I64, EDGE_INTS),
+    "trunc": (I64, I32, CAST_INTS),
+    "bitcast": (F64, F64, EDGE_FLOATS),
+}
+
+#: Known divergence: a negative shift amount raises ``ValueError`` on the
+#: scalar engines, while numpy's shifts return 0 (``shl``) or the sign
+#: (``ashr``) on lane arrays.
+NEGATIVE_SHIFT = pytest.mark.xfail(
+    strict=True, reason="shl/ashr by a negative amount: scalar raises, lane arrays do not"
+)
+
+
+def _op_cases():
+    for op in FLOAT_BINOPS:
+        yield pytest.param("binop", op, id=op)
+    for op in INT_BINOPS:
+        marks = [NEGATIVE_SHIFT] if op in ("shl", "ashr") else []
+        yield pytest.param("binop", op, id=op, marks=marks)
+    for op in CASTS:
+        yield pytest.param("cast", op, id=op)
+    for op in MATH_INTRINSICS:
+        yield pytest.param("intrinsic", op, id=op)
+
+
+# ---------------------------------------------------------------------------
+# One-instruction functions
+# ---------------------------------------------------------------------------
+
+
+def _signature(kind, op):
+    """``(param types, result type, input tuples)`` of an op."""
+    if kind == "binop":
+        if op in FLOAT_BINOPS:
+            return [F64, F64], F64, list(itertools.product(EDGE_FLOATS, repeat=2))
+        return [I64, I64], I64, list(itertools.product(EDGE_INTS, repeat=2))
+    if kind == "cast":
+        src, dst, inputs = CASTS[op]
+        return [src], dst, [(x,) for x in inputs]
+    arity = 2 if op in ("pow", "fmin", "fmax", "copysign") else 1
+    return [F64] * arity, F64, list(itertools.product(EDGE_FLOATS, repeat=arity))
+
+
+def _emit(b, kind, op, result_type, operands):
+    if kind == "binop":
+        return b._insert(BinaryOp(op, operands[0], operands[1]))
+    if kind == "cast":
+        return b._insert(Cast(op.split("_")[0], operands[0], result_type))
+    return b.intrinsic(op, operands)
+
+
+def build_op_module(kind, op):
+    """``f(args) = op(args)`` as a verified module."""
+    params, result, _ = _signature(kind, op)
+    module = Module(f"sweep_{op}")
+    names = [f"a{i}" for i in range(len(params))]
+    fn = module.add_function("f", FunctionType(result, params), names)
+    b = IRBuilder(fn.append_block("entry"))
+    b.ret(_emit(b, kind, op, result, list(fn.args)))
+    verify_module(module)
+    return module
+
+
+def fold_op(kind, op, args):
+    """Constant folding of ``op`` on constant operands (``None``: unfolded)."""
+    params, result, _ = _signature(kind, op)
+    module = Module(f"fold_{op}")
+    fn = module.add_function("k", FunctionType(result, []), [])
+    b = IRBuilder(fn.append_block("entry"))
+    instr = _emit(b, kind, op, result, [Constant(t, a) for t, a in zip(params, args)])
+    b.ret(instr)
+    folded = fold_instruction(instr)
+    return None if folded is None else folded.value
+
+
+# ---------------------------------------------------------------------------
+# Engines
+# ---------------------------------------------------------------------------
+
+
+def _outcome(call):
+    try:
+        return call()
+    except Exception as exc:  # noqa: BLE001 - the exception type is the result
+        return exc
+
+
+def _lane_scalar(value, result):
+    value = np.asarray(value).reshape(-1)[0]
+    return float(value) if result.is_float else int(value)
+
+
+def run_engines(kind, op, monkeypatch):
+    """``{engine: [outcome per input tuple]}`` plus the input tuples."""
+    params, result, inputs = _signature(kind, op)
+    module = build_op_module(kind, op)
+    interp = Interpreter(module)
+    compiled = PythonCodeGenerator(module).compile()["f"]
+    with monkeypatch.context() as patch:
+        patch.setattr(_StructuredFunction, "emit", always_bail)
+        ladder_gen = PythonCodeGenerator(module)
+        ladder = ladder_gen.compile()["f"]
+    assert ladder_gen.dispatch_fallbacks == ["f"]
+    program = compile_lane_program(module, lambda name: compiled)
+    assert program.fallbacks == []
+    lane = program.functions["f"]
+    dtypes = [np.float64 if t.is_float else np.int64 for t in params]
+    one = np.ones(1, dtype=bool)
+    engines = ("ir-interp", "constprop", "compiled", "ladder", "lane", "lane-uniform")
+    outcomes = {engine: [] for engine in engines}
+    for args in inputs:
+        outcomes["ir-interp"].append(_outcome(lambda: interp.call("f", list(args))))
+        outcomes["constprop"].append(_outcome(lambda: fold_op(kind, op, args)))
+        outcomes["compiled"].append(_outcome(lambda: compiled(*args)))
+        outcomes["ladder"].append(_outcome(lambda: ladder(*args)))
+        arrays = [np.array([a], dtype=d) for a, d in zip(args, dtypes)]
+        with np.errstate(all="ignore"):  # as the lane engine runs its programs
+            outcomes["lane"].append(
+                _outcome(lambda: _lane_scalar(lane(*arrays, one), result))
+            )
+            outcomes["lane-uniform"].append(
+                _outcome(lambda: _lane_scalar(lane(*args, one), result))
+            )
+    return inputs, result, outcomes
+
+
+# ---------------------------------------------------------------------------
+# Comparison
+# ---------------------------------------------------------------------------
+
+
+def same(expected, got, result, rtol=0.0):
+    if isinstance(expected, Exception) or isinstance(got, Exception):
+        return type(expected) is type(got)
+    if not result.is_float:
+        return int(expected) == int(got)
+    expected, got = float(expected), float(got)
+    if math.isnan(expected) or math.isnan(got):
+        return math.isnan(expected) and math.isnan(got)
+    if expected == got:
+        return math.copysign(1.0, expected) == math.copysign(1.0, got)
+    if rtol and math.isfinite(expected) and math.isfinite(got) and expected and got:
+        return abs(got - expected) <= rtol * abs(expected)
+    return False
+
+
+@pytest.mark.parametrize("kind, op", list(_op_cases()))
+def test_every_engine_agrees_with_the_runtime(kind, op, monkeypatch):
+    inputs, result, outcomes = run_engines(kind, op, monkeypatch)
+    reference = outcomes["ir-interp"]
+    mismatches = []
+    for engine, values in outcomes.items():
+        rtol = LANE_RTOL if engine == "lane" and op in TRANSCENDENTAL else 0.0
+        for args, expected, got in zip(inputs, reference, values):
+            if engine == "constprop":
+                if got is None and isinstance(expected, Exception):
+                    continue  # a trapping op stays unfolded
+                if got is None or isinstance(got, Exception):
+                    mismatches.append((engine, args, expected, got or "unfolded"))
+                    continue
+            if not same(expected, got, result, rtol):
+                mismatches.append((engine, args, expected, got))
+    assert not mismatches, mismatches[:10]
+
+
+def test_only_integer_division_by_zero_traps():
+    """Every float binop, cast and intrinsic is total on the reference;
+    ``sdiv``/``srem`` raise ``ZeroDivisionError`` exactly on a zero divisor
+    (negative shift counts, the marked divergence above, aside)."""
+    for case in _op_cases():
+        kind, op = case.values
+        if op in ("shl", "ashr"):
+            continue
+        interp = Interpreter(build_op_module(kind, op))
+        for args in _signature(kind, op)[2]:
+            outcome = _outcome(lambda: interp.call("f", list(args)))
+            if op in ("sdiv", "srem") and args[1] == 0:
+                assert isinstance(outcome, ZeroDivisionError), (op, args, outcome)
+            else:
+                assert not isinstance(outcome, Exception), (op, args, outcome)
+
+
+@pytest.mark.xfail(
+    strict=True, reason="i64 overflow: scalar engines keep Python ints, lane arrays wrap"
+)
+def test_i64_overflow_agrees_across_engines():
+    """``add``/``mul`` past 2**63: ``ir-interp``, ``compiled`` and the
+    ladder compute unbounded Python ints, lane arrays wrap at 64 bits."""
+    for op, args in (("add", (2**62, 2**62)), ("mul", (2**62, 4))):
+        module = build_op_module("binop", op)
+        compiled = PythonCodeGenerator(module).compile()["f"]
+        lane = compile_lane_program(module, lambda name: compiled).functions["f"]
+        arrays = [np.array([a], dtype=np.int64) for a in args]
+        with np.errstate(all="ignore"):
+            assert int(lane(*arrays, np.ones(1, dtype=bool))[0]) == compiled(*args)

@@ -31,6 +31,7 @@ from repro.errors import (
 )
 from repro.models import get_model
 from repro.serve import ServeClient, ServeConfig, Server, wait_for_server
+from repro.serve.server import MAX_NUM_TRIALS
 
 JOIN_TIMEOUT = 120.0
 
@@ -483,6 +484,30 @@ class TestErrorsAndStats:
                 served = client.run(CUSTOM, CUSTOM_INPUTS, workers=1)
         assert_results_bitwise(
             served, solo_results(build_deterministic_cascade, CUSTOM_INPUTS, None, 0)
+        )
+
+    def test_num_trials_outside_admitted_range_is_bad_request(self, tmp_path):
+        """``num_trials`` sizes every element's result buffers: a client
+        must not be able to make one coalesced dispatch allocate without
+        bound, and a bad element must bounce before it joins a batch."""
+        bad = (MAX_NUM_TRIALS + 1, 0, -3, 2.0, "2", True)
+        with make_server(tmp_path) as server:
+            wait_for_server(server.address)
+            with ServeClient(server.address) as client:
+                for trials in bad:
+                    with pytest.raises(ServeError) as excinfo:
+                        client.run(CUSTOM, CUSTOM_INPUTS, num_trials=trials)
+                    assert excinfo.value.code == "bad_request", trials
+                    assert "num_trials" in str(excinfo.value)
+                    with pytest.raises(ServeError) as excinfo:
+                        client.run_batch(
+                            CUSTOM, [CUSTOM_INPUTS] * 2, num_trials=[1, trials]
+                        )
+                    assert excinfo.value.code == "bad_request", trials
+                assert client.stats()["session"]["models"] == 0
+                served = client.run(CUSTOM, CUSTOM_INPUTS, num_trials=3, seed=5)
+        assert_results_bitwise(
+            served, solo_results(build_deterministic_cascade, CUSTOM_INPUTS, 3, 5)
         )
 
     def test_stats_schema(self, tmp_path):
