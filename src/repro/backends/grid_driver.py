@@ -1,14 +1,19 @@
-"""Shared driver for engines that parallelise grid-search regions.
+"""The Python scheduler of the per-node, multicore and GPU-simulator engines.
 
-The multicore and GPU-simulator engines follow the strategy the paper
-describes for parallel execution (section 3.6): everything *except* the
-grid-search evaluations runs through the same compiled code as the serial
-engine; the evaluations themselves — one independent kernel invocation per
-grid point, each with its own replicated PRNG state — are dispatched by the
-driver to a pool of workers or to the data-parallel grid kernel.  The driver
-below owns the trial/pass loop, the double-buffer swap, monitor recording and
-the reservoir-sampling reduction; engines plug in a *batch* evaluator that
-receives whole lists of :class:`GridRequest` objects at once.
+The three engines differ only in what executes a node.  The driver below
+owns the trial/pass loop: each pass it evaluates every node's activation
+condition against the start-of-pass :class:`~repro.cogframe.conditions.
+SchedulerState` and calls the node's compiled ``node_<name>`` function, then
+swaps the double buffers and records monitors and results.  ``per-node``
+(Figure 5b) runs every node that way, grid-search controllers included.
+``mcpu`` and ``gpu-sim`` follow the strategy the paper describes for
+parallel execution (section 3.6): everything *except* the grid-search
+evaluations runs through the same compiled code as the serial engine; the
+evaluations themselves — one independent kernel invocation per grid point,
+each with its own replicated PRNG state — are dispatched to a pool of
+workers or to the data-parallel grid kernel.  Those engines plug in a
+*batch* evaluator that receives whole lists of :class:`GridRequest` objects
+at once; the driver performs the reservoir-sampling reduction.
 
 Serial-equivalence contract
 ---------------------------
@@ -34,9 +39,10 @@ NumPy prefix-minimum before selection, so every engine funnels through the
 same replay code.
 
 All layout facts the hot loop needs (row-major strides of the level tables,
-state/output slot offsets, compiled helper functions) are precomputed once
-per compiled model in a cached :class:`GridDriverPlan` instead of being
-re-derived on every ``run()`` call.
+state/output slot offsets, compiled node and helper functions) are
+precomputed once per compiled model in a cached :class:`GridDriverPlan`
+instead of being re-derived on every ``run()`` call.  An incremental
+recompile retires the plan with the model's engine bindings.
 """
 
 from __future__ import annotations
@@ -224,57 +230,53 @@ def select_best(costs: np.ndarray, state_buf: List[float], rng_offset: int) -> i
 
 
 class GridDriverPlan:
-    """Layout facts the trial loop needs, derived once per compiled model."""
+    """Layout facts and compiled callables the trial loop needs, derived
+    once per compiled model."""
 
     def __init__(self, compiled):
         layout = compiled.layout
         composition = compiled.composition
+        state_struct = layout.state_struct
+
+        def state_slot(field: str) -> int:
+            return state_struct.field_slot_offset(state_struct.field_index(field))
+
         self.layout = layout
         self.composition = composition
-        self.grid_infos = {g.control_name: g for g in compiled.grid_searches}
+        self.node_fns = {
+            name: compiled.function(f"node_{name}") for name in layout.execution_order
+        }
         self.controls = [
             name
             for name in layout.execution_order
             if isinstance(composition.mechanisms[name], GridSearchControlMechanism)
         ]
+        grid_infos = {g.control_name: g for g in compiled.grid_searches}
         self.prepared: Dict[str, PreparedGrid] = {
-            name: PreparedGrid.from_info(self.grid_infos[name]) for name in self.controls
+            name: PreparedGrid.from_info(grid_infos[name]) for name in self.controls
         }
-        if self.controls:
-            self.run_pass_rest = compiled.function("run_pass_rest")
-            self.input_helpers = {
-                name: compiled.function(self.grid_infos[name].input_helper_name)
-                for name in self.controls
-            }
-        else:
-            self.run_pass_rest = None
-            self.input_helpers = {}
+        self.input_helpers = {
+            name: compiled.function(grid_infos[name].input_helper_name)
+            for name in self.controls
+        }
         self.rng_offsets = {name: layout.rng_offsets[name] for name in self.controls}
         self.out_offsets = layout.output_offsets
         self.count_offsets = {
-            name: layout.state_struct.field_slot_offset(
-                layout.state_struct.field_index(layout.count_field(name))
-            )
-            for name in layout.execution_order
+            name: state_slot(layout.count_field(name)) for name in layout.execution_order
         }
         self.cost_offsets = {
-            name: layout.state_struct.field_slot_offset(
-                layout.state_struct.field_index(layout.state_field(name, "last_best_cost"))
-            )
+            name: state_slot(layout.state_field(name, "last_best_cost"))
             for name in self.controls
         }
         self.epoch_offsets = {
-            name: layout.state_struct.field_slot_offset(
-                layout.state_struct.field_index(layout.state_field(name, "eval_epoch"))
-            )
-            for name in self.controls
+            name: state_slot(layout.state_field(name, "eval_epoch")) for name in self.controls
         }
         self.record_size = layout.result_record_size()
 
 
 def grid_driver_plan(compiled) -> GridDriverPlan:
     """The cached :class:`GridDriverPlan` of a compiled model."""
-    plan = getattr(compiled, "_grid_driver_plan", None)
+    plan = compiled._grid_driver_plan
     if plan is None:
         plan = GridDriverPlan(compiled)
         compiled._grid_driver_plan = plan
@@ -311,15 +313,18 @@ def _coerce_events(result) -> CandidateEvents:
     return candidate_events_from_costs(np.asarray(result, dtype=float))
 
 
-def _element_program(plan: GridDriverPlan, buffers: Dict[str, object], num_trials: int):
+def _element_program(
+    plan: GridDriverPlan, buffers: Dict[str, object], num_trials: int, offload: bool
+):
     """Generator running one element's trial loop.
 
-    Yields lists of :class:`GridRequest` whenever grid evaluations are due
-    and receives the corresponding evaluation results via ``send``; all other
-    work (compiled pass function, selection, buffer swaps, monitor/result
-    records) happens inside the generator.  Trials stay strictly sequential
-    within an element because PRNG counters carry across trials; batching
-    happens across *elements* (see :func:`drive_elements`).
+    Every active node runs its compiled ``node_<name>`` function, except
+    that with ``offload`` a grid-search controller's evaluation is yielded
+    as a :class:`GridRequest` instead; the generator receives the
+    evaluation results via ``send`` and performs the selection itself.
+    Trials stay strictly sequential within an element because PRNG counters
+    carry across trials; batching happens across *elements* (see
+    :func:`drive_elements`).
     """
     layout = plan.layout
     composition = plan.composition
@@ -327,9 +332,14 @@ def _element_program(plan: GridDriverPlan, buffers: Dict[str, object], num_trial
     state_buf: List[float] = buffers["state"]
     prev_buf: List[float] = buffers["prev"]
     cur_buf: List[float] = buffers["cur"]
-    controls = plan.controls
+    params, state, prev, cur = (params_buf, 0), (state_buf, 0), (prev_buf, 0), (cur_buf, 0)
+    order = layout.execution_order
+    conditions = composition.conditions
+    node_fns = plan.node_fns
+    count_offsets = plan.count_offsets
+    epoch_offsets = plan.epoch_offsets
     out_offsets = plan.out_offsets
-    run_pass_rest = plan.run_pass_rest
+    offloaded = plan.prepared if offload else {}
 
     for trial in range(num_trials):
         for offset, values in layout.state_reset_entries:
@@ -340,9 +350,11 @@ def _element_program(plan: GridDriverPlan, buffers: Dict[str, object], num_trial
         row = trial % buffers["rows"]
         ext = (buffers["inputs"], row * layout.input_size)
 
-        call_counts = {name: 0 for name in layout.execution_order}
+        call_counts = {name: 0 for name in order}
         passes_run = 0
         for pass_idx in range(layout.max_passes):
+            # Every condition of the pass sees this start-of-pass snapshot,
+            # as in the reference runner and the compiled ``run_pass``.
             scheduler_state = cond.SchedulerState(
                 pass_index=pass_idx,
                 trial_index=trial,
@@ -354,66 +366,51 @@ def _element_program(plan: GridDriverPlan, buffers: Dict[str, object], num_trial
             if pass_idx > 0 and composition.termination.is_satisfied(scheduler_state):
                 break
 
-            # 1. All non-control nodes through the compiled pass function.
-            run_pass_rest(
-                (params_buf, 0), (state_buf, 0), (prev_buf, 0), (cur_buf, 0), ext,
-                pass_idx, trial,
-            )
-            for name in layout.execution_order:
-                if name in plan.grid_infos:
-                    continue
-                if composition.conditions[name].is_satisfied(scheduler_state):
-                    call_counts[name] += 1
-
-            # 2. Grid-search controllers via the pluggable batch evaluator.
-            active: List[str] = []
+            epoch = trial * layout.max_passes + pass_idx
             requests: List[GridRequest] = []
-            for name in controls:
-                if not composition.conditions[name].is_satisfied(scheduler_state):
+            for name in order:
+                if not conditions[name].is_satisfied(scheduler_state):
                     continue
-                prepared = plan.prepared[name]
+                if name in epoch_offsets:
+                    state_buf[epoch_offsets[name]] = float(epoch)
+                prepared = offloaded.get(name)
+                if prepared is None:
+                    node_fns[name](params, state, prev, cur, ext)
+                    state_buf[count_offsets[name]] += 1.0
+                    call_counts[name] += 1
+                    continue
                 true_input = [0.0] * prepared.input_size
-                plan.input_helpers[name](
-                    (params_buf, 0), (state_buf, 0), (prev_buf, 0), (cur_buf, 0), ext,
-                    (true_input, 0),
-                )
-                epoch = trial * layout.max_passes + pass_idx
-                # Mirror the serial engine's bookkeeping write so the final
-                # state buffers (not just outputs) stay bitwise identical.
-                state_buf[plan.epoch_offsets[name]] = float(epoch)
-                key = int(state_buf[plan.rng_offsets[name]])
-                counter_base = epoch * prepared.grid_size * prepared.counter_stride
-                active.append(name)
+                plan.input_helpers[name](params, state, prev, cur, ext, (true_input, 0))
                 requests.append(
                     GridRequest(
                         prepared=prepared,
                         params=params_buf,
                         true_input=true_input,
-                        key=key,
-                        counter_base=counter_base,
+                        key=int(state_buf[plan.rng_offsets[name]]),
+                        counter_base=epoch * prepared.grid_size * prepared.counter_stride,
                     )
                 )
+
             if requests:
                 results = yield requests
-                for name, result in zip(active, results):
-                    prepared = plan.prepared[name]
-                    evaluation = _coerce_events(result)
+                for request, result in zip(requests, results):
+                    prepared = request.prepared
+                    name = prepared.control_name
                     best, best_cost = select_from_events(
-                        evaluation, state_buf, plan.rng_offsets[name], name
-                    )
-                    allocation = allocation_for_index(
-                        prepared.levels, best, prepared.strides
+                        _coerce_events(result), state_buf, plan.rng_offsets[name], name
                     )
                     out_offset, out_size = out_offsets[name]
-                    cur_buf[out_offset : out_offset + out_size] = allocation
+                    cur_buf[out_offset : out_offset + out_size] = allocation_for_index(
+                        prepared.levels, best, prepared.strides
+                    )
                     state_buf[plan.cost_offsets[name]] = best_cost
-                    state_buf[plan.count_offsets[name]] += 1.0
+                    state_buf[count_offsets[name]] += 1.0
                     call_counts[name] += 1
 
-            # 3. Double-buffer swap, monitor recording.
+            # Double-buffer swap, monitor recording.
             prev_buf[:] = cur_buf
             if layout.monitor_size:
-                record = (trial * layout.max_passes + pass_idx) * layout.monitor_size
+                record = epoch * layout.monitor_size
                 for node_name, (offset, size) in layout.monitor_layout.items():
                     o, _ = out_offsets[node_name]
                     buffers["monitor"][record + offset : record + offset + size] = prev_buf[
@@ -436,29 +433,36 @@ def _element_program(plan: GridDriverPlan, buffers: Dict[str, object], num_trial
 def drive_elements(
     compiled,
     elements: Sequence[Tuple[Dict[str, object], int]],
-    batch_evaluator: BatchGridEvaluator,
+    batch_evaluator: Optional[BatchGridEvaluator] = None,
 ) -> None:
-    """Run several independent ``(buffers, num_trials)`` elements in lockstep.
+    """Run several independent ``(buffers, num_trials)`` elements.
 
-    Each element executes its trial loop exactly as a standalone ``run()``
-    would (elements own separate buffers, so results are bitwise identical
-    to looped runs); whenever several elements have grid evaluations pending
-    at the same time, the whole batch of requests goes to the engine in one
-    call — one pool ``map`` instead of one per element.
+    Without ``batch_evaluator`` every node runs its compiled node function
+    (the ``per-node`` engine).  With one, grid-search evaluations go to the
+    evaluator; a model without a grid-search controller then has nothing to
+    offload and runs its whole compiled ``run_model`` instead.
+
+    Elements run in lockstep: each executes its trial loop exactly as a
+    standalone ``run()`` would (elements own separate buffers, so results
+    are bitwise identical to looped runs); whenever several elements have
+    grid evaluations pending at the same time, the whole batch of requests
+    goes to the engine in one call — one pool ``map`` instead of one per
+    element.
     """
     plan = grid_driver_plan(compiled)
-    if not plan.controls:
+    offload = batch_evaluator is not None
+    if offload and not plan.controls:
         for buffers, num_trials in elements:
             compiled._run_whole_compiled(buffers, num_trials)
         return
 
     pending: List[Tuple[object, List[GridRequest]]] = []
     for buffers, num_trials in elements:
-        program = _element_program(plan, buffers, num_trials)
+        program = _element_program(plan, buffers, num_trials, offload)
         try:
             pending.append((program, next(program)))
         except StopIteration:
-            pass  # element finished without ever activating a controller
+            pass  # element finished without offloading an evaluation
     while pending:
         batch: List[GridRequest] = []
         for _, requests in pending:
@@ -479,13 +483,3 @@ def drive_elements(
             except StopIteration:
                 pass
         pending = advanced
-
-
-def run_with_grid_driver(
-    compiled,
-    buffers: Dict[str, object],
-    num_trials: int,
-    batch_evaluator: BatchGridEvaluator,
-) -> None:
-    """Execute one element with grid-search evaluations delegated to an engine."""
-    drive_elements(compiled, [(buffers, num_trials)], batch_evaluator)

@@ -95,6 +95,10 @@ def _lane(scalar, vector):
 #: ``np.divide`` is IEEE division and ``np.fmod`` is C ``fmod`` per lane.
 _lfdiv = _lane(runtime.fdiv, np.divide)
 _lfrem = _lane(runtime.frem, np.fmod)
+#: numpy shifts an int64 lane by an amount outside ``0..63`` to 0 (``shl``)
+#: or the sign (``ashr``), as the runtime's total shifts do.
+_lshl = _lane(runtime.shl, np.left_shift)
+_lashr = _lane(runtime.ashr, np.right_shift)
 
 
 def _int_zero_check(b, m, message: str) -> None:
@@ -327,6 +331,8 @@ LANE_NAMESPACE: Dict[str, object] = {
     "_bmask": _bmask,
     "_lfdiv": _lfdiv,
     "_lfrem": _lfrem,
+    "_shl": _lshl,
+    "_ashr": _lashr,
     "_lsdiv": _lsdiv,
     "_lsrem": _lsrem,
     "_lsel": _lsel,

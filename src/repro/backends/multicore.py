@@ -30,12 +30,7 @@ from __future__ import annotations
 import os
 from typing import Dict, List, Optional, Tuple
 
-from .grid_driver import (
-    CandidateEvents,
-    GridRequest,
-    drive_elements,
-    run_with_grid_driver,
-)
+from .grid_driver import CandidateEvents, GridRequest, drive_elements
 from .workerpool import WorkerPool
 
 # ---------------------------------------------------------------------------
@@ -234,21 +229,15 @@ class _MulticoreInstance(EngineInstance):
         return self._evaluator.pool.starts if self._evaluator is not None else 0
 
     def execute(self, buffers, num_trials, **options):
-        if not self.model.grid_searches:
-            self.model._run_whole_compiled(buffers, num_trials)
-            return
-        evaluator = self._evaluator_for(options)
-        run_with_grid_driver(
-            self.model, buffers, num_trials, batch_evaluator=evaluator.evaluate_batch
-        )
+        self.execute_batch([(buffers, num_trials)], **options)
 
     def execute_batch(self, elements, **options):
-        if not self.model.grid_searches:
-            for buffers, num_trials in elements:
-                self.model._run_whole_compiled(buffers, num_trials)
-            return
-        evaluator = self._evaluator_for(options)
-        drive_elements(self.model, elements, evaluator.evaluate_batch)
+        # The evaluator (and its pool) is only built once a grid evaluation
+        # is due: a model without a controller runs whole compiled.
+        def evaluate_batch(compiled, requests):
+            return self._evaluator_for(options).evaluate_batch(compiled, requests)
+
+        drive_elements(self.model, elements, evaluate_batch)
 
     def close(self) -> None:
         if self._evaluator is not None:

@@ -84,14 +84,15 @@ from . import runtime
 #: Version of the Python lowering.  Artifact-store keys include it so cached
 #: compiled sources are invalidated whenever the emitter's output changes
 #: (bump on any change that alters generated source or its runtime contract).
-CODEGEN_VERSION = 3
+CODEGEN_VERSION = 4
 
 
 #: Operands are always simple names or constants, so ``fdiv`` tests the
 #: denominator inline and only calls the runtime at the singular point,
 #: keeping the common case a single BINARY_OP.  ``_fdiv``, ``_frem``,
-#: ``_sdiv`` and ``_srem`` are :mod:`runtime`'s functions (see
-#: :meth:`PythonCodeGenerator.exec_namespace`).
+#: ``_sdiv``, ``_srem``, ``_shl`` and ``_ashr`` are :mod:`runtime`'s
+#: functions (see :meth:`PythonCodeGenerator.exec_namespace`); a shift by a
+#: constant amount in ``0..63`` is the bare operator (:func:`_binop_format`).
 _BINOP_FMT = {
     "fadd": "({a} + {b})",
     "fsub": "({a} - {b})",
@@ -106,9 +107,25 @@ _BINOP_FMT = {
     "and": "({a} & {b})",
     "or": "({a} | {b})",
     "xor": "({a} ^ {b})",
-    "shl": "({a} << {b})",
-    "ashr": "({a} >> {b})",
+    "shl": "_shl({a}, {b})",
+    "ashr": "_ashr({a}, {b})",
 }
+
+_IN_RANGE_SHIFT_FMT = {"shl": "({a} << {b})", "ashr": "({a} >> {b})"}
+
+
+def _binop_format(instr: BinaryOp) -> str:
+    """The expression template of a binop (shared by the scalar and lane
+    dialects, whose namespaces bind ``_shl``/``_ashr``)."""
+    rhs = instr.rhs
+    if (
+        instr.opcode in _IN_RANGE_SHIFT_FMT
+        and isinstance(rhs, Constant)
+        and 0 <= int(rhs.value) <= 63
+    ):
+        return _IN_RANGE_SHIFT_FMT[instr.opcode]
+    return _BINOP_FMT[instr.opcode]
+
 
 #: Python's (and numpy's) ``<``/``==``/... are already False for a NaN
 #: operand, which is the ordered semantics; ``!=`` is True, so ``one``
@@ -1292,6 +1309,8 @@ class PythonCodeGenerator:
             "_frem": runtime.frem,
             "_sdiv": runtime.sdiv,
             "_srem": runtime.srem,
+            "_shl": runtime.shl,
+            "_ashr": runtime.ashr,
             "_fptosi": runtime.fptosi,
             "_intrinsics": runtime.INTRINSIC_IMPLS,
             "_san_trap": runtime.sanitizer_trap,
@@ -1391,7 +1410,7 @@ class PythonCodeGenerator:
         """
         name = self._name(instr)
         if isinstance(instr, BinaryOp):
-            line = f"{name} = " + _BINOP_FMT[instr.opcode].format(
+            line = f"{name} = " + _binop_format(instr).format(
                 a=self._name(instr.lhs), b=self._name(instr.rhs)
             )
             if self.sanitize:
@@ -1591,9 +1610,10 @@ class PythonCodeGenerator:
         raise NotImplementedError(f"terminator {instr.opcode}")
 
 
-#: Lane-mode binops that lower to plain elementwise expressions.  Division
-#: and remainder need helpers (IEEE semantics / masked zero checks), so they
-#: are handled explicitly in :meth:`LanePythonCodeGenerator._emit_instruction`.
+#: Lane-mode binops that lower through the scalar templates (the lane
+#: namespace binds ``_shl``/``_ashr`` to lane-aware helpers).  Division and
+#: remainder need helpers (IEEE semantics / masked zero checks), so they are
+#: handled explicitly in :meth:`LanePythonCodeGenerator._emit_instruction`.
 _LANE_INLINE_BINOPS = frozenset(
     ("fadd", "fsub", "fmul", "add", "sub", "mul", "and", "or", "xor", "shl", "ashr")
 )
@@ -1695,7 +1715,7 @@ class LanePythonCodeGenerator(PythonCodeGenerator):
             a, b = self._name(instr.lhs), self._name(instr.rhs)
             op = instr.opcode
             if op in _LANE_INLINE_BINOPS:
-                return [f"{name} = " + _BINOP_FMT[op].format(a=a, b=b)]
+                return [f"{name} = " + _binop_format(instr).format(a=a, b=b)]
             if op in ("fdiv", "frem"):
                 return [f"{name} = _l{op}({a}, {b})"]
             # sdiv/srem: the zero check must ignore inactive lanes.
@@ -1817,6 +1837,7 @@ def compile_module_to_python(module: Module) -> Dict[str, object]:
 # ---------------------------------------------------------------------------
 
 from ..driver.engines import EngineCapabilities, EngineInstance, register_engine  # noqa: E402
+from .grid_driver import drive_elements  # noqa: E402
 
 
 class _WholeModelInstance(EngineInstance):
@@ -1845,7 +1866,7 @@ class CompiledEngine:
 
 class _PerNodeInstance(EngineInstance):
     def execute(self, buffers, num_trials, **options):
-        self.model._run_per_node(buffers, num_trials)
+        drive_elements(self.model, [(buffers, num_trials)])
 
 
 @register_engine

@@ -203,6 +203,20 @@ def frem(a: float, b: float) -> float:
     return math.fmod(a, b)
 
 
+def shl(a: int, b: int) -> int:
+    """``a << b``; an amount outside ``0..63`` gives 0 (numpy's shift of
+    an int64 lane array)."""
+    return a << b if 0 <= b <= 63 else 0
+
+
+def ashr(a: int, b: int) -> int:
+    """Arithmetic ``a >> b``; an amount outside ``0..63`` fills with the
+    sign (numpy's shift of an int64 lane array)."""
+    if 0 <= b <= 63:
+        return a >> b
+    return -1 if a < 0 else 0
+
+
 def sdiv(a: int, b: int) -> int:
     """Truncating signed division; a zero divisor raises."""
     if b == 0:
@@ -378,8 +392,8 @@ BINOP_IMPLS = {
     "and": operator.and_,
     "or": operator.or_,
     "xor": operator.xor,
-    "shl": operator.lshift,
-    "ashr": operator.rshift,
+    "shl": shl,
+    "ashr": ashr,
 }
 
 

@@ -6,29 +6,27 @@ emits a complete IR module:
 * ``node_<name>``   — one function per mechanism (section 3.4.1 templates);
 * ``eval_<control>`` — the grid-search evaluation kernel of each control
   mechanism (the unit of parallel / GPU execution, section 3.6);
-* ``control_input_<control>`` — helper used by the parallel drivers to obtain
-  the controller's true input values;
+* ``control_input_<control>`` — helper used by the parallel engines to
+  obtain the controller's true input values;
 * ``run_pass``      — one scheduler pass: compiled activation conditions plus
   node calls (section 3.5: optimisation crosses the scheduler/node boundary);
-* ``run_pass_rest`` — the same pass with control mechanisms skipped (used by
-  the multicore/GPU drivers which evaluate the grid themselves); emitted
-  only for a composition with a grid-search controller — without one it
-  would be an instruction-for-instruction copy of ``run_pass``;
 * ``run_trial``     — per-trial state reset, the pass loop, compiled
   termination condition, monitor recording and the result record;
 * ``run_model``     — the trial loop.
 
 Node functions are marked ``alwaysinline``; at -O2/-O3 the inliner copies
-every node body into ``run_pass`` (and ``run_pass_rest``, where there is
-one), so one pass is a single straight-line function that the optimiser sees
-whole — the scheduler/node boundary the paper crosses for its largest
-speedups (Figure 5b).  The pass functions themselves are ``noinline``: that
-call is the boundary.  ``run_trial`` keeps one call to ``run_pass`` per pass and
+every node body into ``run_pass``, so one pass is a single straight-line
+function that the optimiser sees whole — the scheduler/node boundary the
+paper crosses for its largest speedups (Figure 5b).  The pass function
+itself is ``noinline``: that call is the boundary.  ``run_trial`` keeps one call to ``run_pass`` per pass and
 ``run_model`` stays a short trial loop around ``run_trial`` (the inliner may
 still copy a small ``run_trial`` into it).  Because nothing above
 ``run_pass`` ever holds a node body, an incremental recompile
 (:mod:`repro.core.patch`) re-optimizes the edited nodes plus the pass
-functions and relinks the live ``run_trial``/``run_model`` to them.
+function and relinks the live ``run_trial``/``run_model`` to it.  The
+node functions stay callable on their own: the Python scheduler of the
+``per-node``, ``mcpu`` and ``gpu-sim`` engines
+(:mod:`repro.backends.grid_driver`) calls them instead of ``run_pass``.
 """
 
 from __future__ import annotations
@@ -69,11 +67,11 @@ from .structs import StaticLayout
 #: Version of the model IR generator.  Model-entry store keys address a
 #: composition, not its IR, so they include this (through
 #: :func:`repro.driver.artifacts.artifact_salt`): bump on any change to the
-#: IR a composition generates.  Version 2 made ``run_pass``/``run_pass_rest``
+#: IR a composition generates.  Version 2 made the pass function
 #: ``noinline``; an incremental recompile relies on that call boundary.
-#: Version 3 emits ``run_pass_rest`` only for compositions with a control
-#: mechanism.
-IRGEN_VERSION = 3
+#: Version 4 emits ``run_pass`` alone: version 3 added a second,
+#: control-skipping pass function to compositions with a control mechanism.
+IRGEN_VERSION = 4
 
 
 @dataclass
@@ -238,9 +236,7 @@ class ModelCodeGenerator:
                 self._emit_control(mech)
             else:
                 emit_node_function(self.module, self.layout, self.composition, self.info, mech)
-        self._emit_run_pass("run_pass", include_control=True)
-        if self.composition.control_nodes():
-            self._emit_run_pass("run_pass_rest", include_control=False)
+        self._emit_run_pass()
         if drivers:
             self._emit_run_trial()
             self._emit_run_model()
@@ -488,11 +484,11 @@ class ModelCodeGenerator:
         b.ret()
 
     # -- pass / trial / model drivers ------------------------------------------------------
-    def _emit_run_pass(self, name: str, include_control: bool) -> Function:
+    def _emit_run_pass(self) -> Function:
         layout = self.layout
         arg_types = list(node_function_type(layout).param_types) + [I64, I64]
         fn = self.module.add_function(
-            name,
+            "run_pass",
             FunctionType(VOID, arg_types),
             ["params", "state", "prev", "cur", "ext", "pass_idx", "trial_idx"],
         )
@@ -514,10 +510,7 @@ class ModelCodeGenerator:
         entry_builder = IRBuilder(current)
         for node_name in layout.execution_order:
             mech = self.composition.mechanisms[node_name]
-            is_control = isinstance(mech, GridSearchControlMechanism)
-            if is_control and not include_control:
-                continue
-            scheduled.append((node_name, is_control))
+            scheduled.append((node_name, isinstance(mech, GridSearchControlMechanism)))
             condition = self.composition.conditions[node_name]
             cond_values[node_name] = emit_condition(
                 entry_builder, condition, layout, pass_idx, state_ptr, prev_ptr
@@ -720,7 +713,7 @@ class ModelCodeGenerator:
         return b.gep(field_ptr, [b.i64(0), b.i64(element)])
 
 
-#: The trial drivers: everything above the ``noinline`` pass functions.
+#: The trial drivers: everything above the ``noinline`` pass function.
 DRIVER_FUNCTIONS = ("run_trial", "run_model")
 
 

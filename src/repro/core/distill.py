@@ -30,9 +30,7 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from ..backends.pycodegen import PythonCodeGenerator, exec_code
-from ..cogframe import conditions as cond
 from ..cogframe.composition import Composition
-from ..cogframe.mechanisms import GridSearchControlMechanism
 from ..cogframe.runner import RunResults, TrialResult, normalize_inputs
 from ..cogframe.sanitize import SanitizationInfo, sanitize
 from ..driver.engines import get_engine
@@ -148,6 +146,10 @@ class CompiledModel:
         self._compiled = compiled_functions
         self._engine_instances: Dict[str, object] = {}
         self._engine_lock = threading.Lock()
+        #: The Python scheduler's :class:`~repro.backends.grid_driver.
+        #: GridDriverPlan`, built on first use and retired with the engine
+        #: bindings by an incremental recompile.
+        self._grid_driver_plan = None
 
     # -- introspection -------------------------------------------------------------
     @property
@@ -380,87 +382,6 @@ class CompiledModel:
     def _run_whole_compiled(self, buffers, num_trials: int) -> None:
         run_model = self._compiled["run_model"]
         run_model(*self._model_args(buffers, num_trials))
-
-    def _run_per_node(self, buffers, num_trials: int) -> None:
-        """Compiled node functions driven by a Python scheduler (Figure 5b)."""
-        layout = self.layout
-        composition = self.composition
-        params = (buffers["params"], 0)
-        state_buf = buffers["state"]
-        state = (state_buf, 0)
-        prev_buf, cur_buf = buffers["prev"], buffers["cur"]
-        record_size = layout.result_record_size()
-
-        node_fns = {
-            name: self._compiled[f"node_{name}"] for name in layout.execution_order
-        }
-        count_offsets = {
-            name: layout.state_struct.field_slot_offset(
-                layout.state_struct.field_index(StaticLayout.count_field(name))
-            )
-            for name in layout.execution_order
-        }
-        epoch_offsets = {
-            name: layout.state_struct.field_slot_offset(
-                layout.state_struct.field_index(StaticLayout.state_field(name, "eval_epoch"))
-            )
-            for name in layout.execution_order
-            if isinstance(composition.mechanisms[name], GridSearchControlMechanism)
-        }
-
-        for trial in range(num_trials):
-            # Reset per-trial state and the double buffers.
-            for offset, values in layout.state_reset_entries:
-                state_buf[offset : offset + len(values)] = values
-            for i in range(len(prev_buf)):
-                prev_buf[i] = 0.0
-                cur_buf[i] = 0.0
-            row = trial % buffers["rows"]
-            ext = (buffers["inputs"], row * layout.input_size)
-
-            call_counts = {name: 0 for name in layout.execution_order}
-            passes_run = 0
-            for pass_idx in range(layout.max_passes):
-                scheduler_state = cond.SchedulerState(
-                    pass_index=pass_idx,
-                    trial_index=trial,
-                    call_counts=dict(call_counts),
-                    outputs=self._outputs_view(prev_buf),
-                )
-                if pass_idx > 0 and composition.termination.is_satisfied(scheduler_state):
-                    break
-                for name in layout.execution_order:
-                    if not composition.conditions[name].is_satisfied(scheduler_state):
-                        continue
-                    if name in epoch_offsets:
-                        state_buf[epoch_offsets[name]] = float(
-                            trial * layout.max_passes + pass_idx
-                        )
-                    node_fns[name](params, state, (prev_buf, 0), (cur_buf, 0), ext)
-                    call_counts[name] += 1
-                    state_buf[count_offsets[name]] += 1.0
-                prev_buf[:] = cur_buf
-                if layout.monitor_size:
-                    record = (trial * layout.max_passes + pass_idx) * layout.monitor_size
-                    for node_name, (offset, size) in layout.monitor_layout.items():
-                        out_offset, _ = layout.output_offsets[node_name]
-                        buffers["monitor"][record + offset : record + offset + size] = prev_buf[
-                            out_offset : out_offset + size
-                        ]
-                passes_run = pass_idx + 1
-            base = trial * record_size
-            for node_name, (offset, size) in layout.result_layout.items():
-                out_offset, _ = layout.output_offsets[node_name]
-                buffers["results"][base + offset : base + offset + size] = prev_buf[
-                    out_offset : out_offset + size
-                ]
-            buffers["results"][base + layout.result_size] = float(passes_run)
-
-    def _outputs_view(self, prev_buf) -> Dict[str, np.ndarray]:
-        return {
-            name: np.array(prev_buf[offset : offset + size])
-            for name, (offset, size) in self.layout.output_offsets.items()
-        }
 
 
 def compile_composition(

@@ -14,7 +14,7 @@ after a model edit instead of recompiling from scratch:
 3. a *patch module* is generated with
    :class:`~repro.core.codegen.ModelCodeGenerator` in selective mode
    (``only=changed``): full bodies for the edited mechanisms and the pass
-   functions, bare ``node_<name>`` declarations for everything else.  The
+   function, bare ``node_<name>`` declarations for everything else.  The
    trial drivers (``run_trial``/``run_model``) are regenerated only when
    their :func:`~repro.core.codegen.driver_key` moved (state reset values,
    termination condition, buffer maps); otherwise the live ones stay;
@@ -24,12 +24,11 @@ after a model edit instead of recompiling from scratch:
    only the layout's default param values need swapping).  Otherwise the
    *patch scope* is the stale functions plus every caller that may inline
    one, transitively — callers stop at a ``noinline`` callee.  Node
-   functions are ``alwaysinline`` and the pass functions are ``noinline``
+   functions are ``alwaysinline`` and the pass function is ``noinline``
    (see :mod:`repro.core.codegen`), so a node edit scopes to
-   ``node_<name>`` and ``run_pass`` — plus ``run_pass_rest`` on a model
-   with a grid-search controller, the only kind that has one; every other
-   regenerated function is turned back into a declaration.  Unchanged
-   functions are never re-optimized.  A live compile without that call
+   ``node_<name>`` and ``run_pass``; every other regenerated function is
+   turned back into a declaration.  Unchanged functions are never
+   re-optimized.  A live compile without that call
    boundary (a scope function that is ``noinline`` in the patch module is
    not ``noinline`` in the live one) falls back to a full compile;
 5. the scoped functions are optimised with the model's own pipeline,
@@ -280,9 +279,12 @@ def _merge_grid_searches(model, regenerated) -> None:
 
 
 def _invalidate_engines(model) -> None:
+    """Drop every engine binding and the scheduler plan: both hold the
+    pre-edit callables, layout and grid levels."""
     model.close_engines()
     with model._engine_lock:
         model._engine_instances.clear()
+    model._grid_driver_plan = None
 
 
 def _swap_metadata(model, composition, info, layout) -> None:
@@ -318,8 +320,6 @@ def _adopt(model, fresh) -> None:
     model.function_fingerprints = fresh.function_fingerprints
     model.driver_key = fresh.driver_key
     model._compiled = fresh._compiled
-    with model._engine_lock:
-        model._engine_instances.clear()
 
 
 def _full_recompile(model, composition, store, started, reason: str) -> Dict[str, object]:
@@ -333,8 +333,8 @@ def _full_recompile(model, composition, store, started, reason: str) -> Dict[str
         flags=model.flags or None,
         store=store,
     )
-    _invalidate_engines(model)
     _adopt(model, fresh)
+    _invalidate_engines(model)
     elapsed = time.perf_counter() - started
     model.stats.recompile_seconds += elapsed
     return {
@@ -404,7 +404,7 @@ def recompile_model(
         )
 
     # The trial drivers are regenerated only when their inputs moved; the
-    # live ones otherwise stay, relinked to the new pass functions below.
+    # live ones otherwise stay, relinked to the new pass function below.
     new_driver_key = driver_key(new_composition, layout)
     drivers = new_driver_key != model.driver_key
     generator = ModelCodeGenerator(new_composition, info, layout, only=changed_set)
@@ -457,7 +457,7 @@ def recompile_model(
         patch_module, [fn.name for fn in patch_module.defined_functions() if fn.name not in scope]
     )
     # Live functions outside the scope whose lowered code calls into it
-    # (drivers left out of the patch module call the pass functions).
+    # (drivers left out of the patch module call the pass function).
     live_callers = _transitive_callers(callers, scope) - scope
     if not drivers:
         live_callers.update(DRIVER_FUNCTIONS)

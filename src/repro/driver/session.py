@@ -21,7 +21,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import threading
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -187,7 +187,6 @@ class Session:
         self.store = store
         self._lock = threading.RLock()
         self._models: Dict[Tuple, object] = {}
-        self._instances: Dict[Tuple, EngineInstance] = {}
         self.hits = 0
         self.misses = 0
         #: Tuned-pipeline counters: ``tuned_hits``/``tuned_misses`` count
@@ -287,10 +286,7 @@ class Session:
         # Bindings are memoized on the model itself, so the session, direct
         # `model.run(engine=...)` calls and other sessions holding the same
         # cached model all share one instance (and one worker pool).
-        instance = model.engine_instance(target)
-        with self._lock:
-            self._instances[(id(model), target)] = instance
-        return instance
+        return model.engine_instance(target)
 
     def run_batch(
         self,
@@ -416,8 +412,8 @@ class Session:
         full-compile fallback), then moves the model's cache entry to the
         key of its post-edit composition: the pre-edit key must not serve a
         model whose parameters have moved, and a later request for the
-        edited structure should hit.  Stale engine bindings are dropped (the
-        patch already closed them).
+        edited structure should hit.  The recompile itself drops the model's
+        stale engine bindings.
         """
         report = model.recompile(
             composition=composition, changed=changed, store=self.store
@@ -426,9 +422,6 @@ class Session:
             for key, cached in list(self._models.items()):
                 if cached is model:
                     del self._models[key]
-            for key in list(self._instances):
-                if key[0] == id(model):
-                    del self._instances[key]
             new_key = self._model_key(
                 model.composition, model.pipeline, model.seed, model.flags
             )
@@ -475,13 +468,20 @@ class Session:
         )
 
     # -- cache management ----------------------------------------------------------
+    def _cached_models(self) -> List[object]:
+        with self._lock:
+            return list(self._models.values())
+
     def cache_info(self) -> Dict[str, object]:
+        """Cache counters; ``instances`` counts the engine bindings the
+        cached models hold."""
+        instances = sum(len(model._engine_instances) for model in self._cached_models())
         with self._lock:
             return {
                 "hits": self.hits,
                 "misses": self.misses,
                 "models": len(self._models),
-                "instances": len(self._instances),
+                "instances": instances,
                 "tuned": {
                     "hits": self.tuned_hits,
                     "misses": self.tuned_misses,
@@ -491,17 +491,14 @@ class Session:
             }
 
     def close(self) -> None:
-        """Release engine-held resources (worker pools) of cached bindings."""
-        with self._lock:
-            instances = list(self._instances.values())
-        for instance in instances:
-            instance.close()
+        """Release engine-held resources (worker pools) of cached models."""
+        for model in self._cached_models():
+            model.close_engines()
 
     def clear(self) -> None:
         self.close()
         with self._lock:
             self._models.clear()
-            self._instances.clear()
             self.hits = 0
             self.misses = 0
             self.tuned_hits = 0

@@ -609,7 +609,9 @@ def _incremental_leg(spec: ModelSpec, config: OracleConfig, verdict: ModelVerdic
     """The edit-recompile differential: patched-in-place vs cold full compile.
 
     Perturbs one value site of ``spec`` (never shapes/structure), compiles
-    the *original* model, applies the edit through
+    the *original* model and runs it once on every engine (so engine
+    bindings and cached scheduler state exist before the edit), applies the
+    edit through
     :meth:`CompiledModel.recompile` (structural-diff path — no explicit
     ``changed=`` hints), cold-compiles the edited spec, and requires the raw
     result/monitor/state buffers — final per-mechanism PRNG counters
@@ -632,6 +634,14 @@ def _incremental_leg(spec: ModelSpec, config: OracleConfig, verdict: ModelVerdic
     try:
         try:
             patched = compile_composition(spec.build(), pipeline=pipeline_text)
+            for engine in config.resolved_engines():
+                try:
+                    raw_buffers(
+                        patched, spec.inputs, spec.num_trials, spec.run_seed, engine,
+                        **_engine_options(engine, config.workers),
+                    )
+                except Exception:  # noqa: BLE001 - only the post-edit runs are compared
+                    pass
             report = patched.recompile(composition=edited_spec.build())
         except Exception as exc:  # noqa: BLE001 - the oracle reports, never raises
             patched_error = f"{type(exc).__name__}: {exc}"

@@ -35,9 +35,9 @@ def fold_instruction(instr) -> Constant | None:
                 value = runtime.BINOP_IMPLS[instr.opcode](
                     convert(lhs.value), convert(rhs.value)
                 )
-            except (ZeroDivisionError, ValueError):
-                # sdiv/srem by zero and negative shift counts trap at run
-                # time; the instruction stays to trap there.
+            except ZeroDivisionError:
+                # sdiv/srem by zero traps at run time; the instruction
+                # stays to trap there.
                 return None
             return Constant(instr.type, value)
     elif isinstance(instr, FCmp):

@@ -9,8 +9,7 @@ from repro.cogframe import ReferenceRunner
 from repro.core.distill import compile_composition
 from repro.driver.engines import list_engines
 from repro.errors import EngineError
-from repro.fuzz.gen import generate_scale_spec
-from repro.models import MODEL_REGISTRY, multitasking, necker, predator_prey, stroop
+from repro.models import multitasking, necker, predator_prey, stroop
 
 
 def assert_results_match(reference, candidate, rtol=1e-9, atol=1e-12):
@@ -182,25 +181,6 @@ class TestCompiledArtifacts:
         assert info.kernel_name == "eval_control"
         assert info.counter_stride >= 2 * 6
         assert info.input_size == 6
-
-    @pytest.mark.parametrize(
-        "build",
-        [pytest.param(entry.build, id=name) for name, entry in MODEL_REGISTRY.items()]
-        + [
-            pytest.param(lambda: predator_prey.build_predator_prey("m"), id="predator_prey_m"),
-            pytest.param(lambda: predator_prey.build_predator_prey("l"), id="predator_prey_l"),
-            pytest.param(
-                lambda: generate_scale_spec(2, n_mechanisms=16).build(), id="scale_16"
-            ),
-        ],
-    )
-    def test_run_pass_rest_only_with_a_controller(self, build):
-        """The control-skipping pass copy exists exactly when a grid driver
-        can call it; without a controller it would duplicate ``run_pass``."""
-        composition = build()
-        compiled = compile_composition(composition, pipeline="default<O0>", store=False)
-        has_rest = "run_pass_rest" in compiled.module.functions
-        assert has_rest == bool(composition.control_nodes())
 
     def test_compile_stats_populated(self):
         compiled = compile_composition(stroop.build_botvinick_stroop(cycles=10), pipeline="default<O2>")

@@ -251,9 +251,8 @@ class TestSessionRecompile:
 
 
 class TestPatchScope:
-    """A one-node edit re-optimizes the node and the pass functions only —
-    ``run_pass``, plus ``run_pass_rest`` on a model with a controller; the
-    live trial drivers are relinked, never regenerated."""
+    """A one-node edit re-optimizes the node and ``run_pass`` only; the live
+    trial drivers are relinked, never regenerated."""
 
     def test_node_edit_scopes_to_the_pass_functions(self, monkeypatch):
         from repro.fuzz.oracle import OracleConfig, _final_rng_counters
@@ -297,9 +296,10 @@ class TestPatchScope:
             model.close_engines()
             cold.close_engines()
 
-    def test_node_edit_on_a_controlled_model_scopes_to_both_pass_functions(self):
+    def test_controlled_model_node_edit_scopes_to_run_pass(self):
         """On a model with a grid-search controller a non-control node edit
-        re-optimizes ``run_pass_rest`` too; the grid drivers call it."""
+        also re-optimizes only the node and ``run_pass``: the grid engines'
+        Python scheduler calls the node functions directly."""
         from repro.fuzz.oracle import _final_rng_counters
 
         edge = ("player_loc", "obs_player", "location")
@@ -308,7 +308,7 @@ class TestPatchScope:
         report = model.set_projection_matrix(*edge[:2], matrix, port=edge[2])
         assert report["mode"] == "patched"
         assert report["relowered"] == ["node_obs_player"]
-        assert report["optimized"] == ["node_obs_player", "run_pass", "run_pass_rest"]
+        assert report["optimized"] == ["node_obs_player", "run_pass"]
 
         cold_composition = pp.build_predator_prey("s")
         for projection in cold_composition.projections:
@@ -363,6 +363,56 @@ class TestPatchScope:
         finally:
             model.close_engines()
             cold.close_engines()
+
+
+class TestEnginesWarmedBeforeTheEdit:
+    """An engine that ran before an edit runs the edited model after it.
+
+    The Python scheduler caches its plan (node and helper callables, the
+    layout, the grid levels) on the model; a recompile must retire it with
+    the engine bindings.
+    """
+
+    TRIALS = 2
+
+    def _check(self, model, edit):
+        inputs = pp.default_inputs(self.TRIALS)
+        options = {"mcpu": {"workers": 2}}
+        try:
+            for engine in ("per-node", "mcpu", "gpu-sim"):
+                raw_buffers(model, inputs, self.TRIALS, 0, engine, **options.get(engine, {}))
+            edit(model)
+            reference = raw_buffers(model, inputs, self.TRIALS, 0, "compiled")
+            for engine in ("per-node", "mcpu", "gpu-sim"):
+                got = raw_buffers(
+                    model, inputs, self.TRIALS, 0, engine, **options.get(engine, {})
+                )
+                assert buffers_equal(reference, got) is None, engine
+        finally:
+            model.close_engines()
+        return reference
+
+    def test_node_edit(self):
+        def edit(model):
+            report = model.set_projection_matrix("obs_player", "action", 3.0, port="player")
+            assert report["mode"] == "patched"
+
+        self._check(compile_pp(), edit)
+
+    def test_grid_levels_edit(self):
+        levels = [[0.0, 1.5], [0.5, 4.0], [1.0, 3.0]]
+
+        def edit(model):
+            model.composition.mechanisms["control"].levels = levels
+            model.recompile(changed={"control"})
+
+        model = compile_pp()
+        results = self._check(model, edit)
+        size = model.layout.result_record_size()
+        offset, width = model.layout.result_layout["control"]
+        for trial in range(self.TRIALS):
+            allocation = results[0][trial * size + offset : trial * size + offset + width]
+            assert all(value in signal for value, signal in zip(allocation, levels))
 
 
 class TestStoreHitModels:
@@ -432,8 +482,8 @@ class TestStoreEntryWithoutCallBoundary:
 
         emit_run_pass = ModelCodeGenerator._emit_run_pass
 
-        def inlinable_run_pass(self, name, include_control):
-            fn = emit_run_pass(self, name, include_control)
+        def inlinable_run_pass(self):
+            fn = emit_run_pass(self)
             del fn.attributes["noinline"]
             fn.attributes["alwaysinline"] = True
             return fn

@@ -22,6 +22,7 @@ import pytest
 from repro.backends.grid_driver import (
     CandidateEvents,
     candidate_events_from_costs,
+    drive_elements,
     grid_strides,
     replay_selection,
 )
@@ -133,11 +134,7 @@ class TestTieDeterminism:
             reference = execute_raw(compiled, "compiled", INPUTS, 2)
             buffers = compiled.allocate_buffers(INPUTS, 2, 0)
             with MulticoreGridEvaluator(compiled, workers=2, chunk_multiplier=8) as ev:
-                from repro.backends.grid_driver import run_with_grid_driver
-
-                run_with_grid_driver(
-                    compiled, buffers, 2, batch_evaluator=ev.evaluate_batch
-                )
+                drive_elements(compiled, [(buffers, 2)], ev.evaluate_batch)
             assert list(buffers["results"]) == reference[0]
             assert list(buffers["state"]) == reference[2]
         finally:

@@ -51,6 +51,10 @@ EDGE_FLOATS = (
 #: that exercises truncating division.
 EDGE_INTS = (0, 1, -1, 7, -7)
 
+#: Shift amounts add the first amounts past 63 (with the negative ones,
+#: the out-of-range amounts the runtime defines).
+SHIFT_AMOUNTS = EDGE_INTS + (64, 65, 100)
+
 #: Integer cast sources add the i64 extremes.
 CAST_INTS = EDGE_INTS + (2**63 - 1, -(2**63))
 
@@ -72,20 +76,11 @@ CASTS = {
     "bitcast": (F64, F64, EDGE_FLOATS),
 }
 
-#: Known divergence: a negative shift amount raises ``ValueError`` on the
-#: scalar engines, while numpy's shifts return 0 (``shl``) or the sign
-#: (``ashr``) on lane arrays.
-NEGATIVE_SHIFT = pytest.mark.xfail(
-    strict=True, reason="shl/ashr by a negative amount: scalar raises, lane arrays do not"
-)
-
-
 def _op_cases():
     for op in FLOAT_BINOPS:
         yield pytest.param("binop", op, id=op)
     for op in INT_BINOPS:
-        marks = [NEGATIVE_SHIFT] if op in ("shl", "ashr") else []
-        yield pytest.param("binop", op, id=op, marks=marks)
+        yield pytest.param("binop", op, id=op)
     for op in CASTS:
         yield pytest.param("cast", op, id=op)
     for op in MATH_INTRINSICS:
@@ -102,6 +97,8 @@ def _signature(kind, op):
     if kind == "binop":
         if op in FLOAT_BINOPS:
             return [F64, F64], F64, list(itertools.product(EDGE_FLOATS, repeat=2))
+        if op in ("shl", "ashr"):
+            return [I64, I64], I64, list(itertools.product(EDGE_INTS, SHIFT_AMOUNTS))
         return [I64, I64], I64, list(itertools.product(EDGE_INTS, repeat=2))
     if kind == "cast":
         src, dst, inputs = CASTS[op]
@@ -234,12 +231,9 @@ def test_every_engine_agrees_with_the_runtime(kind, op, monkeypatch):
 
 def test_only_integer_division_by_zero_traps():
     """Every float binop, cast and intrinsic is total on the reference;
-    ``sdiv``/``srem`` raise ``ZeroDivisionError`` exactly on a zero divisor
-    (negative shift counts, the marked divergence above, aside)."""
+    ``sdiv``/``srem`` raise ``ZeroDivisionError`` exactly on a zero divisor."""
     for case in _op_cases():
         kind, op = case.values
-        if op in ("shl", "ashr"):
-            continue
         interp = Interpreter(build_op_module(kind, op))
         for args in _signature(kind, op)[2]:
             outcome = _outcome(lambda: interp.call("f", list(args)))
