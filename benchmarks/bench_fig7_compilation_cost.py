@@ -102,7 +102,13 @@ def _write_timing_report(path: str) -> None:
             f"{row['changed']} changed"
         )
     lines.append("")
-    lines.append(f"analysis cache: {compiled.analysis_stats}")
+    stats = compiled.stats
+    lines.append(
+        f"analysis cache: hits={stats.analysis_hits} misses={stats.analysis_misses} "
+        f"invalidations={stats.analysis_invalidations} "
+        f"skipped_passes={stats.analysis_skipped_passes} "
+        f"computed={stats.analysis_computed}"
+    )
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -293,6 +293,11 @@ class ValueRangePropagation:
                 ends = [runtime.fptosi(x, instr.type.width) for x in (base.lo, base.hi)]
                 ends += [0] if base.may_nan else []
                 return Interval(float(min(ends)), float(max(ends)))
+            if instr.opcode == "fptrunc":
+                # Rounding to binary32 is monotone; NaN stays NaN.
+                return Interval(
+                    runtime.fptrunc(base.lo), runtime.fptrunc(base.hi), base.may_nan
+                )
             return base
         if isinstance(instr, Call):
             return self._transfer_call(instr, get)

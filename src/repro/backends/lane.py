@@ -156,6 +156,14 @@ def _lint(x, width: int):
     return np.where(x >= bound, (1 << (width - 1)) - 1, clipped.astype(np.int64))
 
 
+def _lfptrunc(x):
+    """``fptrunc`` to binary32 (``runtime.fptrunc``): numpy's float32 cast
+    rounds to nearest even and overflows to ±inf."""
+    if not isinstance(x, np.ndarray):
+        return runtime.fptrunc(x)
+    return x.astype(np.float32).astype(np.float64)
+
+
 def _ltrunc(x, bits_mask: int):
     """``trunc`` to a narrower int width."""
     if isinstance(x, np.ndarray):
@@ -338,6 +346,7 @@ LANE_NAMESPACE: Dict[str, object] = {
     "_lsel": _lsel,
     "_lfloat": _lfloat,
     "_lint": _lint,
+    "_lfptrunc": _lfptrunc,
     "_ltrunc": _ltrunc,
     "_lload": _lload,
     "_lstore": _lstore,

@@ -84,7 +84,7 @@ from . import runtime
 #: Version of the Python lowering.  Artifact-store keys include it so cached
 #: compiled sources are invalidated whenever the emitter's output changes
 #: (bump on any change that alters generated source or its runtime contract).
-CODEGEN_VERSION = 4
+CODEGEN_VERSION = 5
 
 
 #: Operands are always simple names or constants, so ``fdiv`` tests the
@@ -1312,6 +1312,7 @@ class PythonCodeGenerator:
             "_shl": runtime.shl,
             "_ashr": runtime.ashr,
             "_fptosi": runtime.fptosi,
+            "_fptrunc": runtime.fptrunc,
             "_intrinsics": runtime.INTRINSIC_IMPLS,
             "_san_trap": runtime.sanitizer_trap,
         }
@@ -1475,7 +1476,9 @@ class PythonCodeGenerator:
                 f"{name} = int({source}) if {-bound!r} <= {source} < {bound!r} "
                 f"else _fptosi({source}, {width})"
             )
-        if instr.opcode in ("zext", "sext", "bitcast", "fpext", "fptrunc"):
+        if instr.opcode == "fptrunc":
+            return f"{name} = _fptrunc({source})"
+        if instr.opcode in ("zext", "sext", "bitcast", "fpext"):
             return f"{name} = {source}"
         if instr.opcode == "trunc":
             mask = (1 << instr.type.width) - 1
@@ -1774,7 +1777,9 @@ class LanePythonCodeGenerator(PythonCodeGenerator):
             if getattr(instr.value.type, "width", None) == 1:
                 return f"{name} = ({source} + 0)"
             return f"{name} = {source}"
-        if instr.opcode in ("bitcast", "fpext", "fptrunc"):
+        if instr.opcode == "fptrunc":
+            return f"{name} = _lfptrunc({source})"
+        if instr.opcode in ("bitcast", "fpext"):
             return f"{name} = {source}"
         if instr.opcode == "trunc":
             mask = (1 << instr.type.width) - 1

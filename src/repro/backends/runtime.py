@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import operator
+import struct
 from typing import List, Sequence, Tuple
 
 from ..cogframe import prng
@@ -246,6 +247,19 @@ def fptosi(x: float, width: int) -> int:
     return int(x)
 
 
+_BINARY32 = struct.Struct("f")
+
+
+def fptrunc(x: float) -> float:
+    """``fptrunc`` to ``float``: the nearest binary32 value (ties to even);
+    magnitudes past the binary32 range overflow to ±inf, NaN stays NaN and
+    the sign of zero is kept."""
+    try:
+        return _BINARY32.unpack(_BINARY32.pack(x))[0]
+    except OverflowError:  # rounds past FLT_MAX
+        return math.copysign(math.inf, x)
+
+
 def cast(opcode: str, value, ty: IRType):
     """The cast ``opcode`` of ``value`` to type ``ty``."""
     if opcode == "sitofp":
@@ -257,7 +271,9 @@ def cast(opcode: str, value, ty: IRType):
         return int(value) & ((1 << ty.width) - 1)
     if opcode in ("zext", "sext"):
         return int(value)
-    if opcode in ("fpext", "fptrunc"):
+    if opcode == "fptrunc":
+        return fptrunc(float(value))
+    if opcode == "fpext":
         return float(value)
     if opcode == "bitcast":
         return value

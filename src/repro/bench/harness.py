@@ -541,7 +541,7 @@ def figure7_cache_report(repeats: int = 3) -> FigureReport:
                 analysis_hits=stats.analysis_hits,
                 analysis_misses=stats.analysis_misses,
                 skipped_passes=stats.analysis_skipped_passes,
-                domtree_builds=compiled[mode].analysis_stats["computed"].get("domtree", 0),
+                domtree_builds=stats.analysis_computed.get("domtree", 0),
             )
         report.add(
             model=label,

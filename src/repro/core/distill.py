@@ -63,6 +63,8 @@ class CompileStats:
     analysis_misses: int = 0
     analysis_invalidations: int = 0
     analysis_skipped_passes: int = 0
+    #: Computations per analysis name (``{"domtree": 3, ...}``).
+    analysis_computed: Dict[str, int] = field(default_factory=dict)
     #: Every leaf pass run of the optimisation pipeline, per pass name:
     #: ``{name: {"seconds", "runs", "changed", "noops"}}`` (see
     #: ``AnalysisManager.record_pass``).  Work inside ``repeat``/``fixpoint``
@@ -123,9 +125,10 @@ class CompiledModel:
         self.flags = dict(flags or {})
         self.seed = int(seed)
         self.stats = stats
-        #: ``AnalysisManager.cache_info()`` of the compile that produced this
-        #: model (filled in by :func:`compile_composition`).
-        self.analysis_stats: Dict[str, object] = {}
+        #: Edits applied to this model by :func:`repro.core.patch.recompile_model`
+        #: (every path); a :class:`repro.Session` entry stored at another
+        #: count no longer serves its key.
+        self.edits = 0
         #: The generated Python source of the compiled backend (stored so the
         #: artifact store can replay it without re-lowering).
         self.source: Optional[str] = None
@@ -429,9 +432,9 @@ def compile_composition(
 
     Each compile owns one :class:`repro.analysis.manager.AnalysisManager`:
     analyses (dominator trees, loop info, ...) computed by one pass are
-    reused by later passes until invalidated.  Its hit/miss counters and its
-    per-pass run record are copied into :class:`CompileStats` (``passes``)
-    and ``CompiledModel.analysis_stats`` (reported by the Figure 7 harness).
+    reused by later passes until invalidated.  Its counters and its per-pass
+    run record are copied into :class:`CompileStats` (``analysis_*`` and
+    ``passes``, reported by the Figure 7 harness).
     Pass ``flags={"analysis_cache": False}`` for the cold reference
     configuration that recomputes every analysis per pass — used by the
     differential tests and benchmarks.
@@ -523,7 +526,6 @@ def compile_composition(
         stats.optimize_seconds = time.perf_counter() - start
         stats.instructions_after = artifacts.module.instruction_count()
         stats.artifact_hits += 1
-        analysis_stats = analysis_manager.cache_info()
     else:
         if store is not None:
             stats.artifact_misses += 1
@@ -542,8 +544,8 @@ def compile_composition(
         stats.analysis_misses = analysis_manager.misses
         stats.analysis_invalidations = analysis_manager.invalidations
         stats.analysis_skipped_passes = analysis_manager.skipped_passes
+        stats.analysis_computed = dict(analysis_manager.computed)
         stats.passes = analysis_manager.passes
-        analysis_stats = analysis_manager.cache_info()
         if store is not None:
             encoded_module = encode_module(artifacts.module)
             store.put(
@@ -588,7 +590,6 @@ def compile_composition(
         flags=flags,
         seed=seed,
     )
-    model.analysis_stats = analysis_stats
     model.source = source
     model.unit_fingerprints = unit_fps
     model.function_fingerprints = function_fps

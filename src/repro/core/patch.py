@@ -314,7 +314,6 @@ def _adopt(model, fresh) -> None:
     model.stats = fresh.stats
     model.stats.artifact_patches = patches
     model.stats.recompile_seconds = recompile_seconds
-    model.analysis_stats = fresh.analysis_stats
     model.source = fresh.source
     model.unit_fingerprints = fresh.unit_fingerprints
     model.function_fingerprints = fresh.function_fingerprints
@@ -371,6 +370,7 @@ def recompile_model(
     from ..ir.fingerprint import function_fingerprint
 
     started = time.perf_counter()
+    model.edits += 1
     stats = model.stats
     new_composition = composition if composition is not None else model.composition
 

@@ -17,11 +17,12 @@ incumbent — using three pieces of existing infrastructure:
    the same candidate list.
 
 2. **The equivalence gate** compiles each candidate and demands bitwise-equal
-   result/monitor/state buffers *and* final per-mechanism PRNG counters
-   against the incumbent on the model's own representative inputs — the PR-4
-   oracle bar, via the shared comparators in :mod:`repro.fuzz.compare` (not a
-   parallel implementation).  A candidate that fails is recorded in
-   provenance and never raced.
+   result/monitor/state buffers (the state buffer holds every mechanism's
+   final PRNG counter) against the incumbent on the model's own
+   representative inputs — the fuzz oracle's bar, through the same
+   :func:`repro.fuzz.compare.compare` the oracle legs call.  A candidate that
+   fails (a run that raises included) is recorded in provenance and never
+   raced.
 
 3. **The race** times survivors with noise-aware repeated runs (min-of-k
    after a warmup discard) and scores a weighted compile+run objective
@@ -104,11 +105,12 @@ class CandidateRecord:
     """Provenance of one candidate: what happened to it and why."""
 
     pipeline: str
-    #: "winner" | "equivalent" | "incumbent" | "rejected" | "error"
+    #: "winner" | "equivalent" | "incumbent" | "rejected" (failed the
+    #: equivalence gate) | "error" (did not compile)
     status: str
     equivalent: bool = False
-    #: Proof hash of the observed (buffers, PRNG counters); equivalent
-    #: candidates carry the incumbent's hash — auditable after the fact.
+    #: Proof hash of the observed buffers (or error); equivalent candidates
+    #: carry the incumbent's hash — auditable after the fact.
     proof: Optional[str] = None
     compile_s: float = 0.0
     run_s: float = 0.0
@@ -324,7 +326,7 @@ def run_autotune(
     and maintains the tuned-cache counters the serving daemon reports.
     """
     from ..core.distill import compile_composition
-    from ..fuzz.compare import buffers_equal, final_rng_counters, proof_hash, raw_buffers
+    from ..fuzz.compare import compare, observe, proof_hash, raw_buffers
 
     config = config or AutotuneConfig()
     store = resolve_store(store)
@@ -346,8 +348,7 @@ def run_autotune(
         baseline = raw_buffers(
             incumbent_model, inputs, num_trials, config.run_seed, "compiled"
         )
-        base_counters = final_rng_counters(incumbent_model, baseline[2])
-        base_proof = proof_hash(baseline, base_counters)
+        base_proof = proof_hash(baseline)
 
         if config.measure is not None:
             inc_compile_s, inc_run_s = config.measure(config.incumbent, incumbent_model)
@@ -394,25 +395,16 @@ def run_autotune(
                 record.detail = f"{type(exc).__name__}: {exc}"
                 continue
             try:
-                # Equivalence gate: bitwise buffers + final PRNG counters vs
-                # the incumbent, on the representative inputs.
-                try:
-                    observed = raw_buffers(
-                        model, inputs, num_trials, config.run_seed, "compiled"
-                    )
-                except Exception as exc:  # noqa: BLE001
-                    record.detail = f"{type(exc).__name__}: {exc}"
-                    continue
-                mismatch = buffers_equal(baseline, observed)
-                counters = final_rng_counters(model, observed[2])
-                if mismatch is None and counters != base_counters:
-                    mismatch = (
-                        f"final PRNG counters diverge: {base_counters} vs {counters}"
-                    )
+                # Equivalence gate: bitwise buffers vs the incumbent, on the
+                # representative inputs.
+                observed = observe(
+                    raw_buffers, model, inputs, num_trials, config.run_seed, "compiled"
+                )
+                mismatch = compare(baseline, observed, ("incumbent", "candidate"), model)
                 if mismatch is not None:
                     record.status = "rejected"
-                    record.proof = proof_hash(observed, counters)
-                    record.detail = mismatch
+                    record.proof = proof_hash(observed)
+                    record.detail = mismatch.detail
                     continue
                 record.equivalent = True
                 record.proof = base_proof

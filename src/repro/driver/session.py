@@ -186,7 +186,11 @@ class Session:
         #: store (see :func:`repro.driver.artifacts.resolve_store`).
         self.store = store
         self._lock = threading.RLock()
-        self._models: Dict[Tuple, object] = {}
+        #: key -> (model, ``model.edits`` when stored).  An edit made on the
+        #: model itself (``set_parameter``, ``recompile``) moves its count,
+        #: so the entry stops serving the pre-edit key without the lookup
+        #: re-fingerprinting the model.
+        self._models: Dict[Tuple, Tuple[object, int]] = {}
         self.hits = 0
         self.misses = 0
         #: Tuned-pipeline counters: ``tuned_hits``/``tuned_misses`` count
@@ -246,7 +250,7 @@ class Session:
         )
         key = self._model_key(composition, pipeline, seed, flags)
         with self._lock:
-            model = self._models.get(key)
+            model = self._unedited(key)
             if model is not None:
                 self.hits += 1
                 return model
@@ -256,12 +260,20 @@ class Session:
             composition, pipeline=pipeline, seed=seed, flags=flags, store=self.store
         )
         with self._lock:
-            winner = self._models.setdefault(key, model)
-            if winner is model:
-                self.misses += 1
-            else:
+            winner = self._unedited(key)
+            if winner is not None:
                 self.hits += 1
-        return winner
+                return winner
+            self._models[key] = (model, model.edits)
+            self.misses += 1
+        return model
+
+    def _unedited(self, key: Tuple):
+        """The model cached under ``key``, unless it was edited since."""
+        entry = self._models.get(key)
+        if entry is not None and entry[0].edits == entry[1]:
+            return entry[0]
+        return None
 
     def compile(
         self,
@@ -419,13 +431,13 @@ class Session:
             composition=composition, changed=changed, store=self.store
         )
         with self._lock:
-            for key, cached in list(self._models.items()):
+            for key, (cached, _) in list(self._models.items()):
                 if cached is model:
                     del self._models[key]
             new_key = self._model_key(
                 model.composition, model.pipeline, model.seed, model.flags
             )
-            self._models[new_key] = model
+            self._models[new_key] = (model, model.edits)
         return report
 
     # -- static safety suite -------------------------------------------------------
@@ -470,7 +482,7 @@ class Session:
     # -- cache management ----------------------------------------------------------
     def _cached_models(self) -> List[object]:
         with self._lock:
-            return list(self._models.values())
+            return [model for model, _ in self._models.values()]
 
     def cache_info(self) -> Dict[str, object]:
         """Cache counters; ``instances`` counts the engine bindings the

@@ -33,7 +33,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from . import oracle
 from .gen import ModelSpec, generate_model_spec
 from .oracle import (
     DEFAULT_PIPELINES,
@@ -43,7 +42,7 @@ from .oracle import (
     check_composition,
     check_spec,
 )
-from .reduce import reproducer_source, shrink_pipeline, shrink_spec
+from .reduce import _narrowed_config, reproducer_source, shrink_pipeline, shrink_spec
 
 __all__ = [
     "CampaignReport",
@@ -131,32 +130,6 @@ class CampaignReport:
         return report.format_table()
 
 
-def _narrowed_config(config: OracleConfig, divergence: Divergence) -> OracleConfig:
-    """An :class:`OracleConfig` reduced to the legs ``divergence`` needs.
-
-    Keeps the campaign's first pipeline as the comparison anchor (the
-    reproducer file asserts against it) plus the failing pipeline, and only
-    the baseline engine plus the diverging one; reference and cold-compile
-    legs run only for their own divergence kinds.
-    """
-    pipelines = [config.pipelines[0]]
-    if divergence.pipeline not in pipelines:
-        pipelines.append(divergence.pipeline)
-    engines = [oracle.BASELINE_ENGINE]
-    if divergence.engine and divergence.engine not in engines:
-        engines.append(divergence.engine)
-    return OracleConfig(
-        pipelines=tuple(pipelines),
-        engines=tuple(engines),
-        workers=config.workers,
-        check_reference=divergence.kind == "reference",
-        check_analysis_cache=divergence.kind == "analysis-cache",
-        check_sanitizer=divergence.kind == "sanitizer",
-        check_incremental=divergence.kind == "incremental",
-        check_lane=divergence.kind == "lane",
-    )
-
-
 def run_campaign(
     seed: int = 0,
     n_models: int = 25,
@@ -235,7 +208,7 @@ def run_campaign(
 
             failure.shrunk = shrink_spec(spec, still_fails)
             # Re-check the shrunk spec so the recorded divergence (pipeline,
-            # engine) matches what the reproducer file will assert on.
+            # engine) matches the legs the reproducer file replays.
             shrunk_verdict = check_spec(failure.shrunk, shrink_config)
             matching = [d for d in shrunk_verdict.divergences if d.kind == kind]
             if matching:
@@ -244,13 +217,7 @@ def run_campaign(
             os.makedirs(out_dir, exist_ok=True)
             path = os.path.join(out_dir, f"test_repro_seed_{model_seed}.py")
             with open(path, "w", encoding="utf-8") as handle:
-                handle.write(
-                    reproducer_source(
-                        failure.shrunk or spec,
-                        primary,
-                        baseline_pipeline=config.pipelines[0],
-                    )
-                )
+                handle.write(reproducer_source(failure.shrunk or spec, primary, config))
             failure.reproducer_path = path
         report.failures.append(failure)
 

@@ -80,8 +80,7 @@ def main(argv=None) -> int:
             "engine must reproduce the scalar compiled engine's per-element "
             "buffers (bitwise first, else within LANE_RTOL: numpy's "
             "transcendental kernels - exp, log, log1p, tanh, pow and the "
-            "rng_normal draw - may round differently from libm) and final "
-            "PRNG counters bitwise"
+            "rng_normal draw - may round differently from libm)"
         ),
     )
     parser.add_argument(

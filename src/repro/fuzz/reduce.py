@@ -17,22 +17,23 @@ none helps:
 Each candidate is validated by building + sanitizing the composition before
 the (expensive) oracle predicate runs; invalid mutations are simply skipped.
 The result is emitted as a self-contained pytest file whose body re-builds
-the model from source (see :meth:`ModelSpec.to_source`), re-runs the failing
-legs and asserts agreement — runnable with nothing but the repro package on
-``PYTHONPATH``.  Self-containedness assumes the failing pipeline references
-in-tree passes (the default campaign matrix does); a campaign run with an
-injected experimental pass must keep that pass importable/registered when
-replaying its reproducers.
+the model from source (see :meth:`ModelSpec.to_source`) and replays the
+oracle's failing legs through :func:`repro.fuzz.oracle.check_composition` —
+runnable with nothing but the repro package on ``PYTHONPATH``.
+Self-containedness assumes the failing pipeline references in-tree passes
+(the default campaign matrix does); a campaign run with an injected
+experimental pass must keep that pass importable/registered when replaying
+its reproducers.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import Callable, Iterator, List, Optional, Sequence
+from typing import Callable, Iterator, List, Optional
 
 from ..driver.pipeline import _split_top_level
-from .gen import ConditionSpec, ModelSpec
-from .oracle import Divergence
+from .gen import ConditionSpec, ModelSpec, perturb_spec
+from .oracle import BASELINE_ENGINE, Divergence, OracleConfig
 
 __all__ = ["shrink_spec", "shrink_pipeline", "reproducer_source"]
 
@@ -223,143 +224,87 @@ def shrink_pipeline(
 # Reproducer emission
 # ---------------------------------------------------------------------------
 
-_KIND_ASSERTIONS = {
-    "engine": '''\
-def {test_name}():
-    compiled = compile_composition(build_model(), pipeline=PIPELINE)
-    try:
-        baseline = _raw(compiled, "compiled")
-        candidate = _raw(compiled, {engine!r})
-    finally:
-        compiled.close_engines()
-    _assert_buffers_equal(baseline, candidate, "compiled vs {engine}")
-''',
-    "engine-error": '''\
-def {test_name}():
-    compiled = compile_composition(build_model(), pipeline=PIPELINE)
-    try:
-        baseline = _raw(compiled, "compiled")
-        candidate = _raw(compiled, {engine!r})
-    finally:
-        compiled.close_engines()
-    _assert_buffers_equal(baseline, candidate, "compiled vs {engine}")
-''',
-    "pipeline": '''\
-def {test_name}():
-    first = compile_composition(build_model(), pipeline="{first_pipeline}")
-    second = compile_composition(build_model(), pipeline=PIPELINE)
-    try:
-        baseline = _raw(first, "compiled")
-        candidate = _raw(second, "compiled")
-    finally:
-        first.close_engines()
-        second.close_engines()
-    _assert_buffers_equal(
-        baseline, candidate, "pipeline '{first_pipeline}' vs " + PIPELINE
-    )
-''',
-    "analysis-cache": '''\
-def {test_name}():
-    cached = compile_composition(build_model(), pipeline=PIPELINE)
-    cold = compile_composition(
-        build_model(), pipeline=PIPELINE, flags={{"analysis_cache": False}}
-    )
-    assert cold.print_ir() == cached.print_ir(), (
-        "cold vs cached analysis-manager compiles produced different IR"
-    )
-''',
-    "reference": '''\
-def {test_name}():
-    from repro.cogframe.runner import ReferenceRunner
 
-    reference = ReferenceRunner(build_model(), seed=RUN_SEED).run(
-        INPUTS, num_trials=NUM_TRIALS
-    )
-    compiled = compile_composition(build_model(), pipeline=PIPELINE)
-    try:
-        result = compiled.run(INPUTS, num_trials=NUM_TRIALS, seed=RUN_SEED)
-    finally:
-        compiled.close_engines()
-    assert [t.passes for t in reference.trials] == [t.passes for t in result.trials]
-    for index, (ref, cand) in enumerate(zip(reference.trials, result.trials)):
-        for node, value in ref.outputs.items():
-            np.testing.assert_allclose(
-                cand.outputs[node], value, rtol=1e-9, atol=1e-12,
-                err_msg=f"trial {{index}}, node {{node}}",
-            )
-''',
-}
+def _narrowed_config(config: OracleConfig, divergence: Divergence) -> OracleConfig:
+    """An :class:`OracleConfig` reduced to the legs ``divergence`` needs.
 
-_HELPERS = '''\
-def _raw(compiled, engine):
-    """Execute one engine; returns the raw (results, monitor, state) buffers."""
-    buffers = compiled.allocate_buffers(INPUTS, NUM_TRIALS, RUN_SEED)
-    options = {"workers": 2} if engine == "mcpu" else {}
-    compiled.engine_instance(engine).execute(buffers, NUM_TRIALS, **options)
-    return (
-        list(buffers["results"]),
-        list(buffers["monitor"]),
-        list(buffers["state"]),
+    Keeps the campaign's first pipeline as the comparison anchor plus the
+    failing pipeline, and only the baseline engine plus the diverging one
+    (the lane leg's engine is not a bitwise engine leg); reference, cold
+    compile, sanitizer, incremental and lane legs run only for their own
+    divergence kinds.  The shrinker re-runs the oracle under this config and
+    the reproducer file replays it.
+    """
+    pipelines = [config.pipelines[0]]
+    if divergence.pipeline not in pipelines:
+        pipelines.append(divergence.pipeline)
+    engines = [BASELINE_ENGINE]
+    if divergence.engine and divergence.kind != "lane" and divergence.engine not in engines:
+        engines.append(divergence.engine)
+    return OracleConfig(
+        pipelines=tuple(pipelines),
+        engines=tuple(engines),
+        workers=config.workers,
+        check_reference=divergence.kind == "reference",
+        check_analysis_cache=divergence.kind == "analysis-cache",
+        check_sanitizer=divergence.kind == "sanitizer",
+        check_incremental=divergence.kind == "incremental",
+        check_lane=divergence.kind == "lane",
     )
 
 
-def _assert_buffers_equal(a, b, label):
-    for name, left, right in zip(("results", "monitor", "state"), a, b):
-        assert np.array_equal(
-            np.asarray(left), np.asarray(right), equal_nan=True
-        ), f"{label}: {name} buffers differ\\n  baseline:  {left}\\n  candidate: {right}"
-'''
+def _build_function(spec: ModelSpec, name: str) -> str:
+    """The ``def name(): ...`` that builds ``spec``'s composition."""
+    return f"def {name}():" + spec.to_source().split("def build_model():", 1)[1]
 
 
 def reproducer_source(
     spec: ModelSpec,
     divergence: Divergence,
+    config: Optional[OracleConfig] = None,
     xfail_reason: Optional[str] = None,
-    baseline_pipeline: str = "default<O0>",
 ) -> str:
     """A self-contained pytest module reproducing ``divergence`` on ``spec``.
+
+    The test replays the oracle itself: :func:`check_composition` over the
+    model's source under ``config`` (the campaign's, default
+    :class:`OracleConfig`) narrowed to the legs ``divergence`` needs, as the
+    shrinker ran it, and asserts the verdict is clean.  An ``incremental``
+    reproducer also carries the edited model's source
+    (:func:`repro.fuzz.gen.perturb_spec` of ``spec``).
 
     With ``xfail_reason`` the test is emitted under
     ``@pytest.mark.xfail(strict=True)`` — the form in which still-open
     findings are committed to the suite (strictness makes the eventual fix
     flip the test loudly).
     """
-    template = _KIND_ASSERTIONS.get(divergence.kind)
-    if template is None:
-        template = _KIND_ASSERTIONS["engine"]
-    test_name = f"test_fuzz_seed_{spec.seed}_{divergence.kind.replace('-', '_')}"
-    body = template.format(
-        test_name=test_name,
-        engine=divergence.engine or "ir-interp",
-        first_pipeline=baseline_pipeline,
-    )
-    decorator = ""
-    if xfail_reason is not None:
-        decorator = (
-            f'@pytest.mark.xfail(strict=True, reason={xfail_reason!r})\n'
-        )
-        body = decorator + body
-    header = (
+    narrowed = _narrowed_config(config or OracleConfig(), divergence)
+    parts = [
         f'"""Fuzz reproducer: seed {spec.seed}, {divergence.describe()}\n\n'
         f"Auto-generated by repro.fuzz; replay the campaign with\n"
         f"    python -m repro.fuzz --seed {spec.seed} --n-models 1\n"
         f'"""\n\n'
-        "import numpy as np\n"
         "import pytest\n\n"
-        "from repro.core.distill import compile_composition\n\n"
+        "from repro.fuzz.oracle import OracleConfig, check_composition\n\n",
+        # The model's own source minus its module docstring.
+        spec.to_source().split('"""', 2)[2].lstrip("\n"),
+    ]
+    build_edited = None
+    perturbed = perturb_spec(spec, spec.seed) if narrowed.check_incremental else None
+    if perturbed is not None:
+        build_edited = "build_edited_model"
+        parts.append("\n" + _build_function(perturbed[0], build_edited))
+    test_name = f"test_fuzz_seed_{spec.seed}_{divergence.kind.replace('-', '_')}"
+    decorator = ""
+    if xfail_reason is not None:
+        decorator = f"@pytest.mark.xfail(strict=True, reason={xfail_reason!r})\n"
+    parts.append(
+        f"\nCONFIG = {narrowed!r}\n\n\n"
+        f"{decorator}def {test_name}():\n"
+        f"    verdict = check_composition(\n"
+        f"        build_model, INPUTS, NUM_TRIALS, RUN_SEED, CONFIG,\n"
+        f"        build_edited={build_edited},\n"
+        f"    )\n"
+        f'    assert verdict.ok, "\\n".join(d.describe() for d in verdict.divergences)\n'
     )
-    model_source = spec.to_source()
-    # Strip the generated module docstring; the reproducer has its own.
-    if model_source.startswith('"""'):
-        model_source = model_source.split('"""', 2)[2].lstrip("\n")
-    pipeline_line = f"PIPELINE = {divergence.pipeline!r}\n\n"
-    return (
-        header
-        + model_source
-        + "\n\n"
-        + pipeline_line
-        + "\n"
-        + _HELPERS
-        + "\n\n"
-        + body
-    )
+    return "\n".join(parts)

@@ -2,11 +2,9 @@
 
 A small set of strictly-semantics-preserving algebraic simplifications.  Note
 that the floating point identities are restricted to the ones that are valid
-under IEEE semantics for the value ranges cognitive models produce; the more
-aggressive reassociations the paper mentions are only applied when the
-floating-point VRP analysis proves the absence of NaN/Inf (see
-:mod:`repro.analysis.fastmath`), mirroring the paper's use of per-operation
-fast-math flags.
+under IEEE semantics; the identities that assume "no NaN / no Inf / no signed
+zero" apply only with ``allow_fast_math``, which clone detection's
+normalisation sets.
 """
 
 from __future__ import annotations
@@ -30,15 +28,10 @@ class InstCombine(FunctionPass):
     #: Peephole rewrites of non-terminators; the CFG shape never changes.
     preserves = "cfg"
 
-    def __init__(self, allow_fast_math: bool = False, fast_math_values: set | None = None):
+    def __init__(self, allow_fast_math: bool = False):
         #: When true, identities that assume "no NaN / no signed zero" are
-        #: enabled globally; otherwise only for values listed in
-        #: ``fast_math_values`` (ids of Value objects proven finite by VRP).
+        #: enabled (clone detection's normalisation sets it).
         self.allow_fast_math = allow_fast_math
-        self.fast_math_values = fast_math_values or set()
-
-    def _fast_ok(self, value: Value) -> bool:
-        return self.allow_fast_math or id(value) in self.fast_math_values
 
     def run_on_function(self, function: Function, am=None) -> bool:
         changed = False
@@ -86,7 +79,7 @@ class InstCombine(FunctionPass):
             return Constant(instr.type, 0)
 
         # x - x -> 0 and x + (-x): only valid when x cannot be NaN/Inf.
-        if op == "fsub" and lhs is rhs and self._fast_ok(lhs):
+        if op == "fsub" and lhs is rhs and self.allow_fast_math:
             return Constant(instr.type, 0.0)
 
         # Floating point: x * 1.0 and x / 1.0 are exact under IEEE.
@@ -102,14 +95,14 @@ class InstCombine(FunctionPass):
         if op == "fsub" and _const(rhs, 0.0):
             return lhs
         if op == "fadd":
-            if _const(rhs, 0.0) and self._fast_ok(lhs):
+            if _const(rhs, 0.0) and self.allow_fast_math:
                 return lhs
-            if _const(lhs, 0.0) and self._fast_ok(rhs):
+            if _const(lhs, 0.0) and self.allow_fast_math:
                 return rhs
 
         # x * 0.0 -> 0.0 requires "no NaN, no Inf, no signed zero" on x.
         if op == "fmul" and (_const(rhs, 0.0) or _const(lhs, 0.0)):
             other = lhs if _const(rhs, 0.0) else rhs
-            if self._fast_ok(other):
+            if self.allow_fast_math:
                 return Constant(instr.type, 0.0)
         return None

@@ -8,7 +8,6 @@ handlers that drain in-flight work before exit, and prints a ready line
 from __future__ import annotations
 
 import argparse
-import json
 import signal
 import sys
 
@@ -44,11 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="default per-request deadline (requests may override)",
     )
-    parser.add_argument(
-        "--final-stats",
-        action="store_true",
-        help="print the stats payload as JSON on clean shutdown",
-    )
     return parser
 
 
@@ -77,11 +71,7 @@ def main(argv=None) -> int:
 
     shown = server.address if isinstance(server.address, str) else "%s:%d" % tuple(server.address)
     print(f"repro-serve: listening on {shown}", flush=True)
-    try:
-        server.serve_forever()
-    finally:
-        if args.final_stats:
-            print(json.dumps(server.stats(), sort_keys=True), flush=True)
+    server.serve_forever()
     return 0
 
 

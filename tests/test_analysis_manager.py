@@ -458,7 +458,7 @@ class TestNestedPipelines:
         entry = MODEL_REGISTRY["predator_prey_s"]
         compiled = compile_composition(entry.build(), pipeline="default<O2>")
         assert not hasattr(compiled.pipeline, "analysis_manager")
-        assert compiled.analysis_stats["hits"] > 0  # captured before the clear
+        assert compiled.stats.analysis_hits > 0  # captured before the clear
 
 
 #: (runs, changed) per pass of predator_prey_s compiled at default<O2>.
@@ -573,9 +573,7 @@ def test_compile_stats_expose_cache_counters():
     assert stats.analysis_hits > 0
     assert stats.analysis_misses > 0
     assert stats.analysis_skipped_passes > 0
-    info = compiled.analysis_stats
-    assert info["enabled"] is True
-    assert info["computed"]["domtree"] >= 1
+    assert stats.analysis_computed["domtree"] >= 1
     # O0 runs no passes: the manager never engages.
     cold_o0 = compile_composition(entry.build(), pipeline="default<O0>")
     assert cold_o0.stats.analysis_hits == 0

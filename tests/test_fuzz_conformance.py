@@ -306,6 +306,92 @@ class TestBrokenPassShrinks:
 # ---------------------------------------------------------------------------
 
 
+#: Divergence kind -> the (pipeline, engine) of a synthetic divergence.
+REPRODUCER_KINDS = {
+    "engine": ("default<O1>", "ir-interp"),
+    "engine-error": ("default<O1>", "ir-interp"),
+    "pipeline": ("default<O2>", None),
+    "analysis-cache": ("default<O0>", None),
+    "reference": ("default<O0>", None),
+    "sanitizer": ("default<O0>", None),
+    "lane": ("default<O0>", "lane"),
+    "incremental": ("default<O0>", "compiled"),
+}
+
+
+def _force_divergence(kind, patch):
+    """Monkeypatch a fault that makes the oracle report a ``kind`` divergence."""
+    if kind in ("engine", "engine-error"):
+        from repro.backends.interp import _InterpreterInstance
+
+        real_execute = _InterpreterInstance.execute
+
+        def faulty_execute(self, buffers, num_trials, **options):
+            if kind == "engine-error":
+                raise RuntimeError("forced engine fault")
+            real_execute(self, buffers, num_trials, **options)
+            buffers["results"][0] += 1.0
+
+        patch.setattr(_InterpreterInstance, "execute", faulty_execute)
+    elif kind == "pipeline":
+        from repro.passes import InstCombine
+
+        real_combine = InstCombine.run_on_function
+
+        def flipping_combine(self, function, am=None):
+            changed = real_combine(self, function, am)
+            for instruction in function.instructions():
+                if isinstance(instruction, BinaryOp) and instruction.opcode == "fadd":
+                    instruction.opcode = "fsub"
+                    changed = True
+            return changed
+
+        patch.setattr(InstCombine, "run_on_function", flipping_combine)
+    elif kind == "analysis-cache":
+        from repro.core.distill import CompiledModel
+
+        real_print = CompiledModel.print_ir
+        patch.setattr(
+            CompiledModel, "print_ir", lambda self: real_print(self) + repr(self.flags)
+        )
+    elif kind == "reference":
+
+        def failing_run(self, inputs, num_trials=None):
+            raise RuntimeError("forced reference fault")
+
+        patch.setattr(ReferenceRunner, "run", failing_run)
+    elif kind == "sanitizer":
+        from repro.backends.pycodegen import _StructuredFunction
+
+        # Instrumentation that changes every float result it checks.
+        patch.setattr(
+            _StructuredFunction,
+            "_san_result_checks",
+            lambda self, instr, name: [f"{name} = {name} + 1.0"] if instr.type.is_float else [],
+        )
+    elif kind == "lane":
+        from repro.backends import lane as lane_module
+
+        real_batch = lane_module._LaneInstance.execute_batch
+
+        def corrupting_batch(self, elements, **options):
+            # Only a multi-element run_batch goes wrong, not a single run.
+            real_batch(self, elements, **options)
+            if len(elements) > 1:
+                elements[-1][0]["results"][0] += 1.0
+
+        patch.setattr(lane_module._LaneInstance, "execute_batch", corrupting_batch)
+    else:
+        from repro.core import patch as patch_module
+
+        real_recompile = patch_module.recompile_model
+
+        def stale_recompile(model, composition=None, changed=None, store=None):
+            return real_recompile(model, composition=model.composition, changed=set(), store=store)
+
+        patch.setattr(patch_module, "recompile_model", stale_recompile)
+
+
 class TestReduceAndWrite:
     def test_shrink_spec_respects_predicate_kind(self):
         spec = generate_model_spec(0)
@@ -315,14 +401,22 @@ class TestReduceAndWrite:
         assert len(shrunk.mechanisms) == 2
         sanitize(shrunk.build())  # still a valid model
 
-    def test_reproducer_source_green_model_passes(self):
-        spec = generate_model_spec(4)
-        divergence = Divergence("engine", "default<O1>", "ir-interp", "synthetic")
-        source = reproducer_source(spec, divergence)
-        namespace = {"__name__": "fuzz_reproducer"}
-        exec(compile(source, "<reproducer>", "exec"), namespace)
-        test_fn = next(v for k, v in namespace.items() if k.startswith("test_"))
-        test_fn()  # engines agree on a healthy model: the reproducer passes
+    def test_reproducer_source_green_model_passes(self, monkeypatch):
+        """Every divergence kind's reproducer replays its oracle leg: it
+        passes on a healthy model and fails under a fault that makes the
+        oracle report that kind."""
+        spec = generate_model_spec(0)
+        for kind, (pipeline, engine) in REPRODUCER_KINDS.items():
+            divergence = Divergence(kind, pipeline, engine, "synthetic")
+            source = reproducer_source(spec, divergence)
+            namespace = {"__name__": "fuzz_reproducer"}
+            exec(compile(source, f"<reproducer {kind}>", "exec"), namespace)
+            test_fn = next(v for k, v in namespace.items() if k.startswith("test_"))
+            test_fn()  # legs agree on a healthy model: the reproducer passes
+            with monkeypatch.context() as patch:
+                _force_divergence(kind, patch)
+                with pytest.raises(AssertionError, match=rf"\[{kind}\]"):
+                    test_fn()
 
     def test_reproducer_source_supports_strict_xfail(self):
         spec = generate_model_spec(4)

@@ -69,12 +69,21 @@ CASTS = {
     "fptosi": (F64, I64, EDGE_FLOATS),
     "fptosi_i32": (F64, I32, EDGE_FLOATS),
     "fpext": (F32, F64, EDGE_FLOATS),
-    "fptrunc": (F64, F32, EDGE_FLOATS),
+    "fptrunc": (F64, F32, EDGE_FLOATS + (0.1,)),
     "zext": (I32, I64, EDGE_INTS),
     "sext": (I32, I64, EDGE_INTS),
     "trunc": (I64, I32, CAST_INTS),
     "bitcast": (F64, F64, EDGE_FLOATS),
 }
+
+#: Results pinned independently of the runtime, ``(op, args) -> value``:
+#: ``fptrunc`` to ``float`` rounds to binary32 (overflowing to ±inf).
+PINNED = {
+    ("fptrunc", (1e308,)): math.inf,
+    ("fptrunc", (-1e308,)): -math.inf,
+    ("fptrunc", (0.1,)): 0.10000000149011612,
+}
+
 
 def _op_cases():
     for op in FLOAT_BINOPS:
@@ -214,7 +223,11 @@ def same(expected, got, result, rtol=0.0):
 def test_every_engine_agrees_with_the_runtime(kind, op, monkeypatch):
     inputs, result, outcomes = run_engines(kind, op, monkeypatch)
     reference = outcomes["ir-interp"]
-    mismatches = []
+    mismatches = [
+        ("pinned", args, PINNED[op, args], expected)
+        for args, expected in zip(inputs, reference)
+        if (op, args) in PINNED and not same(PINNED[op, args], expected, result)
+    ]
     for engine, values in outcomes.items():
         rtol = LANE_RTOL if engine == "lane" and op in TRANSCENDENTAL else 0.0
         for args, expected, got in zip(inputs, reference, values):
@@ -227,6 +240,17 @@ def test_every_engine_agrees_with_the_runtime(kind, op, monkeypatch):
             if not same(expected, got, result, rtol):
                 mismatches.append((engine, args, expected, got))
     assert not mismatches, mismatches[:10]
+
+
+def test_vrp_maps_fptrunc_through_the_rounding():
+    from repro.analysis.intervals import Interval
+    from repro.analysis.vrp import ValueRangePropagation
+
+    fn = build_op_module("cast", "fptrunc").functions["f"]
+    vrp = ValueRangePropagation(
+        fn, arg_ranges={"a0": Interval(0.1, 1e308)}, assume_normal_range=None
+    ).run()
+    assert (vrp.return_range.lo, vrp.return_range.hi) == (0.10000000149011612, math.inf)
 
 
 def test_only_integer_division_by_zero_traps():

@@ -130,6 +130,24 @@ class TestSessionCaching:
         assert session.compile_model(build_stroop(), flags={"analysis_cache": True}) is clean
         assert session.compile_model(build_stroop(), flags={"sanitize": False}) is clean
 
+    def test_edited_model_no_longer_serves_its_pre_edit_key(self):
+        """``set_parameter`` on a cached model edits it in place; a fresh
+        build of the original composition must then compile cold instead of
+        hitting the edited object."""
+        session = Session()
+        inputs = stroop.default_inputs("incongruent")
+        edited = session.compile_model(build_stroop())
+        edited.set_parameter("color_input", "slope", 2.0)
+        original = session.compile_model(build_stroop())
+        assert original is not edited
+        assert session.cache_info()["misses"] == 2
+        cold = compile_composition(build_stroop())
+        assert_results_match(
+            cold.run(inputs, num_trials=1), original.run(inputs, num_trials=1)
+        )
+        # The rebuilt entry is current again: the next request hits it.
+        assert session.compile_model(build_stroop()) is original
+
 
 class TestCachedResultsIdentical:
     @pytest.mark.parametrize(
