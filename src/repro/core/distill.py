@@ -218,25 +218,40 @@ class CompiledModel:
         return buffers
 
     def _collect_results(self, buffers, num_trials: int, engine: str) -> RunResults:
+        """Wrap the filled ``results``/``monitor`` buffers as a :class:`RunResults`.
+
+        Each buffer becomes one float64 array; every output is a slice of its
+        trial's record and every monitored step a row of its trial's block,
+        so the arrays handed out are views (copy one to own it).
+        """
         layout = self.layout
         results = RunResults(model_name=self.composition.name, engine=engine)
         record_size = layout.result_record_size()
-        for trial in range(num_trials):
+        flat = buffers["results"][: num_trials * record_size]
+        records = np.array(flat, dtype=float)
+        passes_run = list(map(int, flat[layout.result_size :: record_size]))
+        monitor_size = layout.monitor_size
+        if monitor_size:
+            # Convert only the steps that ran: a trial reserves max_passes
+            # steps, and one that terminates early leaves most of them unused.
+            steps = max(passes_run, default=0)
+            stride, used = layout.max_passes * monitor_size, steps * monitor_size
+            monitor = buffers["monitor"]
+            blocks = np.array(
+                [monitor[t * stride : t * stride + used] for t in range(num_trials)],
+                dtype=float,
+            ).reshape(num_trials, steps, monitor_size)
+        for trial, passes in enumerate(passes_run):
             base = trial * record_size
-            record = buffers["results"][base : base + record_size]
             outputs = {
-                name: np.array(record[offset : offset + size])
+                name: records[base + offset : base + offset + size]
                 for name, (offset, size) in layout.result_layout.items()
             }
-            passes = int(record[layout.result_size])
             monitored: Dict[str, List[np.ndarray]] = {}
-            if layout.monitor_size:
+            if monitor_size:
+                block = blocks[trial, :passes]
                 for name, (offset, size) in layout.monitor_layout.items():
-                    series = []
-                    for p in range(passes):
-                        slot = (trial * layout.max_passes + p) * layout.monitor_size + offset
-                        series.append(np.array(buffers["monitor"][slot : slot + size]))
-                    monitored[name] = series
+                    monitored[name] = list(block[:, offset : offset + size])
             results.trials.append(TrialResult(outputs=outputs, passes=passes, monitored=monitored))
         return results
 

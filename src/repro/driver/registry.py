@@ -34,6 +34,11 @@ _ALIAS_REGISTRY: Dict[str, Callable[[Optional[str]], List]] = {}
 
 _BUILTINS_LOADED = False
 
+#: Bumped by :func:`unregister_pass`: the one registry change that can alter
+#: what an already-parsed pipeline text means, so memoized parses (see
+#: :class:`repro.Session`) key on it.
+_GENERATION = 0
+
 
 def _ensure_builtins() -> None:
     """Import the built-in pass modules so their registrations run."""
@@ -68,7 +73,16 @@ def unregister_pass(name: str) -> bool:
     conformance fuzzer's deliberately-miscompiling pass) and must not leak
     them into the process-wide registry other tests and campaigns see.
     """
-    return _PASS_REGISTRY.pop(name, None) is not None
+    global _GENERATION
+    if _PASS_REGISTRY.pop(name, None) is None:
+        return False
+    _GENERATION += 1
+    return True
+
+
+def generation() -> int:
+    """How many passes were unregistered so far (see :data:`_GENERATION`)."""
+    return _GENERATION
 
 
 def register_pipeline_alias(name: str) -> Callable:

@@ -32,6 +32,7 @@ from ..passes.pass_manager import (
     RepeatPass,
     coerce_verify_policy,
 )
+from . import registry
 from .artifacts import normalize_flags, resolve_store, tuned_pipeline_key
 from .engines import EngineInstance, get_engine
 from .pipeline import resolve_pipeline
@@ -191,6 +192,12 @@ class Session:
         #: so the entry stops serving the pre-edit key without the lookup
         #: re-fingerprinting the model.
         self._models: Dict[Tuple, Tuple[object, int]] = {}
+        #: (pipeline text, verify policy, registry generation) -> pipeline
+        #: fingerprint: a textual pipeline seen before keys a lookup without
+        #: being parsed.  Fingerprints, not managers, are memoized: a
+        #: ``FixpointPass`` carries run state, so every compile gets a fresh
+        #: parse.
+        self._pipeline_fingerprints: Dict[Tuple[str, str, int], str] = {}
         self.hits = 0
         self.misses = 0
         #: Tuned-pipeline counters: ``tuned_hits``/``tuned_misses`` count
@@ -205,20 +212,26 @@ class Session:
         self.autotune_cached = 0
 
     # -- compilation -------------------------------------------------------------
-    def _model_key(
-        self,
-        composition: Composition,
-        pipeline: PassManager,
-        seed: int,
-        flags: Optional[Dict[str, object]],
-    ) -> Tuple:
-        return (
-            structural_fingerprint(composition),
-            _pipeline_fingerprint(pipeline),
-            int(seed),
-            pipeline.verify,
-            normalize_flags(flags),
-        )
+    def _pipeline_key(
+        self, pipeline: Union[str, PassManager], verify: Optional[str]
+    ) -> Tuple[Optional[PassManager], str, str]:
+        """``(manager, pipeline fingerprint, verify policy)`` of a request.
+
+        ``manager`` is ``None`` when a textual pipeline's fingerprint was
+        memoized: a cache hit then never parses it.
+        """
+        if isinstance(pipeline, PassManager):
+            manager = resolve_pipeline(pipeline, verify=verify)
+            return manager, _pipeline_fingerprint(manager), manager.verify
+        policy = coerce_verify_policy(self.default_verify if verify is None else verify)
+        memo_key = (pipeline, policy, registry.generation())
+        fingerprint = self._pipeline_fingerprints.get(memo_key)
+        if fingerprint is not None:
+            return None, fingerprint, policy
+        manager = resolve_pipeline(pipeline, verify=policy)
+        fingerprint = _pipeline_fingerprint(manager)
+        self._pipeline_fingerprints[memo_key] = fingerprint
+        return manager, fingerprint, policy
 
     def compile_model(
         self,
@@ -227,6 +240,7 @@ class Session:
         seed: int = 0,
         verify: Optional[str] = None,
         flags: Optional[Dict[str, object]] = None,
+        fingerprint: Optional[str] = None,
     ):
         """Compile (or fetch from cache) a composition; returns a
         :class:`repro.core.distill.CompiledModel`.
@@ -234,6 +248,12 @@ class Session:
         With ``verify=None`` a textual pipeline gets the session's default
         policy and a prebuilt :class:`PassManager` keeps its own; an
         explicit policy always wins (the manager is rewrapped, not mutated).
+
+        ``fingerprint`` is the caller's cached
+        ``structural_fingerprint(composition)``; passing it makes a hit on a
+        textual pipeline seen before a dict lookup.  It must describe
+        ``composition`` as it is now: a caller that edits a composition in
+        place recomputes it.
 
         Every (non-memoized) compile owns a fresh
         :class:`repro.analysis.manager.AnalysisManager`, so analyses are
@@ -245,19 +265,21 @@ class Session:
 
         if pipeline == "auto":
             pipeline = self.resolve_auto_pipeline(composition)
-        pipeline = resolve_pipeline(
-            pipeline, verify=verify, default_policy=self.default_verify
-        )
-        key = self._model_key(composition, pipeline, seed, flags)
+        if fingerprint is None:
+            fingerprint = structural_fingerprint(composition)
+        manager, pipeline_fp, policy = self._pipeline_key(pipeline, verify)
+        key = (fingerprint, pipeline_fp, int(seed), policy, normalize_flags(flags))
         with self._lock:
             model = self._unedited(key)
             if model is not None:
                 self.hits += 1
                 return model
+        if manager is None:
+            manager = resolve_pipeline(pipeline, verify=policy)
         # Compile outside the lock: compilation can take seconds and other
         # threads may be compiling unrelated models meanwhile.
         model = compile_composition(
-            composition, pipeline=pipeline, seed=seed, flags=flags, store=self.store
+            composition, pipeline=manager, seed=seed, flags=flags, store=self.store
         )
         with self._lock:
             winner = self._unedited(key)
@@ -283,17 +305,24 @@ class Session:
         seed: int = 0,
         verify: Optional[str] = None,
         flags: Optional[Dict[str, object]] = None,
+        fingerprint: Optional[str] = None,
     ) -> EngineInstance:
         """Compile a composition and bind it to ``target``; returns an
         :class:`EngineInstance` whose ``run(inputs, num_trials)`` executes
-        trials on that engine."""
+        trials on that engine.  ``fingerprint`` is as in
+        :meth:`compile_model`."""
         get_engine(target)  # validate the target before compiling
         if pipeline == "auto":
             # Tuned pipelines are cached per engine: resolve against the
             # race's target so a lane-tuned winner never leaks to "compiled".
             pipeline = self.resolve_auto_pipeline(composition, engine=target)
         model = self.compile_model(
-            composition, pipeline=pipeline, seed=seed, verify=verify, flags=flags
+            composition,
+            pipeline=pipeline,
+            seed=seed,
+            verify=verify,
+            flags=flags,
+            fingerprint=fingerprint,
         )
         # Bindings are memoized on the model itself, so the session, direct
         # `model.run(engine=...)` calls and other sessions holding the same
@@ -434,8 +463,12 @@ class Session:
             for key, (cached, _) in list(self._models.items()):
                 if cached is model:
                     del self._models[key]
-            new_key = self._model_key(
-                model.composition, model.pipeline, model.seed, model.flags
+            new_key = (
+                structural_fingerprint(model.composition),
+                _pipeline_fingerprint(model.pipeline),
+                model.seed,
+                model.pipeline.verify,
+                normalize_flags(model.flags),
             )
             self._models[new_key] = (model, model.edits)
         return report
@@ -511,6 +544,7 @@ class Session:
         self.close()
         with self._lock:
             self._models.clear()
+            self._pipeline_fingerprints.clear()
             self.hits = 0
             self.misses = 0
             self.tuned_hits = 0

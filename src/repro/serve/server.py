@@ -29,13 +29,16 @@ already dropped the broken pool.  Such transient failures are retried once
 before a structured ``engine_error`` is surfaced.  Admission rejects a
 ``workers`` run option outside ``1..os.cpu_count()`` and a ``num_trials``
 outside ``1..MAX_NUM_TRIALS``, so clients cannot size the daemon's worker
-pools or its per-dispatch buffers.  SIGTERM/SIGINT flip the daemon into
+pools or its per-dispatch buffers; a seed or ``compile_seed`` that is not an
+integer and a ``deadline_ms`` that is not a finite number bounce too, rather
+than being truncated or never expiring.  SIGTERM/SIGINT flip the daemon into
 draining mode: queued and in-flight work completes, new admissions are
 rejected with ``shutting_down``.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import socket
 import threading
@@ -91,6 +94,21 @@ def _admit_trials(trials) -> Optional[int]:
     if type(trials) is not int or not 1 <= trials <= MAX_NUM_TRIALS:
         raise ValueError(f"'num_trials' must be an integer in 1..{MAX_NUM_TRIALS}")
     return trials
+
+
+def _admit_seed(value, name: str) -> int:
+    """A seed: an int (bools, floats and strings bounce rather than being
+    truncated or parsed)."""
+    if type(value) is not int:
+        raise ValueError(f"'{name}' must be an integer")
+    return value
+
+
+def _admit_deadline(deadline_ms) -> float:
+    """A deadline in ms: a finite int or float (a NaN one would never expire)."""
+    if type(deadline_ms) not in (int, float) or not math.isfinite(deadline_ms):
+        raise ValueError("'deadline_ms' must be a finite number")
+    return float(deadline_ms)
 
 
 class _Connection:
@@ -414,7 +432,7 @@ class Server:
         pipeline = message.get("pipeline", DEFAULT_PIPELINE)
         if not isinstance(pipeline, str):
             raise ValueError("'pipeline' must be a pipeline description string")
-        compile_seed = int(message.get("compile_seed", 0))
+        compile_seed = _admit_seed(message.get("compile_seed", 0), "compile_seed")
         flags = message.get("flags")
         if flags is not None and not isinstance(flags, dict):
             raise ValueError("'flags' must be an object")
@@ -436,7 +454,7 @@ class Server:
         if op == "run":
             inputs = message["inputs"]
             trials = message.get("num_trials")
-            seed = int(message.get("seed", 0))
+            seed = _admit_seed(message.get("seed", 0), "seed")
             elements.append((inputs, _admit_trials(trials), seed))
         elif op == "run_batch":
             inputs_batch = message["inputs_batch"]
@@ -460,7 +478,7 @@ class Server:
                     (
                         inputs,
                         _admit_trials(element_trials),
-                        int(element_seed),
+                        _admit_seed(element_seed, "seed"),
                     )
                 )
 
@@ -479,8 +497,10 @@ class Server:
                 else arrived + self.config.default_deadline
             )
         else:
-            deadline = arrived + float(deadline_ms) / 1000.0
+            deadline = arrived + _admit_deadline(deadline_ms) / 1000.0
 
+        # key[1] is the composition's cached digest: dispatch hands it to the
+        # session, so a warm lookup never re-fingerprints the model.
         key = (
             "compile" if op == "compile" else "run",
             fingerprint,
@@ -612,6 +632,7 @@ class Server:
                 pipeline=head.pipeline,
                 seed=head.compile_seed,
                 flags=head.flags,
+                fingerprint=head.key[1],
             )
         except Exception as exc:  # noqa: BLE001 - mapped to a wire error
             self._fail_batch(batch, exc, retried=False)
@@ -642,6 +663,7 @@ class Server:
                 pipeline=head.pipeline,
                 seed=head.compile_seed,
                 flags=head.flags,
+                fingerprint=head.key[1],
             )
             return instance.run_batch(
                 inputs_batch, num_trials=trials_list, seed=seeds, **head.options

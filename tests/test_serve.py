@@ -510,6 +510,68 @@ class TestErrorsAndStats:
             served, solo_results(build_deterministic_cascade, CUSTOM_INPUTS, 3, 5)
         )
 
+    def test_seeds_and_deadlines_of_the_wrong_type_are_bad_request(self, tmp_path):
+        """A seed is an int and a deadline a finite number.  ``int()`` used
+        to run seed 1.5 as 1, ``true`` as 1 and ``"7"`` as 7, and a NaN
+        deadline never expired."""
+
+        def assert_bad_request(field, call, *args, **kwargs):
+            with pytest.raises(ServeError) as excinfo:
+                call(*args, **kwargs)
+            assert excinfo.value.code == "bad_request", (field, kwargs)
+            assert field in str(excinfo.value)
+
+        inf = float("inf")
+        with make_server(tmp_path) as server:
+            wait_for_server(server.address)
+            with ServeClient(server.address) as client:
+                for seed in (1.5, True, "7", None):
+                    assert_bad_request("seed", client.run, CUSTOM, CUSTOM_INPUTS, seed=seed)
+                    assert_bad_request(
+                        "seed", client.run_batch, CUSTOM, [CUSTOM_INPUTS] * 2, seed=[0, seed]
+                    )
+                for seed in (2.9, True, "7"):
+                    assert_bad_request(
+                        "compile_seed", client.run, CUSTOM, CUSTOM_INPUTS, compile_seed=seed
+                    )
+                    assert_bad_request("compile_seed", client.compile, CUSTOM, compile_seed=seed)
+                for deadline in (float("nan"), inf, -inf, True, "5"):
+                    assert_bad_request(
+                        "deadline_ms", client.run, CUSTOM, CUSTOM_INPUTS, deadline_ms=deadline
+                    )
+                assert client.stats()["session"]["models"] == 0
+                served = client.run(
+                    CUSTOM, CUSTOM_INPUTS, num_trials=2, seed=5, deadline_ms=60_000
+                )
+        assert_results_bitwise(
+            served, solo_results(build_deterministic_cascade, CUSTOM_INPUTS, 2, 5)
+        )
+
+    def test_warm_requests_hit_the_session_on_the_cached_digest(self, tmp_path, monkeypatch):
+        """Repeated requests for one model compile it once, and a warm hit
+        never re-fingerprints the composition."""
+        import repro.driver.session as session_module
+
+        calls = []
+        fingerprint = session_module.structural_fingerprint
+
+        def counting(composition):
+            calls.append(composition.name)
+            return fingerprint(composition)
+
+        with make_server(tmp_path) as server:
+            wait_for_server(server.address)
+            with ServeClient(server.address) as client:
+                client.run(CUSTOM, CUSTOM_INPUTS, seed=0)
+                monkeypatch.setattr(session_module, "structural_fingerprint", counting)
+                for seed in range(1, 4):
+                    client.run(CUSTOM, CUSTOM_INPUTS, seed=seed)
+                    client.compile(CUSTOM)
+                stats = client.stats()
+        assert stats["session"]["misses"] == 1
+        assert stats["session"]["hits"] == 6
+        assert calls == []
+
     def test_stats_schema(self, tmp_path):
         with make_server(tmp_path) as server:
             wait_for_server(server.address)

@@ -149,6 +149,77 @@ class TestSessionCaching:
         assert session.compile_model(build_stroop()) is original
 
 
+class TestSessionFastPath:
+    """A hit on a textual pipeline seen before, with the caller's cached
+    digest, is a dict lookup: no parse and no fingerprint."""
+
+    def test_hit_with_cached_fingerprint_is_a_dict_lookup(self, monkeypatch):
+        import repro.driver.session as session_module
+
+        session = Session()
+        first = session.compile(build_stroop())
+        digest = structural_fingerprint(build_stroop())
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("a warm hit must not parse or fingerprint")
+
+        for name in ("structural_fingerprint", "_pipeline_fingerprint", "resolve_pipeline"):
+            monkeypatch.setattr(session_module, name, forbidden)
+        assert session.compile(build_stroop(), fingerprint=digest) is first
+        assert session.compile_model(build_stroop(), fingerprint=digest) is first.model
+        info = session.cache_info()
+        assert info["hits"] == 2 and info["misses"] == 1
+
+    def test_verify_each_misses_after_a_boundary_hit_of_the_same_text(self):
+        session = Session()
+        boundary = session.compile_model(build_stroop(), pipeline="default<O1>")
+        assert session.compile_model(build_stroop(), pipeline="default<O1>") is boundary
+        each = session.compile_model(build_stroop(), pipeline="default<O1>", verify="each")
+        assert each is not boundary
+        assert each.pipeline.verify == "each"
+        info = session.cache_info()
+        assert info["hits"] == 1 and info["misses"] == 2
+
+    def test_prebuilt_pass_manager_still_keys_structurally(self):
+        session = Session()
+        text = session.compile_model(build_stroop(), pipeline="default<O1>")
+        manager = repro.parse_pipeline("default<O1>")
+        assert session.compile_model(build_stroop(), pipeline=manager) is text
+        # The memoized text is no shortcut for a different manager.
+        other = repro.parse_pipeline("default<O1>,cse")
+        assert session.compile_model(build_stroop(), pipeline=other) is not text
+        info = session.cache_info()
+        assert info["hits"] == 1 and info["misses"] == 2
+
+    def test_edited_model_not_served_under_its_pre_edit_digest(self):
+        session = Session()
+        digest = structural_fingerprint(build_stroop())
+        edited = session.compile_model(build_stroop(), fingerprint=digest)
+        edited.set_parameter("color_input", "slope", 2.0)
+        fresh = session.compile_model(build_stroop(), fingerprint=digest)
+        assert fresh is not edited
+        assert session.cache_info()["misses"] == 2
+        inputs = stroop.default_inputs("incongruent")
+        assert_results_match(
+            compile_composition(build_stroop()).run(inputs, num_trials=1),
+            fresh.run(inputs, num_trials=1),
+        )
+
+    def test_unregistered_pass_is_not_served_from_the_memo(self):
+        from repro.driver.registry import register_pass, unregister_pass
+        from repro.errors import PipelineParseError
+        from repro.passes.dce import DeadCodeElimination
+
+        session = Session()
+        register_pass("memo_probe")(DeadCodeElimination)
+        try:
+            session.compile_model(build_stroop(), pipeline="default<O1>,memo_probe")
+        finally:
+            assert unregister_pass("memo_probe")
+        with pytest.raises(PipelineParseError):
+            session.compile_model(build_stroop(), pipeline="default<O1>,memo_probe")
+
+
 class TestCachedResultsIdentical:
     @pytest.mark.parametrize(
         "build, inputs, trials",
