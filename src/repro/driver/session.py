@@ -170,6 +170,19 @@ def _pipeline_fingerprint(pipeline: PassManager) -> str:
     return repr(_pass_struct(pipeline))
 
 
+def _model_key(
+    fingerprint: str, pipeline_fp: str, seed: int, policy: str, flags
+) -> Tuple:
+    """The key a compiled model is cached under in :attr:`Session._models`."""
+    return (fingerprint, pipeline_fp, int(seed), policy, normalize_flags(flags))
+
+
+#: Entries kept in :attr:`Session._pipeline_fingerprints` before it is
+#: cleared: the memo is keyed by raw client text, so whitespace variants of
+#: one pipeline would otherwise each hold an entry for the daemon's lifetime.
+_PIPELINE_MEMO_LIMIT = 256
+
+
 class Session:
     """A compilation session with artifact memoization.
 
@@ -220,8 +233,12 @@ class Session:
         ``manager`` is ``None`` when a textual pipeline's fingerprint was
         memoized: a cache hit then never parses it.
         """
-        if isinstance(pipeline, PassManager):
-            manager = resolve_pipeline(pipeline, verify=verify)
+        if not isinstance(pipeline, str):
+            # A prebuilt manager (or a malformed value, which resolve_pipeline
+            # rejects with PipelineParseError) is resolved per call.
+            manager = resolve_pipeline(
+                pipeline, verify=verify, default_policy=self.default_verify
+            )
             return manager, _pipeline_fingerprint(manager), manager.verify
         policy = coerce_verify_policy(self.default_verify if verify is None else verify)
         memo_key = (pipeline, policy, registry.generation())
@@ -230,7 +247,10 @@ class Session:
             return None, fingerprint, policy
         manager = resolve_pipeline(pipeline, verify=policy)
         fingerprint = _pipeline_fingerprint(manager)
-        self._pipeline_fingerprints[memo_key] = fingerprint
+        with self._lock:
+            if len(self._pipeline_fingerprints) >= _PIPELINE_MEMO_LIMIT:
+                self._pipeline_fingerprints.clear()
+            self._pipeline_fingerprints[memo_key] = fingerprint
         return manager, fingerprint, policy
 
     def compile_model(
@@ -268,7 +288,7 @@ class Session:
         if fingerprint is None:
             fingerprint = structural_fingerprint(composition)
         manager, pipeline_fp, policy = self._pipeline_key(pipeline, verify)
-        key = (fingerprint, pipeline_fp, int(seed), policy, normalize_flags(flags))
+        key = _model_key(fingerprint, pipeline_fp, seed, policy, flags)
         with self._lock:
             model = self._unedited(key)
             if model is not None:
@@ -463,12 +483,12 @@ class Session:
             for key, (cached, _) in list(self._models.items()):
                 if cached is model:
                     del self._models[key]
-            new_key = (
+            new_key = _model_key(
                 structural_fingerprint(model.composition),
                 _pipeline_fingerprint(model.pipeline),
                 model.seed,
                 model.pipeline.verify,
-                normalize_flags(model.flags),
+                model.flags,
             )
             self._models[new_key] = (model, model.edits)
         return report

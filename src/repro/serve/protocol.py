@@ -135,11 +135,7 @@ def jsonable(value):
 
 def _array_to_wire(value) -> List[float]:
     # tolist() preserves shape (nested lists) and emits exact-repr floats.
-    # Engine results are already float64 arrays (views into one array per
-    # buffer), so they skip the conversion.
-    if type(value) is not np.ndarray or value.dtype != np.float64:
-        value = np.asarray(value, dtype=float)
-    return value.tolist()
+    return np.asarray(value, dtype=float).tolist()
 
 
 def results_to_wire(results: RunResults) -> Dict[str, object]:

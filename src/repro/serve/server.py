@@ -105,10 +105,16 @@ def _admit_seed(value, name: str) -> int:
 
 
 def _admit_deadline(deadline_ms) -> float:
-    """A deadline in ms: a finite int or float (a NaN one would never expire)."""
-    if type(deadline_ms) not in (int, float) or not math.isfinite(deadline_ms):
-        raise ValueError("'deadline_ms' must be a finite number")
-    return float(deadline_ms)
+    """A deadline in ms: a finite int or float (a NaN one would never expire).
+
+    JSON decodes a huge integer to an int no float can hold, so an overflow
+    bounces like any other non-finite deadline."""
+    try:
+        if type(deadline_ms) in (int, float) and math.isfinite(deadline_ms):
+            return float(deadline_ms)
+    except OverflowError:
+        pass
+    raise ValueError("'deadline_ms' must be a finite number")
 
 
 class _Connection:

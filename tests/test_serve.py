@@ -535,7 +535,7 @@ class TestErrorsAndStats:
                         "compile_seed", client.run, CUSTOM, CUSTOM_INPUTS, compile_seed=seed
                     )
                     assert_bad_request("compile_seed", client.compile, CUSTOM, compile_seed=seed)
-                for deadline in (float("nan"), inf, -inf, True, "5"):
+                for deadline in (float("nan"), inf, -inf, 10**400, True, "5"):
                     assert_bad_request(
                         "deadline_ms", client.run, CUSTOM, CUSTOM_INPUTS, deadline_ms=deadline
                     )

@@ -219,6 +219,27 @@ class TestSessionFastPath:
         with pytest.raises(PipelineParseError):
             session.compile_model(build_stroop(), pipeline="default<O1>,memo_probe")
 
+    def test_whitespace_variants_hit_one_model_and_the_memo_stays_bounded(self):
+        from repro.driver.session import _PIPELINE_MEMO_LIMIT
+
+        session = Session()
+        model = session.compile_model(build_stroop(), pipeline="default<O1>")
+        digest = structural_fingerprint(build_stroop())
+        variants = 2 * _PIPELINE_MEMO_LIMIT
+        for pad in range(1, variants + 1):
+            text = " " * pad + "default<O1>"
+            assert session.compile_model(build_stroop(), pipeline=text, fingerprint=digest) is model
+            assert len(session._pipeline_fingerprints) <= _PIPELINE_MEMO_LIMIT
+        info = session.cache_info()
+        assert info["hits"] == variants and info["misses"] == 1
+
+    def test_non_string_pipeline_is_a_parse_error(self):
+        from repro.errors import PipelineParseError
+
+        session = Session()
+        with pytest.raises(PipelineParseError, match="must be a string"):
+            session.compile_model(build_stroop(), pipeline=["default<O1>"])
+
 
 class TestCachedResultsIdentical:
     @pytest.mark.parametrize(
