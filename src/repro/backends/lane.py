@@ -241,9 +241,9 @@ def _lrng_n(buf, off, buf1, off1, m) -> np.ndarray:
 def _per_lane(scalar_fn, args, is_ptr, m):
     """Dispatch each active lane to the scalar compiled program.
 
-    The universal fallback: functions the relooper or the lane lowerer
-    cannot express run lane-by-lane through the *same* scalar callable the
-    ``compiled`` engine uses, so results stay bitwise identical.  Pointer
+    The universal fallback: functions the lane lowerer cannot express run
+    lane-by-lane through the *same* scalar callable the ``compiled`` engine
+    uses, so results stay bitwise identical.  Pointer
     args are ``(buffer, offset)`` with 2-D lane buffers; each lane's row is
     extracted to a plain list (the scalar calling convention), mutated in
     place, and written back unless the buffer is read-only (gpu-sim's
@@ -459,8 +459,8 @@ class _LaneInstance(EngineInstance):
     def __init__(self, engine_name: str, model):
         super().__init__(engine_name, model)
         self._program: Optional[LaneProgram] = None
-        #: Functions emitted as per-lane scalar-dispatch wrappers (the lane
-        #: analogue of ``CompileStats.dispatch_fallbacks``).
+        #: Functions emitted as per-lane scalar-dispatch wrappers (lane
+        #: lowering gaps: an intrinsic outside ``LANE_INTRINSICS``, a cast).
         self.lane_fallbacks: List[str] = []
         self.lane_fallback_reasons: Dict[str, str] = {}
         #: Trials folded onto the lane axis so far (see :meth:`_fold_trials`).

@@ -23,15 +23,12 @@ are reconstructed from the cached dominator-tree and loop-info analyses and
 rendered as native Python ``while``/``if``/``else``/``continue``/``break``.
 There is one region walk (:class:`_StructuredFunction`); the masked lane
 emitter (:class:`_LaneFunction`) reuses it and overrides only how each
-region is printed.  Only genuinely irreducible CFGs (which the model code
-generator never produces, but hand-written or fuzzed IR may) fall back per
-function to the block-dispatch ladder (``_block = N`` + ``while True:
-if/elif``); a fallback is recorded in ``dispatch_fallbacks`` and is never
-silent.  The ladder differs from the structured emitter only in its
-control flow and its pointer strategy (:class:`_DispatchPointers`): every
-instruction is lowered by the same :meth:`PythonCodeGenerator._emit_instruction`
-dialect.  The ``ir-interp`` engine is the structured emitter's bitwise
-reference (the fuzz oracle's engine leg).
+region is printed.  The walk is total on the reducible CFGs that IR
+generation and the pass pipeline produce; a function it cannot express (an
+irreducible CFG from hand-written IR or a user-registered pass, a loop with
+several exit targets) raises :class:`~repro.errors.CompilationError`, and
+such IR still runs on the ``ir-interp`` engine.  ``ir-interp`` is the
+structured emitter's bitwise reference (the fuzz oracle's engine leg).
 
 The structured emitter also plans memory and scalar traffic at codegen time:
 
@@ -44,8 +41,7 @@ The structured emitter also plans memory and scalar traffic at codegen time:
   loop-invariant ``(buffer, offset)`` call tuples are pooled into locals of
   the module factory function, captured by the generated functions' closures;
 * phi copies on an edge collapse into one parallel multiple-assignment, and
-  comparisons produce raw bools instead of ``1 if … else 0`` wrappers (both
-  are part of the one instruction dialect, so the ladder shares them).
+  comparisons produce raw bools instead of ``1 if … else 0`` wrappers.
 
 See DESIGN.md, "Structured emission and the frame planner".
 """
@@ -84,7 +80,7 @@ from . import runtime
 #: Version of the Python lowering.  Artifact-store keys include it so cached
 #: compiled sources are invalidated whenever the emitter's output changes
 #: (bump on any change that alters generated source or its runtime contract).
-CODEGEN_VERSION = 5
+CODEGEN_VERSION = 6
 
 
 #: Operands are always simple names or constants, so ``fdiv`` tests the
@@ -182,9 +178,9 @@ _POOL_MIN_REPR = 6
 class _Bailout(Exception):
     """Raised when a function cannot be expressed structurally.
 
-    The generator catches it per function and falls back to the dispatch
-    ladder, so a bailout is a performance event, never a correctness one
-    (except under ``sanitize=True``, which refuses to emit unchecked code).
+    :class:`PythonCodeGenerator` turns it into a ``CompilationError`` naming
+    the function; :class:`LanePythonCodeGenerator` catches it per function
+    and falls back to per-lane scalar dispatch.
     """
 
 
@@ -208,44 +204,6 @@ class _Ptr:
         return _Ptr(self.buf, self.base, self.const + delta)
 
 
-class _DispatchPointers:
-    """Ladder pointer strategy: every pointer value is a ``_buf``/``_off``
-    local pair, allocas allocate their own lists, GEPs compute offsets at
-    run time.  Used by the per-function dispatch-ladder fallback, because an
-    irreducible CFG has no valid frame plan: the planner's liveness
-    intervals are widened over natural loops, which such a CFG lacks."""
-
-    def __init__(self, gen: "PythonCodeGenerator"):
-        self.gen = gen
-
-    def _pair(self, value: Value) -> Tuple[str, str]:
-        name = self.gen._name(value)
-        return f"{name}_buf", f"{name}_off"
-
-    def pointer_ref(self, value: Value) -> Tuple[str, str]:
-        return self._pair(value)
-
-    def pointer_ref_plus1(self, value: Value) -> Tuple[str, str]:
-        buf, off = self._pair(value)
-        return buf, f"{off} + 1"
-
-    def call_arg(self, value: Value) -> str:
-        buf, off = self._pair(value)
-        return f"({buf}, {off})"
-
-    def emit_alloca(self, instr: Alloca) -> List[str]:
-        name = self.gen._name(instr)
-        slots = max(instr.allocated_type.slot_count(), 1)
-        return [f"{name}_buf = [0.0] * {slots}", f"{name}_off = 0"]
-
-    def emit_gep(self, instr: GEP) -> List[str]:
-        name = self.gen._name(instr)
-        base_buf, base_off = self._pair(instr.pointer)
-        const, dynamic = self.gen._gep_terms(instr)
-        terms = [base_off] + dynamic + ([str(const)] if const else [])
-        return [f"{name}_buf = {base_buf}", f"{name}_off = " + " + ".join(terms)]
-
-
 class _AllocaPlan:
     __slots__ = ("start", "size", "zero_at_site")
 
@@ -262,7 +220,6 @@ class _StructuredFunction:
 
     _LOOP = "loop"
     _FOLLOW = "follow"
-    _MAX_DEPTH = 400
 
     def __init__(self, gen: "PythonCodeGenerator", fn: Function):
         self.gen = gen
@@ -718,9 +675,15 @@ class _StructuredFunction:
     # region is *printed* is delegated to the hooks below, which
     # :class:`_LaneFunction` overrides.  ``mask`` is the lane emitter's
     # region mask and stays ``None`` in the scalar walk.
+    #
+    # A walk step is ``(block, ctx, mask)``.  Only a loop body and a
+    # conditional's arms open a nested chain (and are printed indented);
+    # the tail positions — a branch to its sole forward successor, the
+    # merges after a conditional, a loop's follow — continue the current
+    # chain's loop, so recursion depth is the region nesting depth.
     # ------------------------------------------------------------------
     def emit(self) -> List[str]:
-        lines = self._emit_chain(self.fn.entry_block, (), 0, self._ENTRY_MASK)
+        lines = self._emit_chain(self.fn.entry_block, (), self._ENTRY_MASK)
         if len(self.emitted) != len(self.reachable):
             raise _Bailout(
                 f"structured emission missed blocks in @{self.fn.name}"
@@ -728,36 +691,63 @@ class _StructuredFunction:
         return lines
 
     def _emit_chain(
-        self, block: BasicBlock, ctx: tuple, depth: int, mask: Optional[str]
+        self, block: BasicBlock, ctx: tuple, mask: Optional[str], in_loop: bool = False
     ) -> List[str]:
-        if depth > self._MAX_DEPTH:
-            raise _Bailout(f"region nesting too deep in @{self.fn.name}")
-        if id(block) in self.emitted:
-            raise _Bailout(f"block {block.name} reached twice in @{self.fn.name}")
-        self.emitted.add(id(block))
-        if id(block) not in self.loops_by_header:
-            return self._emit_block_code(block, ctx, depth + 1, mask)
-        follow = self.loop_follow[id(block)]
-        entry, body_mask, exit_mask = self._open_loop(block, follow)
-        body = self._emit_block_code(block, ctx + (entry,), depth + 1, body_mask)
-        lines = self._loop_lines(entry, mask, body)
-        if follow is not None:
-            # Phi copies for the exit edges were emitted at the break
-            # sites; here the follow either continues the enclosing
-            # construct or is emitted inline.
-            jump = self._try_goto(follow, ctx, [], exit_mask)
-            if jump is not None:
-                lines.extend(jump)
+        """The lines of the chain of regions starting at ``block``.
+
+        ``in_loop``: ``block`` is a loop header already entered by
+        :meth:`_emit_loop`, and the chain is that loop's body.
+        """
+        lines: List[str] = []
+        pending: List[tuple] = []  # merge steps still due here, the next last
+        while True:
+            if in_loop:
+                in_loop = False
+                step = self._emit_block_code(block, ctx, mask, lines, pending)
             else:
-                lines.extend(self._emit_chain(follow, ctx, depth + 1, exit_mask))
-        return lines
+                if id(block) in self.emitted:
+                    raise _Bailout(f"block {block.name} reached twice in @{self.fn.name}")
+                self.emitted.add(id(block))
+                if id(block) in self.loops_by_header:
+                    step = self._emit_loop(block, ctx, mask, lines)
+                else:
+                    step = self._emit_block_code(block, ctx, mask, lines, pending)
+            if step is None:
+                if not pending:
+                    return lines
+                step = pending.pop()
+            block, ctx, mask = step
+
+    def _emit_loop(
+        self, header: BasicBlock, ctx: tuple, mask: Optional[str], lines: List[str]
+    ) -> Optional[tuple]:
+        """Append the loop to ``lines``; the chain's next step."""
+        follow = self.loop_follow[id(header)]
+        entry, body_mask, exit_mask = self._open_loop(header, follow)
+        body = self._emit_chain(header, ctx + (entry,), body_mask, in_loop=True)
+        lines.extend(self._loop_lines(entry, mask, body))
+        if follow is None:
+            return None
+        # Phi copies for the exit edges were emitted at the break sites;
+        # here the follow either continues the enclosing construct or is
+        # the chain's next step.
+        jump = self._try_goto(follow, ctx, [], exit_mask)
+        if jump is not None:
+            lines.extend(jump)
+            return None
+        return follow, ctx, exit_mask
 
     def _emit_block_code(
-        self, block: BasicBlock, ctx: tuple, depth: int, mask: Optional[str]
-    ) -> List[str]:
+        self,
+        block: BasicBlock,
+        ctx: tuple,
+        mask: Optional[str],
+        lines: List[str],
+        pending: List[tuple],
+    ) -> Optional[tuple]:
+        """Append ``block``'s code to ``lines``; the chain's next step."""
         gen = self.gen
         self.cur_mask = mask
-        lines: List[str] = []
         term = None
         for instr in block.instructions:
             if isinstance(instr, Phi):
@@ -770,18 +760,24 @@ class _StructuredFunction:
             raise _Bailout(f"block {block.name} has no terminator")
         if isinstance(term, Return):
             lines.extend(self._return_lines(term, mask))
-            return lines
+            return None
         if isinstance(term, Branch):
-            lines.extend(self._realize_edge(block, term.target, ctx, depth, mask))
-            return lines
+            return self._realize_edge(block, term.target, ctx, mask, lines)
         if isinstance(term, CondBranch):
-            lines.extend(self._emit_cond(block, term, ctx, depth, mask))
-            return lines
+            return self._emit_cond(block, term, ctx, mask, lines, pending)
         raise _Bailout(f"unsupported terminator {term.opcode}")
 
     def _emit_cond(
-        self, block: BasicBlock, term: CondBranch, ctx: tuple, depth: int, mask: Optional[str]
-    ) -> List[str]:
+        self,
+        block: BasicBlock,
+        term: CondBranch,
+        ctx: tuple,
+        mask: Optional[str],
+        lines: List[str],
+        pending: List[tuple],
+    ) -> Optional[tuple]:
+        """Append the conditional to ``lines``; the chain's next step is
+        its first merge, and the later merges go to ``pending``."""
         deferred = self._deferred_ids(ctx)
         merges = [
             child
@@ -792,33 +788,59 @@ class _StructuredFunction:
             and len(self._forward_preds(child)) >= 2
         ]
         merges.sort(key=lambda b: self.rpo_index[id(b)])
-        lines, tmask, fmask, merge_masks = self._open_cond(term.condition, mask, merges)
+        open_lines, tmask, fmask, merge_masks = self._open_cond(term.condition, mask, merges)
+        lines.extend(open_lines)
         follows = [(self._FOLLOW, m, acc) for m, acc in zip(merges, merge_masks)]
         arm_ctx = ctx + tuple(reversed(follows))
-        true_lines = self._realize_edge(block, term.true_block, arm_ctx, depth, tmask)
-        false_lines = self._realize_edge(block, term.false_block, arm_ctx, depth, fmask)
+        true_lines = self._emit_arm(block, term.true_block, arm_ctx, tmask)
+        false_lines = self._emit_arm(block, term.false_block, arm_ctx, fmask)
         lines.extend(
             self._cond_lines(term.condition, tmask, fmask, true_lines, false_lines)
         )
-        for i, merge in enumerate(merges):
-            rest = ctx + tuple(reversed(follows[i + 1 :]))
-            lines.extend(self._emit_chain(merge, rest, depth + 1, merge_masks[i]))
+        # Each merge falls through to the next one, so merge ``i`` runs with
+        # the later merges still pending in its context.
+        steps = [
+            (merge, ctx + tuple(reversed(follows[i + 1 :])), merge_masks[i])
+            for i, merge in enumerate(merges)
+        ]
+        if not steps:
+            return None
+        pending.extend(reversed(steps[1:]))
+        return steps[0]
+
+    def _emit_arm(
+        self, source: BasicBlock, target: BasicBlock, ctx: tuple, mask: Optional[str]
+    ) -> List[str]:
+        """The lines of one conditional arm: a nested chain."""
+        lines: List[str] = []
+        step = self._realize_edge(source, target, ctx, mask, lines)
+        if step is not None:
+            lines.extend(self._emit_chain(*step))
         return lines
 
     def _realize_edge(
-        self, source: BasicBlock, target: BasicBlock, ctx: tuple, depth: int, mask: Optional[str]
-    ) -> List[str]:
+        self,
+        source: BasicBlock,
+        target: BasicBlock,
+        ctx: tuple,
+        mask: Optional[str],
+        lines: List[str],
+    ) -> Optional[tuple]:
+        """Append the edge's jump to ``lines``, or its phi copies when
+        ``target`` is emitted next (the returned step)."""
         copies = self._edge_copies(source, target, mask)
         jump = self._try_goto(target, ctx, copies, mask)
         if jump is not None:
-            return jump
+            lines.extend(jump)
+            return None
         forward = self._forward_preds(target)
         if id(target) in self.emitted or len(forward) != 1 or forward[0] is not source:
             raise _Bailout(
                 f"edge {source.name} -> {target.name} in @{self.fn.name} is "
                 f"not expressible structurally"
             )
-        return copies + self._emit_chain(target, ctx, depth + 1, mask)
+        lines.extend(copies)
+        return target, ctx, mask
 
     def _try_goto(
         self, target: BasicBlock, ctx: tuple, copies: List[str], mask: Optional[str]
@@ -1099,8 +1121,8 @@ class PythonCodeGenerator:
     loop info — served by ``analysis_manager`` when one is supplied, so a
     compile reuses the pipeline's cached analyses — and alloca frames, GEP
     offsets, pooled constants and intrinsic bindings are planned at
-    emission time.  A function the relooper bails on is emitted as a
-    block-dispatch ladder instead.
+    emission time.  A function the relooper cannot express raises
+    ``CompilationError``.
     """
 
     def __init__(
@@ -1116,11 +1138,6 @@ class PythonCodeGenerator:
         self.analysis_manager = analysis_manager
         self._value_names: Dict[int, str] = {}
         self._counter = 0
-        #: Functions that fell back to the dispatch ladder (irreducible or
-        #: structurally inexpressible CFGs); inspected by tests and reports.
-        self.dispatch_fallbacks: List[str] = []
-        #: function name -> the relooper bail reason (the _Bailout message).
-        self.dispatch_fallback_reasons: Dict[str, str] = {}
         # -- factory-level pools --------------------------------------------
         self._float_uses = self._count_float_uses()
         self._pool: Dict[str, str] = {}
@@ -1326,20 +1343,10 @@ class PythonCodeGenerator:
     # -- per function ------------------------------------------------------------------
     def _emit_function(self, fn: Function) -> List[str]:
         try:
-            return self._emit_function_structured(fn)
+            emitter = _StructuredFunction(self, fn)
+            body = emitter.emit()
         except _Bailout as exc:
-            if self.sanitize:
-                raise CompilationError(
-                    f"sanitize=True cannot check @{fn.name}: the relooper bailed "
-                    f"({exc}) and the dispatch-ladder fallback is unsanitized"
-                ) from None
-            self.dispatch_fallbacks.append(fn.name)
-            self.dispatch_fallback_reasons[fn.name] = str(exc)
-        return self._emit_function_dispatch(fn)
-
-    def _emit_function_structured(self, fn: Function) -> List[str]:
-        emitter = _StructuredFunction(self, fn)
-        body = emitter.emit()
+            raise CompilationError(f"cannot lower @{fn.name}: {exc}") from None
         args = ", ".join(self._name(arg) for arg in fn.args)
         lines = [f"def {self._py_name(fn)}({args}):"]
         prologue = self._unpack_pointer_args(fn) + emitter.prologue()
@@ -1353,61 +1360,12 @@ class PythonCodeGenerator:
             for name in (self._name(arg) for arg in fn.args if arg.type.is_pointer)
         ]
 
-    def _emit_function_dispatch(self, fn: Function) -> List[str]:
-        """Fallback emission: a ``while True`` dispatch ladder over block ids.
-
-        Used per function for CFGs the structured emitter cannot express
-        (irreducible graphs in particular).  Only the control flow
-        (this method, :meth:`_emit_block_body`, :meth:`_emit_terminator`)
-        and the pointer strategy are the ladder's own; instructions and phi
-        copies are emitted exactly as in structured code.
-        """
-        ptrs = _DispatchPointers(self)
-        args = ", ".join(self._name(arg) for arg in fn.args)
-        lines = [f"def {self._py_name(fn)}({args}):"]
-        block_ids = {id(block): i for i, block in enumerate(fn.blocks)}
-        body = self._unpack_pointer_args(fn)
-        if len(fn.blocks) == 1:
-            body.extend(self._emit_block_body(fn, fn.blocks[0], block_ids, True, ptrs))
-        else:
-            body.append("_block = 0")
-            body.append("while True:")
-            for i, block in enumerate(fn.blocks):
-                keyword = "if" if i == 0 else "elif"
-                body.append(f"    {keyword} _block == {i}:")
-                block_lines = self._emit_block_body(fn, block, block_ids, False, ptrs)
-                body.extend(f"        {line}" for line in block_lines)
-        lines.extend(f"    {line}" for line in body)
-        return lines
-
-    # -- per block ------------------------------------------------------------------------
-    def _emit_block_body(
-        self,
-        fn: Function,
-        block: BasicBlock,
-        block_ids: Dict[int, int],
-        single: bool,
-        ptrs,
-    ) -> List[str]:
-        lines: List[str] = []
-        for instr in block.instructions:
-            if isinstance(instr, Phi):
-                continue  # materialised on the incoming edges
-            if instr.is_terminator:
-                lines.extend(self._emit_terminator(fn, block, instr, block_ids, single))
-            else:
-                lines.extend(self._emit_instruction(instr, ptrs))
-        if not lines:
-            lines.append("pass")
-        return lines
-
     def _emit_instruction(self, instr, ptrs) -> List[str]:
         """One instruction in the one scalar dialect.
 
-        ``ptrs`` is the pointer strategy: the :class:`_StructuredFunction`
-        frame planner, or the ladder's :class:`_DispatchPointers`.  The
-        ladder never runs under ``sanitize`` (a bail raises instead), so
-        the sanitizer hooks are only reached through the planner.
+        ``ptrs`` is the function's :class:`_StructuredFunction`: its frame
+        and pointer planner resolves pointers, and under ``sanitize`` it
+        supplies the checks.
         """
         name = self._name(instr)
         if isinstance(instr, BinaryOp):
@@ -1556,7 +1514,7 @@ class PythonCodeGenerator:
         lines.append(f"{buf1}[{off1}] = _rc + 2")
         return lines
 
-    # -- terminators and phi copies ------------------------------------------------------------
+    # -- phi copies ------------------------------------------------------------------------
     def _phi_moves(self, source: BasicBlock, target: BasicBlock) -> List[Tuple[str, str]]:
         """``(phi, incoming value)`` local pairs the edge must assign."""
         moves: List[Tuple[str, str]] = []
@@ -1581,38 +1539,6 @@ class PythonCodeGenerator:
         sources = ", ".join(value for _, value in moves)
         return [f"{targets} = {sources}"]
 
-    def _emit_terminator(
-        self,
-        fn: Function,
-        block: BasicBlock,
-        instr,
-        block_ids: Dict[int, int],
-        single: bool,
-    ) -> List[str]:
-        if isinstance(instr, Return):
-            if instr.value is None:
-                return ["return None"]
-            return [f"return {self._name(instr.value)}"]
-        if isinstance(instr, Branch):
-            lines = self._phi_copies(block, instr.target)
-            lines.append(f"_block = {block_ids[id(instr.target)]}")
-            lines.append("continue")
-            return lines
-        if isinstance(instr, CondBranch):
-            cond = self._name(instr.condition)
-            lines = [f"if {cond}:"]
-            taken = self._phi_copies(block, instr.true_block)
-            taken.append(f"_block = {block_ids[id(instr.true_block)]}")
-            lines.extend(f"    {line}" for line in taken)
-            lines.append("else:")
-            fallthrough = self._phi_copies(block, instr.false_block)
-            fallthrough.append(f"_block = {block_ids[id(instr.false_block)]}")
-            lines.extend(f"    {line}" for line in fallthrough)
-            lines.append("continue")
-            return lines
-        raise NotImplementedError(f"terminator {instr.opcode}")
-
-
 #: Lane-mode binops that lower through the scalar templates (the lane
 #: namespace binds ``_shl``/``_ashr`` to lane-aware helpers).  Division and
 #: remainder need helpers (IEEE semantics / masked zero checks), so they are
@@ -1635,17 +1561,19 @@ class LanePythonCodeGenerator(PythonCodeGenerator):
     transcendental intrinsics (``LANE_INTRINSICS``) run numpy's kernels and
     may differ from libm in the final ulp (:data:`repro.fuzz.oracle.LANE_RTOL`).
 
-    Functions the relooper bails on (irreducible CFGs, multi-exit loops …)
-    are emitted as per-lane wrappers that dispatch each active lane to the
-    scalar compiled program, recorded in :attr:`lane_fallbacks` — the lane
-    engine's analogue of ``dispatch_fallbacks``.
+    A function with an instruction the lane dialect cannot lower (an
+    intrinsic outside ``LANE_INTRINSICS``, an unsupported cast) is emitted
+    as a per-lane wrapper that dispatches each active lane to the scalar
+    compiled program, recorded in :attr:`lane_fallbacks`.  Control flow
+    never causes one: the lane emitter shares the scalar relooper walk, and
+    the scalar compile already refused any function the walk cannot express.
     """
 
     def __init__(self, module: Module, prefix: str = "lane", analysis_manager=None):
         super().__init__(module, prefix=prefix, analysis_manager=analysis_manager)
         #: Functions emitted as per-lane scalar-dispatch wrappers.
         self.lane_fallbacks: List[str] = []
-        #: function name -> the relooper/lowering bail reason.
+        #: function name -> the lowering bail reason.
         self.lane_fallback_reasons: Dict[str, str] = {}
         #: exec-namespace symbol -> IR function name of the scalar callable
         #: the symbol must be bound to (fed from ``CompiledModel._compiled``).

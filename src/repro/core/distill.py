@@ -84,10 +84,6 @@ class CompileStats:
     artifact_patches: int = 0
     #: Wall-clock spent in incremental recompiles of this model (cumulative).
     recompile_seconds: float = 0.0
-    #: Functions the structured emitter could not express and lowered through
-    #: the dispatch ladder, plus the relooper's reason per function.
-    dispatch_fallbacks: List[str] = field(default_factory=list)
-    dispatch_fallback_reasons: Dict[str, str] = field(default_factory=dict)
 
     @property
     def total_seconds(self) -> float:
@@ -575,8 +571,7 @@ def compile_composition(
 
     # Lowering: the structured emitter reconstructs loops/conditionals from
     # the dominator-tree and loop-info analyses the pipeline already cached;
-    # a function the relooper bails on falls back to the dispatch ladder
-    # (recorded in ``stats.dispatch_fallbacks``).
+    # a function the relooper cannot express raises ``CompilationError``.
     start = time.perf_counter()
     generator = PythonCodeGenerator(
         artifacts.module,
@@ -586,8 +581,6 @@ def compile_composition(
     source = generator.generate_source()
     compiled_functions = generator.exec_source(source)
     stats.lower_seconds = time.perf_counter() - start
-    stats.dispatch_fallbacks = list(generator.dispatch_fallbacks)
-    stats.dispatch_fallback_reasons = dict(generator.dispatch_fallback_reasons)
 
     # The manager's lifetime is this compile: release the cached analyses so
     # session-memoized models do not pin dominator trees and range maps that
@@ -629,8 +622,6 @@ def compile_composition(
                 "function_fingerprints": function_fps,
                 "instructions_before": stats.instructions_before,
                 "instructions_after": stats.instructions_after,
-                "dispatch_fallbacks": stats.dispatch_fallbacks,
-                "dispatch_fallback_reasons": stats.dispatch_fallback_reasons,
             },
         )
         stats.artifact_writes += 1
@@ -674,8 +665,6 @@ def _model_from_store_entry(
     stats.instructions_before = entry["instructions_before"]
     stats.instructions_after = entry["instructions_after"]
     stats.artifact_hits += 1
-    stats.dispatch_fallbacks = list(entry["dispatch_fallbacks"])
-    stats.dispatch_fallback_reasons = dict(entry["dispatch_fallback_reasons"])
     model = CompiledModel(
         composition,
         entry["info"],

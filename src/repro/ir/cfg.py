@@ -93,8 +93,8 @@ def is_reducible(function: Function, domtree=None) -> bool:
     Implemented as the classic test: remove every back edge (``tail -> head``
     with ``head`` dominating ``tail``) and check that the remaining graph is
     acyclic.  The structured-control-flow emitter uses this to decide whether
-    a function can be expressed with ``while``/``if``/``break``/``continue``
-    or must fall back to the block-dispatch ladder.
+    a function can be expressed with ``while``/``if``/``break``/``continue``;
+    it refuses an irreducible one with a ``CompilationError``.
     """
     if not function.blocks:
         return True

@@ -38,7 +38,7 @@ from repro.driver.artifacts import (
     resolve_store,
     unit_fingerprints,
 )
-from repro.backends.pycodegen import PythonCodeGenerator, _StructuredFunction
+from repro.backends.pycodegen import PythonCodeGenerator
 from repro.driver.pipeline import parse_pipeline, resolve_pipeline
 from repro.core.distill import compile_composition
 from repro.fuzz.compare import buffers_equal, final_rng_counters, raw_buffers
@@ -50,7 +50,6 @@ from repro.ir.fingerprint import function_fingerprint
 from repro.models import MODEL_REGISTRY
 
 from helpers import build_affine_function, build_struct_sum_function
-from test_structured_codegen import always_bail
 
 
 class TestNormalizeFlags:
@@ -440,13 +439,10 @@ class TestEndToEndReuse:
 
 
 class TestEncodeOnce:
-    @pytest.mark.parametrize("structured", [True, False], ids=["structured", "dispatch"])
     @pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
-    def test_lowering_leaves_the_encoded_module_unchanged(self, monkeypatch, name, structured):
+    def test_lowering_leaves_the_encoded_module_unchanged(self, monkeypatch, name):
         # A cold compile stores one encoding of the optimized module in both
         # the optimize entry (before lowering) and the model entry (after).
-        # The dispatch case forces a relooper bail in every function, so the
-        # ladder fallback is held to the same contract.
         original = PythonCodeGenerator.generate_source
         unchanged = []
 
@@ -454,13 +450,9 @@ class TestEncodeOnce:
             before = pickle.dumps(serialize.encode_module(generator.module))
             source = original(generator)
             unchanged.append(pickle.dumps(serialize.encode_module(generator.module)) == before)
-            if not structured:
-                assert generator.dispatch_fallbacks
             return source
 
         monkeypatch.setattr(PythonCodeGenerator, "generate_source", generate_source)
-        if not structured:
-            monkeypatch.setattr(_StructuredFunction, "emit", always_bail)
         compile_composition(
             MODEL_REGISTRY[name].build(),
             pipeline="default<O2>",

@@ -14,7 +14,6 @@ import copy
 import numpy as np
 import pytest
 
-from repro.backends.pycodegen import _StructuredFunction
 from repro.core.distill import compile_composition
 from repro.driver.artifacts import ArtifactStore
 from repro.driver.session import Session
@@ -23,7 +22,6 @@ from repro.fuzz.oracle import buffers_equal, raw_buffers
 from repro.ir import Module
 from repro.models import predator_prey as pp
 
-from test_structured_codegen import always_bail
 
 #: Engines for the bitwise comparisons (mcpu excluded for test speed; the
 #: fuzz incremental leg covers the full engine registry in CI).
@@ -325,19 +323,14 @@ class TestPatchScope:
             model.close_engines()
             cold.close_engines()
 
-    @pytest.mark.parametrize("structured", [True, False], ids=["structured", "dispatch"])
-    def test_driver_edit_then_node_edit(self, monkeypatch, structured):
+    def test_driver_edit_then_node_edit(self):
         """A termination edit re-optimizes the drivers; a later node edit
         relinks those patched drivers (lowered by the first patch) to the
-        new pass functions.  The dispatch case forces a relooper bail in every
-        function, so the patches relink ladder-lowered code."""
+        new pass functions."""
         from repro.cogframe import conditions as cond
 
-        if not structured:
-            monkeypatch.setattr(_StructuredFunction, "emit", always_bail)
         spec = generate_scale_spec(2, n_mechanisms=16)
         model = compile_composition(spec.build(), pipeline="default<O2>", store=False)
-        assert bool(model.stats.dispatch_fallbacks) is not structured
         (_, _), (proj_edit, receiver) = scale_edit_specs(spec)
         stop_early = lambda composition: cond.AfterNPasses(composition.max_passes - 1)
 

@@ -365,16 +365,3 @@ class TestEntryPoints:
             hits_before = session.cache_info()["hits"]
             session.lint("necker_cube_s")
             assert session.cache_info()["hits"] > hits_before
-
-
-# ---------------------------------------------------------------------------
-# CompileStats: dispatch fallbacks surfaced
-# ---------------------------------------------------------------------------
-
-
-class TestCompileStatsFallbacks:
-    def test_registered_model_has_no_fallbacks(self):
-        entry = MODEL_REGISTRY["necker_cube_s"]
-        model = compile_composition(entry.build(), pipeline="default<O2>")
-        assert model.stats.dispatch_fallbacks == []
-        assert model.stats.dispatch_fallback_reasons == {}

@@ -5,9 +5,8 @@ operation (DESIGN.md, "Scalar operation semantics").  This sweep runs every
 float and int binop, every cast and every non-PRNG intrinsic as a
 one-instruction function over the edge inputs — ±0, ±0.5, ±1, ±1e308, 1e30,
 the smallest subnormal, ±inf and NaN — on the reference interpreter,
-constant folding, the structured ``compiled`` lowering, the forced-bail
-dispatch ladder and the ``lane`` program (lane arrays and lane-uniform
-scalars), and requires the same result everywhere: the same bits (sign of
+constant folding, the structured ``compiled`` lowering and the ``lane``
+program (lane arrays and lane-uniform scalars), and requires the same result everywhere: the same bits (sign of
 zero included, NaN for NaN) or the same exception type.
 
 The one tolerance is the lane engine's documented one: over lane arrays,
@@ -23,11 +22,9 @@ import math
 import numpy as np
 import pytest
 
-from test_structured_codegen import always_bail
-
 from repro.backends.interp import Interpreter
 from repro.backends.lane import compile_lane_program
-from repro.backends.pycodegen import PythonCodeGenerator, _StructuredFunction
+from repro.backends.pycodegen import PythonCodeGenerator
 from repro.fuzz.oracle import LANE_RTOL
 from repro.ir import F64, I32, I64, FunctionType, IRBuilder, Module
 from repro.ir.instructions import (
@@ -165,29 +162,23 @@ def _lane_scalar(value, result):
     return float(value) if result.is_float else int(value)
 
 
-def run_engines(kind, op, monkeypatch):
+def run_engines(kind, op):
     """``{engine: [outcome per input tuple]}`` plus the input tuples."""
     params, result, inputs = _signature(kind, op)
     module = build_op_module(kind, op)
     interp = Interpreter(module)
     compiled = PythonCodeGenerator(module).compile()["f"]
-    with monkeypatch.context() as patch:
-        patch.setattr(_StructuredFunction, "emit", always_bail)
-        ladder_gen = PythonCodeGenerator(module)
-        ladder = ladder_gen.compile()["f"]
-    assert ladder_gen.dispatch_fallbacks == ["f"]
     program = compile_lane_program(module, lambda name: compiled)
     assert program.fallbacks == []
     lane = program.functions["f"]
     dtypes = [np.float64 if t.is_float else np.int64 for t in params]
     one = np.ones(1, dtype=bool)
-    engines = ("ir-interp", "constprop", "compiled", "ladder", "lane", "lane-uniform")
+    engines = ("ir-interp", "constprop", "compiled", "lane", "lane-uniform")
     outcomes = {engine: [] for engine in engines}
     for args in inputs:
         outcomes["ir-interp"].append(_outcome(lambda: interp.call("f", list(args))))
         outcomes["constprop"].append(_outcome(lambda: fold_op(kind, op, args)))
         outcomes["compiled"].append(_outcome(lambda: compiled(*args)))
-        outcomes["ladder"].append(_outcome(lambda: ladder(*args)))
         arrays = [np.array([a], dtype=d) for a, d in zip(args, dtypes)]
         with np.errstate(all="ignore"):  # as the lane engine runs its programs
             outcomes["lane"].append(
@@ -220,8 +211,8 @@ def same(expected, got, result, rtol=0.0):
 
 
 @pytest.mark.parametrize("kind, op", list(_op_cases()))
-def test_every_engine_agrees_with_the_runtime(kind, op, monkeypatch):
-    inputs, result, outcomes = run_engines(kind, op, monkeypatch)
+def test_every_engine_agrees_with_the_runtime(kind, op):
+    inputs, result, outcomes = run_engines(kind, op)
     reference = outcomes["ir-interp"]
     mismatches = [
         ("pinned", args, PINNED[op, args], expected)
@@ -271,8 +262,8 @@ def test_only_integer_division_by_zero_traps():
     strict=True, reason="i64 overflow: scalar engines keep Python ints, lane arrays wrap"
 )
 def test_i64_overflow_agrees_across_engines():
-    """``add``/``mul`` past 2**63: ``ir-interp``, ``compiled`` and the
-    ladder compute unbounded Python ints, lane arrays wrap at 64 bits."""
+    """``add``/``mul`` past 2**63: ``ir-interp`` and ``compiled`` compute
+    unbounded Python ints, lane arrays wrap at 64 bits."""
     for op, args in (("add", (2**62, 2**62)), ("mul", (2**62, 4))):
         module = build_op_module("binop", op)
         compiled = PythonCodeGenerator(module).compile()["f"]

@@ -4,10 +4,12 @@ Covers the PR-5 emitter rewrite:
 
 * golden shape — loop-bearing registered models compile to native Python
   loops/conditionals with no ``_block`` dispatch ladder;
-* the irreducible-CFG fallback — the ladder still exists, is taken exactly
-  for unstructurable functions, and executes correctly;
-* the forced relooper bail — 8 models x O0..O3 with every function lowered
-  through the ladder, bitwise equal to the default structured build;
+* the one instruction dialect — every instruction form, lowered by the
+  structured emitter, matches the IR interpreter;
+* irreducible CFGs — ``compiled`` refuses them with a ``CompilationError``,
+  ``ir-interp`` still runs them;
+* a long straight chain — a 300-mechanism model at O0 lowers structurally
+  (the walk iterates along a chain instead of recursing);
 * the frame planner — liveness-coalesced alloca slots and per-iteration
   re-zeroing semantics;
 * phi-edge parallel copies, constant pooling, the memoized GEP helpers and
@@ -22,14 +24,11 @@ import pytest
 from repro.backends import runtime
 from repro.backends.interp import Interpreter
 from repro.backends.lane import compile_lane_program
-from repro.backends.pycodegen import (
-    PythonCodeGenerator,
-    _Bailout,
-    _LaneFunction,
-    _StructuredFunction,
-)
+from repro.backends.pycodegen import PythonCodeGenerator, _StructuredFunction
 from repro.core.distill import compile_composition
-from repro.fuzz.oracle import raw_buffers, buffers_equal
+from repro.errors import CompilationError
+from repro.fuzz.compare import buffers_equal, raw_buffers
+from repro.fuzz.gen import generate_scale_spec
 from repro.ir import (
     F64,
     I32,
@@ -43,7 +42,7 @@ from repro.ir import (
 )
 from repro.ir.instructions import FCMP_PREDICATES
 from repro.ir.verifier import verify_module
-from repro.models import FIGURE4_MODELS, MODEL_REGISTRY
+from repro.models import MODEL_REGISTRY
 
 
 # ---------------------------------------------------------------------------
@@ -51,18 +50,9 @@ from repro.models import FIGURE4_MODELS, MODEL_REGISTRY
 # ---------------------------------------------------------------------------
 
 
-def build_irreducible_function(module: Module, name: str = "irr", payload=None):
-    """A two-entry cycle (A <-> B, both reachable from entry): irreducible.
-
-    ``payload``, when given, is ``(params, emit)``: extra parameters
-    ``[(name, type), ...]`` appended after ``x``, and ``emit(builder, args)``
-    adding straight-line code to the entry block."""
-    params, emit = payload if payload is not None else ([], None)
-    fn = module.add_function(
-        name,
-        FunctionType(F64, [F64] + [ty for _, ty in params]),
-        ["x"] + [pname for pname, _ in params],
-    )
+def build_irreducible_function(module: Module, name: str = "irr"):
+    """A two-entry cycle (A <-> B, both reachable from entry): irreducible."""
+    fn = module.add_function(name, FunctionType(F64, [F64]), ["x"])
     entry = fn.append_block("entry")
     a = fn.append_block("a")
     b_blk = fn.append_block("b")
@@ -70,8 +60,6 @@ def build_irreducible_function(module: Module, name: str = "irr", payload=None):
 
     b = IRBuilder(entry)
     x = fn.args[0]
-    if emit is not None:
-        emit(b, fn.args)
     cell = b.alloca(F64, "cell")
     b.store(b.f64(0.0), cell)
     b.cond_br(b.fcmp("ogt", x, b.f64(0.0)), a, b_blk)
@@ -174,16 +162,16 @@ def build_disjoint_allocas_function(module: Module, name: str = "disjoint"):
     return fn
 
 
-#: Output slots of the ladder dialect payload: ``out`` holds the rng state
+#: Output slots of the dialect payload: ``out`` holds the rng state
 #: (key, counter) then float results, ``iout`` the integer results.
-LADDER_F64_SLOTS = 10
-LADDER_I64_SLOTS = 15
+DIALECT_F64_SLOTS = 10
+DIALECT_I64_SLOTS = 15
 
 
-def _emit_ladder_dialect(b: IRBuilder, args) -> None:
+def _emit_dialect(b: IRBuilder, args) -> None:
     x, out, iout = args
-    f_slots = iter(range(2, LADDER_F64_SLOTS))
-    i_slots = iter(range(LADDER_I64_SLOTS))
+    f_slots = iter(range(2, DIALECT_F64_SLOTS))
+    i_slots = iter(range(DIALECT_I64_SLOTS))
 
     def put(value):
         b.store(value, b.gep(out, [b.i64(0), b.i64(next(f_slots))]))
@@ -212,15 +200,45 @@ def _emit_ladder_dialect(b: IRBuilder, args) -> None:
     put(b.sqrt(b.f64(-1.0)))
 
 
-LADDER_DIALECT_PAYLOAD = (
-    [("out", pointer(ArrayType(F64, LADDER_F64_SLOTS))),
-     ("iout", pointer(ArrayType(I64, LADDER_I64_SLOTS)))],
-    _emit_ladder_dialect,
+#: ``(extra params, emit)``: straight-line code using every FCmp predicate,
+#: ``frem``/``sdiv``/``srem``, ``select``, ``fptosi``/``trunc``, both PRNG
+#: draws and the guarded intrinsics, storing each result to ``out``/``iout``.
+DIALECT_PAYLOAD = (
+    [("out", pointer(ArrayType(F64, DIALECT_F64_SLOTS))),
+     ("iout", pointer(ArrayType(I64, DIALECT_I64_SLOTS)))],
+    _emit_dialect,
 )
 
 
+def build_dialect_function(module: Module, name: str = "dialect"):
+    """A reducible function running :data:`DIALECT_PAYLOAD` in its entry
+    block, then a conditional so the payload's values cross a merge."""
+    params, emit = DIALECT_PAYLOAD
+    fn = module.add_function(
+        name,
+        FunctionType(F64, [F64] + [ty for _, ty in params]),
+        ["x"] + [pname for pname, _ in params],
+    )
+    entry = fn.append_block("entry")
+    neg = fn.append_block("neg")
+    done = fn.append_block("done")
+    b = IRBuilder(entry)
+    x = fn.args[0]
+    emit(b, fn.args)
+    b.cond_br(b.fcmp("olt", x, b.f64(0.0)), neg, done)
+    b.position_at_end(neg)
+    flipped = b.fneg(x)
+    b.br(done)
+    b.position_at_end(done)
+    result = b.phi(F64, "result")
+    result.add_incoming(x, entry)
+    result.add_incoming(flipped, neg)
+    b.ret(result)
+    return fn
+
+
 # ---------------------------------------------------------------------------
-# Golden shape: structured emission is the default and ladder-free
+# Golden shape: loops and conditionals come back as native Python
 # ---------------------------------------------------------------------------
 
 
@@ -239,10 +257,7 @@ class TestGoldenShape:
     def test_loop_models_have_no_dispatch_ladder(self, model):
         entry = MODEL_REGISTRY[model]
         compiled = compile_composition(entry.build(), pipeline="default<O2>", store=False)
-        assert compiled.stats.dispatch_fallbacks == []
-        gen = PythonCodeGenerator(compiled.module)
-        source = gen.generate_source()
-        assert gen.dispatch_fallbacks == []
+        source = PythonCodeGenerator(compiled.module).generate_source()
         assert "_block" not in source
         if LOOP_MODELS[model]:
             # The model's pass/grid loops come back as native Python loops.
@@ -275,58 +290,56 @@ class TestGoldenShape:
 
 
 # ---------------------------------------------------------------------------
-# Irreducible CFGs: dispatch-ladder fallback
+# The one instruction dialect, against the interpreter
 # ---------------------------------------------------------------------------
 
 
-class TestIrreducibleFallback:
-    def test_fallback_is_taken_and_correct(self):
-        module = Module("irr")
-        build_irreducible_function(module)
-        verify_module(module)
-        gen = PythonCodeGenerator(module)
-        source = gen.generate_source()
-        assert gen.dispatch_fallbacks == ["irr"]
-        assert "_block = 0" in source  # the ladder survives for this function
-        compiled = gen.compile()
-        interp = Interpreter(module)
-        for x in (-1.0, 0.0, 1.0, 3.5):
-            assert compiled["irr"](x) == interp.call("irr", [x])
-
-    def test_ladder_instruction_dialect_matches_interpreter(self):
-        """Every instruction form the ladder shares with the structured
-        emitter, checked against the IR interpreter."""
+class TestInstructionDialect:
+    def test_dialect_matches_interpreter(self):
+        """Every instruction form of the scalar dialect, lowered by the
+        structured emitter, checked against the IR interpreter."""
         module = Module("dialect")
-        build_irreducible_function(module, "irr", payload=LADDER_DIALECT_PAYLOAD)
+        build_dialect_function(module)
         verify_module(module)
         gen = PythonCodeGenerator(module)
-        source = gen.generate_source()
-        assert gen.dispatch_fallbacks == ["irr"]
-        assert "_block = 0" in source
+        assert "_block" not in gen.generate_source()
         compiled = gen.compile()
         interp = Interpreter(module)
         for x in (-2.5, -1.0, 0.0, 0.5, 1.0, 2.0, float("nan")):
             results = []
-            for run in (compiled["irr"], lambda *args: interp.call("irr", list(args))):
-                out = [0.0] * LADDER_F64_SLOTS
+            for run in (compiled["dialect"], lambda *args: interp.call("dialect", list(args))):
+                out = [0.0] * DIALECT_F64_SLOTS
                 out[0], out[1] = 12345.0, 7.0  # rng state: key, counter
-                iout = [0] * LADDER_I64_SLOTS
+                iout = [0] * DIALECT_I64_SLOTS
                 value = run(x, (out, 0), (iout, 0))
                 results.append(([value] + out, iout))
             (got, got_int), (want, want_int) = results
             assert buffers_equal((got, got_int, []), (want, want_int, [])) is None, x
             assert got[2] == want[2] and got[2] != 0.0  # the counter moved
 
-    def test_reducible_functions_in_same_module_stay_structured(self):
-        module = Module("mixed")
-        build_irreducible_function(module, "irr")
-        build_phi_swap_function(module, "swap")
+
+# ---------------------------------------------------------------------------
+# Irreducible CFGs: refused by ``compiled``, run by ``ir-interp``
+# ---------------------------------------------------------------------------
+
+
+class TestIrreducibleFallback:
+    def test_fallback_is_taken_and_correct(self):
+        """The one fallback for IR the relooper cannot express is the
+        ``ir-interp`` engine: the Python lowering refuses the module, with
+        or without the sanitizer, and the interpreter runs it."""
+        module = Module("irr")
+        build_irreducible_function(module)
+        build_loop_alloca_function(module)
         verify_module(module)
-        gen = PythonCodeGenerator(module)
-        source = gen.generate_source()
-        assert gen.dispatch_fallbacks == ["irr"]
-        # Exactly one ladder: the irreducible function's.
-        assert source.count("_block = 0") == 1
+        for sanitize in (False, True):
+            with pytest.raises(CompilationError, match=r"@irr: irreducible CFG in @irr"):
+                PythonCodeGenerator(module, sanitize=sanitize).generate_source()
+        interp = Interpreter(module)
+        # From x > 0 the cycle is entered at ``a``, otherwise at ``b``.
+        assert [interp.call("irr", [x]) for x in (-1.0, 0.0, 1.0, 3.5)] == [
+            6.0, 6.0, 7.0, 7.0,
+        ]
 
     def test_is_reducible_queries(self):
         from repro.ir.cfg import back_edges, is_reducible
@@ -345,49 +358,26 @@ class TestIrreducibleFallback:
 
 
 # ---------------------------------------------------------------------------
-# Forced relooper bail: the ladder for every function, 8 models x O0..O3
+# A long straight chain lowers structurally
 # ---------------------------------------------------------------------------
 
 
-_STRUCTURED_EMIT = _StructuredFunction.emit
-
-
-def always_bail(self):
-    """Stand-in for ``_StructuredFunction.emit`` that forces the scalar
-    relooper to bail, so every function lowers through the dispatch ladder.
-
-    The lane emitter inherits ``emit`` (one region walk); it keeps its
-    structured lowering, so lane engines still run masked lane code linked
-    against the ladder-lowered scalar program."""
-    if isinstance(self, _LaneFunction):
-        return _STRUCTURED_EMIT(self)
-    raise _Bailout(f"forced bail in @{self.fn.name}")
-
-
-class TestForcedRelooperBail:
-    @pytest.mark.parametrize("opt_level", [0, 1, 2, 3])
-    def test_all_models_bitwise_equal(self, opt_level, monkeypatch):
-        pipeline = f"default<O{opt_level}>"
-        for name in FIGURE4_MODELS:
-            entry = MODEL_REGISTRY[name]
-            inputs = entry.inputs()
-            trials = min(entry.num_trials, 2)
-            structured = compile_composition(entry.build(), pipeline=pipeline, store=False)
-            with monkeypatch.context() as patch:
-                patch.setattr(_StructuredFunction, "emit", always_bail)
-                ladder = compile_composition(entry.build(), pipeline=pipeline, store=False)
-            try:
-                defined = [fn.name for fn in ladder.module.defined_functions()]
-                assert sorted(ladder.stats.dispatch_fallbacks) == sorted(defined)
-                assert "_block = 0" in ladder.source
-                mismatch = buffers_equal(
-                    raw_buffers(structured, inputs, trials, 0, "compiled"),
-                    raw_buffers(ladder, inputs, trials, 0, "compiled"),
-                )
-                assert mismatch is None, f"{name} O{opt_level}: {mismatch}"
-            finally:
-                structured.close_engines()
-                ladder.close_engines()
+class TestLongChain:
+    def test_scale_300_at_o0_lowers_structurally(self):
+        """``run_pass`` of a 300-mechanism model at O0 is one straight chain
+        of ~600 blocks nested 5 deep; the walk iterates along the chain, so
+        its length does not count as nesting."""
+        spec = generate_scale_spec(0, n_mechanisms=300)
+        compiled = compile_composition(spec.build(), pipeline="default<O0>", store=False)
+        try:
+            assert "_block" not in compiled.source
+            mismatch = buffers_equal(
+                raw_buffers(compiled, spec.inputs, 1, spec.run_seed, "compiled"),
+                raw_buffers(compiled, spec.inputs, 1, spec.run_seed, "ir-interp"),
+            )
+            assert mismatch is None, mismatch
+        finally:
+            compiled.close_engines()
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +393,6 @@ class TestFramePlanner:
         gen = PythonCodeGenerator(module)
         compiled = gen.compile()
         interp = Interpreter(module)
-        assert gen.dispatch_fallbacks == []
         for n in (1, 3, 7):
             expected = interp.call("loop_alloca", [n])
             assert expected == float(n)  # fresh zeros per iteration
