@@ -21,11 +21,14 @@ import pytest
 from repro.backends import runtime
 from repro.backends.pycodegen import PythonCodeGenerator
 from repro.core.distill import compile_composition
+from repro.errors import CompilationError
 from repro.fuzz.oracle import OracleConfig, buffers_equal, check_composition, raw_buffers
 from repro.ir import F64, I64, ArrayType, FunctionType, IRBuilder, Module
 from repro.ir.diagnostics import DEFAULT_SEVERITY, at_or_above
+from repro.ir.verifier import verify_module
 from repro.lint import run_lint
 from repro.models import MODEL_REGISTRY
+from test_structured_codegen import build_irreducible_function, build_loop_alloca_function
 
 QUICK_MODELS = ("necker_cube_s", "botvinick_stroop")
 
@@ -128,6 +131,28 @@ def test_zero_divisor_guard_emitted_for_statically_safe_division():
     compiled = gen.compile()
     assert compiled["gdiv"](6.0, 2.0) == 3.0
     assert compiled["gdiv"](6.0, 0.0) == 0.0  # guard takes the safe arm
+
+
+# ---------------------------------------------------------------------------
+# Flag plumbing
+# ---------------------------------------------------------------------------
+
+
+def test_sanitize_refuses_a_relooper_bail():
+    # A function the relooper cannot express has no checked lowering: a
+    # sanitized compile must fail loudly rather than read "trap-free" as
+    # clean, and must name the function and the reason.
+    module = Module("m")
+    build_irreducible_function(module, "irr")
+    build_loop_alloca_function(module)
+    verify_module(module)
+    with pytest.raises(CompilationError, match=r"cannot lower @irr: irreducible CFG in @irr"):
+        PythonCodeGenerator(module, sanitize=True).generate_source()
+    # The reducible function alone still lowers with the sanitizer on.
+    clean = Module("clean")
+    build_loop_alloca_function(clean)
+    verify_module(clean)
+    assert "loop_alloca" in PythonCodeGenerator(clean, sanitize=True).compile()
 
 
 # ---------------------------------------------------------------------------
