@@ -3,15 +3,15 @@
 No GPU is available in this environment, so the NVPTX/PyCUDA path is replaced
 by two cooperating pieces (documented as a substitution in DESIGN.md):
 
-* **Functional SIMT execution** — the ``gpu-sim`` engine runs the grid-search
-  evaluation kernel *data-parallel* through the lane code generator
-  (:func:`repro.backends.lane.compile_lane_program`) with the lane axis being
-  the grid: one lane per grid point, every IR value a NumPy array, PRNG draws
-  through the vectorised counter-based generator, and each lane's replicated
-  PRNG state in its own row of the lane frame.  This is exactly the mapping
-  the paper's generated CUDA kernel uses (one thread per grid point,
-  replicated read-write state), and it produces bit-identical results to the
-  serial engine.
+* **Functional SIMT execution** — the ``gpu-sim`` engine (and ``lane`` on
+  grid-search models) runs the evaluation kernel *data-parallel* through the
+  lane code generator (:func:`repro.backends.lane.compile_lane_program`):
+  one lane per (element, grid point) of a scheduler step, every IR value a
+  NumPy array, PRNG draws through the vectorised counter-based generator,
+  and each lane's replicated PRNG state in its own row of the lane frame.
+  This is the mapping the paper's generated CUDA kernel uses (one thread per
+  grid point, replicated read-write state), and it produces bit-identical
+  results to the serial engine.
 
 * **An analytical occupancy/latency model** — :class:`GpuOccupancyModel`
   reproduces the register-throttling study of Figure 6: occupancy rises as
@@ -29,7 +29,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from .grid_driver import drive_elements
-from .lane import LaneProgram, compile_lane_program
+from .lane import LaneProgram, _LaneInstance
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +155,17 @@ def launch_grid_kernel(kernel: Callable, args: Sequence[object], lanes: int) -> 
     return np.broadcast_to(np.asarray(costs, dtype=float), (lanes,))
 
 
+#: Lanes per grid-kernel launch.  A memory bound, not a tuning knob: every
+#: IR value of the kernel is one ``(lanes,)`` array, and the stacked params
+#: rows are ``(lanes, width)``, so a scheduler step with more grid
+#: evaluations than this runs as several launches.  A request whose grid
+#: alone exceeds the bound still runs as one launch.
+MAX_LAUNCH_LANES = 2048
+
+
 class GpuSimEvaluator:
-    """Persistent SIMT state for the ``gpu-sim`` engine.
+    """Persistent SIMT state of the grid kernel, shared by ``gpu-sim`` and
+    ``lane``.
 
     The lane program is built once per binding.  The allocation-level
     columns and per-lane counter offsets of a grid region are pure layout
@@ -183,19 +192,48 @@ class GpuSimEvaluator:
             self._regions[prepared.control_name] = cached
         return cached
 
-    def evaluate(self, request) -> np.ndarray:
-        prepared = request.prepared
-        kernel, columns, counter_lanes = self._region(prepared)
-        lanes = prepared.grid_size
-        params = np.asarray(request.params, dtype=float)
-        args: List[object] = [(np.broadcast_to(params, (lanes, params.size)), 0)]
-        args += [float(v) for v in request.true_input]
-        args += columns
-        args += [float(request.key), request.counter_base + counter_lanes]
-        return launch_grid_kernel(kernel, args, lanes)
-
     def evaluate_batch(self, compiled, requests) -> List[np.ndarray]:
-        return [self.evaluate(request) for request in requests]
+        """Every grid evaluation of one scheduler step, as few launches.
+
+        Requests of one region stack (request x grid point) on the lane
+        axis, up to :data:`MAX_LAUNCH_LANES` lanes per launch; each
+        request's cost vector is its slice of the launch's costs.
+        """
+        costs: List[Optional[np.ndarray]] = [None] * len(requests)
+        groups: Dict[str, List[int]] = {}
+        for index, request in enumerate(requests):
+            groups.setdefault(request.prepared.control_name, []).append(index)
+        for indices in groups.values():
+            grid_size = requests[indices[0]].prepared.grid_size
+            step = max(MAX_LAUNCH_LANES // grid_size, 1)
+            for start in range(0, len(indices), step):
+                launch = indices[start : start + step]
+                vector = self._launch([requests[i] for i in launch])
+                for k, index in enumerate(launch):
+                    costs[index] = vector[k * grid_size : (k + 1) * grid_size]
+        return costs
+
+    def _launch(self, requests) -> np.ndarray:
+        prepared = requests[0].prepared
+        kernel, columns, counter_lanes = self._region(prepared)
+        grid_size, n = prepared.grid_size, len(requests)
+        if n == 1:
+            # Zero-copy: the params row broadcast read-only, true inputs and
+            # PRNG key lane-uniform.
+            params = np.asarray(requests[0].params, dtype=float)
+            args = [(np.broadcast_to(params, (grid_size, params.size)), 0)]
+            args += [float(v) for v in requests[0].true_input] + columns
+            args.append(float(requests[0].key))
+        else:
+            params = np.asarray([r.params for r in requests], dtype=float)
+            true_inputs = np.asarray([r.true_input for r in requests], dtype=float)
+            args = [(np.repeat(params, grid_size, axis=0), 0)]
+            args += list(np.repeat(true_inputs.T, grid_size, axis=1))
+            args += [np.tile(column, n) for column in columns]
+            args.append(np.repeat(np.asarray([r.key for r in requests], dtype=float), grid_size))
+        bases = np.asarray([r.counter_base for r in requests], dtype=float)
+        args.append((bases[:, None] + counter_lanes).ravel())
+        return launch_grid_kernel(kernel, args, grid_size * n)
 
 
 # ---------------------------------------------------------------------------
@@ -205,27 +243,10 @@ class GpuSimEvaluator:
 from ..driver.engines import EngineCapabilities, EngineInstance, register_engine  # noqa: E402
 
 
-class _GpuSimInstance(EngineInstance):
-    """A gpu-sim binding that keeps the lane program and region state alive."""
-
-    def __init__(self, engine_name: str, model):
-        super().__init__(engine_name, model)
-        self._program: Optional[LaneProgram] = None
-        #: Grid-kernel functions emitted as per-lane scalar-dispatch
-        #: wrappers, with reasons (as on the ``lane`` engine).
-        self.lane_fallbacks: List[str] = []
-        self.lane_fallback_reasons: Dict[str, str] = {}
-        self._evaluator = GpuSimEvaluator(self._ensure_program)
-
-    def _ensure_program(self) -> LaneProgram:
-        if self._program is None:
-            self._program = compile_lane_program(self.model.module, self.model.function)
-            self.lane_fallbacks = list(self._program.fallbacks)
-            self.lane_fallback_reasons = dict(self._program.fallback_reasons)
-        return self._program
-
-    def execute(self, buffers, num_trials, **options):
-        drive_elements(self.model, [(buffers, num_trials)], self._evaluator.evaluate_batch)
+class _GpuSimInstance(_LaneInstance):
+    """A gpu-sim binding: the lane binding's lazily built program and grid
+    evaluator, with every model run through the shared scheduler (a model
+    without a grid-search controller runs whole compiled)."""
 
     def execute_batch(self, elements, **options):
         drive_elements(self.model, elements, self._evaluator.evaluate_batch)

@@ -1,19 +1,19 @@
-"""The Python scheduler of the per-node, multicore and GPU-simulator engines.
-
-The three engines differ only in what executes a node.  The driver below
-owns the trial/pass loop: each pass it evaluates every node's activation
-condition against the start-of-pass :class:`~repro.cogframe.conditions.
-SchedulerState` and calls the node's compiled ``node_<name>`` function, then
-swaps the double buffers and records monitors and results.  ``per-node``
-(Figure 5b) runs every node that way, grid-search controllers included.
-``mcpu`` and ``gpu-sim`` follow the strategy the paper describes for
-parallel execution (section 3.6): everything *except* the grid-search
-evaluations runs through the same compiled code as the serial engine; the
-evaluations themselves — one independent kernel invocation per grid point,
-each with its own replicated PRNG state — are dispatched to a pool of
-workers or to the data-parallel grid kernel.  Those engines plug in a
-*batch* evaluator that receives whole lists of :class:`GridRequest` objects
-at once; the driver performs the reservoir-sampling reduction.
+"""The Python scheduler of the per-node, mcpu and gpu-sim engines (and of
+``lane`` on grid-search models); they differ only in what executes a node.
+The driver below owns the trial/pass loop: each pass it evaluates every
+node's activation condition against the start-of-pass
+:class:`~repro.cogframe.conditions.SchedulerState` and calls the node's
+compiled ``node_<name>`` function, then swaps the double buffers and
+records monitors and results.  ``per-node`` (Figure 5b) runs every node that
+way, grid-search controllers included.  ``mcpu``, ``gpu-sim`` and ``lane``
+follow the strategy the paper describes for parallel execution (section
+3.6): everything *except* the grid-search evaluations runs through the same
+compiled code as the serial engine; the evaluations themselves — one
+independent kernel invocation per grid point, each with its own replicated
+PRNG state — are dispatched to a pool of workers or to the data-parallel
+grid kernel.  Those engines plug in a *batch* evaluator that receives whole
+lists of :class:`GridRequest` objects at once; the driver performs the
+reservoir-sampling reduction.
 
 Serial-equivalence contract
 ---------------------------
@@ -95,9 +95,8 @@ def allocation_for_index(
 
 @dataclass(frozen=True)
 class PreparedGrid:
-    """A :class:`GridSearchInfo` plus the layout facts derived from it once."""
+    """The layout facts of a :class:`GridSearchInfo`, derived once."""
 
-    info: object
     control_name: str
     kernel_name: str
     levels: Tuple[Tuple[float, ...], ...]
@@ -109,7 +108,6 @@ class PreparedGrid:
     @classmethod
     def from_info(cls, info) -> "PreparedGrid":
         return cls(
-            info=info,
             control_name=info.control_name,
             kernel_name=info.kernel_name,
             levels=tuple(tuple(lv) for lv in info.levels),
@@ -297,10 +295,6 @@ class GridRequest:
     true_input: List[float]
     key: int
     counter_base: int
-
-    @property
-    def info(self):
-        return self.prepared.info
 
 
 #: A batch evaluator: (compiled, [GridRequest, ...]) -> [CandidateEvents|costs, ...]

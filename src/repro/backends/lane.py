@@ -2,14 +2,17 @@
 
 The paper's headline speedups come from compiling model evaluation to
 data-parallel kernels — one GPU thread per grid point with replicated
-per-thread state (§3.6, Figure 6).  This backend realises the same mapping
-for *batch elements*: ``run_batch`` elements become SIMT lanes, the
-structured codegen output is re-emitted so that every IR value is an
-``(n_lanes,)`` numpy array (see
-:class:`repro.backends.pycodegen.LanePythonCodeGenerator`), and one pass of
-the generated program advances the whole batch.  Per-operation cost is paid
-once per *kernel call* instead of once per lane, which is where the 10-100x
-over the scalar compiled engine comes from on wide batches.
+per-thread state (§3.6, Figure 6).  The structured codegen output is
+re-emitted so that every IR value is an ``(n_lanes,)`` numpy array (see
+:class:`repro.backends.pycodegen.LanePythonCodeGenerator`).  A model with a
+grid-search controller runs through the shared scheduler
+(:func:`~repro.backends.grid_driver.drive_elements`) with ``gpu-sim``'s
+grid evaluator: one lane per (element, grid point), every grid evaluation
+of a scheduler step in one bounded kernel launch.  A controller-free model
+runs whole: ``run_batch`` elements become lanes and one pass of the lane
+``run_model`` advances the whole batch.  Per-operation cost is paid once per
+*kernel call* instead of once per lane, which is where the 10-100x over the
+scalar compiled engine comes from on wide batches.
 
 Execution model
 ---------------
@@ -33,9 +36,9 @@ Execution model
   ``lane_fallbacks`` — correctness never depends on lane-lowerability.
 
 The module has two halves: the ``LANE_NAMESPACE`` runtime helpers that the
-generated lane source links against, and the ``lane`` execution engine that
-stacks ``run_batch`` elements onto the lane axis.  With ``workers=N`` the
-stacked lanes are split into contiguous chunks run on the persistent
+generated lane source links against, and the ``lane`` execution engine.
+With ``workers=N`` the controller-free sweep's stacked lanes are split into
+contiguous chunks run on the persistent
 :class:`~repro.backends.workerpool.WorkerPool` that ``mcpu`` also uses; a
 worker that dies mid-batch raises :class:`~repro.errors.WorkerLost` and the
 next call restarts the pool.
@@ -50,6 +53,7 @@ import numpy as np
 
 from ..cogframe import prng
 from . import runtime
+from .grid_driver import drive_elements
 from .workerpool import WorkerPool
 
 # ---------------------------------------------------------------------------
@@ -457,6 +461,8 @@ class _LaneInstance(EngineInstance):
     """A lane binding: lazily lane-compiles the model, stacks batches."""
 
     def __init__(self, engine_name: str, model):
+        from .gpu_sim import GpuSimEvaluator  # gpu_sim imports this module
+
         super().__init__(engine_name, model)
         self._program: Optional[LaneProgram] = None
         #: Functions emitted as per-lane scalar-dispatch wrappers (lane
@@ -472,16 +478,18 @@ class _LaneInstance(EngineInstance):
         #: Elements whose counter extrapolation failed verification and were
         #: re-run as sequential masked trial loops.
         self.rng_fold_fallbacks = 0
-        self._rng_fold_safe_cached: Optional[bool] = None
         self._pool: Optional[WorkerPool] = None
+        #: Grid-search models run the ``gpu-sim`` grid kernel (see
+        #: :meth:`execute_batch`).
+        self._evaluator = GpuSimEvaluator(self._ensure_program)
 
     # -- lane compilation ------------------------------------------------
-    def _ensure_compiled(self):
+    def _ensure_program(self) -> LaneProgram:
         if self._program is None:
             self._program = compile_lane_program(self.model.module, self.model.function)
             self.lane_fallbacks = list(self._program.fallbacks)
             self.lane_fallback_reasons = dict(self._program.fallback_reasons)
-        return self._program.functions["run_model"]
+        return self._program
 
     # -- buffer stacking -------------------------------------------------
     def _stack(self, elements) -> Dict[str, np.ndarray]:
@@ -592,26 +600,24 @@ class _LaneInstance(EngineInstance):
     def execute_batch(self, elements, **options):
         if not elements:
             return
-        self._ensure_compiled()
-        if not options.get("fold_trials", True):
+        self._ensure_program()
+        if self.model.grid_searches:
+            # One lane per (element, grid point): every grid evaluation of a
+            # scheduler step is one stacked launch of the grid kernel.
+            drive_elements(self.model, elements, self._evaluator.evaluate_batch)
+        elif not options.get("fold_trials", True):
             self._run_stacked(list(elements), options)
-            return
-        if self.model.layout.rng_offsets:
-            if self._rng_fold_safe() and any(
-                trials >= 2 and buffers["rows"] > 0 for buffers, trials in elements
-            ):
-                self._execute_rng_folded(list(elements), options)
-            else:
-                self._run_stacked(list(elements), options)
-            return
-        elements, merges = self._fold_trials(elements)
-        self._run_stacked(elements, options)
-        for buffers, subs in merges:
-            self._merge_folded(buffers, subs)
+        elif self.model.layout.rng_offsets:
+            self._execute_rng_folded(list(elements), options)
+        else:
+            elements, merges = self._fold_trials(elements)
+            self._run_stacked(elements, options)
+            for buffers, subs in merges:
+                self._merge_folded(buffers, subs)
 
     def _run_stacked(self, elements, options) -> None:
         """One lockstep sweep: stack the elements, run, unstack in place."""
-        run = self._ensure_compiled()
+        run = self._ensure_program().functions["run_model"]
         stacked = self._stack(elements)
         workers = options.get("workers")
         n_lanes = len(elements)
@@ -633,27 +639,6 @@ class _LaneInstance(EngineInstance):
                     m,
                 )
         self._unstack(stacked, elements)
-
-    def _rng_fold_safe(self) -> bool:
-        """Whether speculative RNG trial folding is *semantically* possible.
-
-        Ordinary mechanisms address every draw through their stateful
-        ``(key, counter)`` slots, so extrapolating the counter reproduces a
-        later trial exactly.  A :class:`GridSearchControlMechanism` is the one
-        exception: its grid-evaluation draws are addressed by
-        ``eval_epoch = trial_idx * max_passes + pass_idx`` (so simulated
-        candidates get fresh noise each epoch), and a sub-lane always runs as
-        ``trial_idx = 0``.  Counter verification cannot catch that — the
-        *stateful* counters still line up while the epoch-addressed draws
-        diverge — so control-bearing models are excluded statically and run
-        the classic sequential trial loop.
-        """
-        if self._rng_fold_safe_cached is None:
-            self._rng_fold_safe_cached = not any(
-                name.endswith("__eval_epoch")
-                for name, _ in self.model.layout.state_struct.fields
-            )
-        return self._rng_fold_safe_cached
 
     def _execute_rng_folded(self, elements, options) -> None:
         """Fold RNG-model trials onto the lane axis *speculatively*.
@@ -792,11 +777,11 @@ class LaneEngine:
             name=self.name,
             description=(
                 "structured codegen re-emitted as numpy array programs over a "
-                "lane axis: run_batch elements execute in lockstep under "
-                "divergence masks (DISTILL-GPU's per-thread mapping, applied "
-                "to batches); PRNG counters, uniforms and IEEE-exact ops are "
-                "bitwise identical to the scalar compiled engine, transcendental "
-                "intrinsics and normal draws agree to the final ulp"
+                "lane axis under divergence masks: run_batch elements are lanes, "
+                "or (element, grid point) pairs on grid-search models "
+                "through gpu-sim's grid kernel (DISTILL-GPU's per-thread mapping); "
+                "controller-free models agree with the scalar compiled engine to "
+                "the final ulp of numpy's transcendental kernels"
             ),
             parallel=True,
             supports_workers=True,

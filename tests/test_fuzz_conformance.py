@@ -192,16 +192,12 @@ class TestCampaign:
         kinds = {d.kind for d in verdict.divergences}
         assert kinds == {"lane"}, verdict.divergences
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="lane is not bitwise yet: state slot 2 of run_batch element 2 "
-        "differs by 2e-14 relative, beyond LANE_RTOL",
-    )
     def test_lane_leg_is_green_on_seed_20000065(self):
         """The one lane divergence the nightly campaign (seeds from
-        20000000) finds: at ``default<O0>``, with equal PRNG counters, one
-        state slot differs from ``compiled`` beyond :data:`LANE_RTOL`.  The
-        test passes once the lane engine is bitwise."""
+        20000000) found: at ``default<O0>``, with equal PRNG counters, one
+        state slot differed from ``compiled`` beyond :data:`LANE_RTOL`.  The
+        model has a grid-search controller, so lane now runs it through the
+        shared scheduler and grid kernel, bitwise."""
         config = OracleConfig(
             pipelines=("default<O0>",),
             engines=("compiled",),

@@ -357,10 +357,14 @@ class TestLaneFallbackAndPool:
             compiled.close_engines()
 
     def test_worker_pool_bitwise_and_persistent(self):
-        compiled = compile_composition(pp.build_predator_prey("s"), pipeline="default<O2>")
+        """``workers`` chunks the controller-free whole-program sweep (a
+        grid-search model's lane runs never reach the pool)."""
+        compiled = compile_composition(
+            stroop.build_botvinick_stroop(noise=0.01), pipeline="default<O2>"
+        )
         try:
             lane = compiled.engine_instance("lane")
-            batch = [PP_INPUTS] * 4
+            batch = [stroop.default_inputs("incongruent")] * 4
             seeds = [0, 1, 2, 3]
             serial = run_batch_outputs(lane, batch, 2, seeds)
             pooled = run_batch_outputs(lane, batch, 2, seeds, workers=2)
