@@ -2,10 +2,10 @@
 
 pytest-benchmark times the lane engine on a 1024-element predator-prey L
 batch.  Predator-prey has a grid-search controller, so the lane engine runs
-it through the shared scheduler (``backends/grid_driver.py``) and
-``gpu-sim``'s grid kernel: one lane per (element, grid point), every grid
-evaluation of a scheduler step in bounded launches of at most
-``gpu_sim.MAX_LAUNCH_LANES`` lanes.  ``test_lane_beats_scalar_compiled``
+it through the shared scheduler (``backends/grid_driver.py``) and the
+grid kernel it shares with ``gpu-sim``: one lane per (element, grid point),
+every grid evaluation of a scheduler step in bounded launches of at most
+``lane.MAX_LAUNCH_LANES`` lanes.  ``test_lane_beats_scalar_compiled``
 carries the CI floor on the same batch: the lane engine must beat the
 scalar compiled engine's ``run_batch`` by >= 5x, with no per-lane
 fallbacks.  The lane engine's warm throughput over time is measured by

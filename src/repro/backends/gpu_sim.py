@@ -4,9 +4,10 @@ No GPU is available in this environment, so the NVPTX/PyCUDA path is replaced
 by two cooperating pieces (documented as a substitution in DESIGN.md):
 
 * **Functional SIMT execution** — the ``gpu-sim`` engine (and ``lane`` on
-  grid-search models) runs the evaluation kernel *data-parallel* through the
-  lane code generator (:func:`repro.backends.lane.compile_lane_program`):
-  one lane per (element, grid point) of a scheduler step, every IR value a
+  grid-search models) runs the evaluation kernel *data-parallel* on the
+  lane code generator's grid kernel (:class:`repro.backends.lane.
+  GridKernelEvaluator`): one lane per (element, grid point) of a scheduler
+  step, in bounded launches, every IR value a
   NumPy array, PRNG draws through the vectorised counter-based generator,
   and each lane's replicated PRNG state in its own row of the lane frame.
   This is the mapping the paper's generated CUDA kernel uses (one thread per
@@ -24,12 +25,10 @@ by two cooperating pieces (documented as a substitution in DESIGN.md):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
-
-import numpy as np
+from typing import List, Optional, Sequence
 
 from .grid_driver import drive_elements
-from .lane import LaneProgram, _LaneInstance
+from .lane import _LaneProgramInstance
 
 
 # ---------------------------------------------------------------------------
@@ -139,114 +138,16 @@ class GpuOccupancyModel:
 
 
 # ---------------------------------------------------------------------------
-# Engine entry point
-# ---------------------------------------------------------------------------
-
-
-def launch_grid_kernel(kernel: Callable, args: Sequence[object], lanes: int) -> np.ndarray:
-    """Run a lane-compiled kernel over ``lanes`` grid points at once.
-
-    ``args`` are the kernel's arguments: pointers as ``(2-D buffer, offset)``,
-    per-lane values as ``(lanes,)`` arrays, lane-uniform values as scalars.
-    Returns the ``(lanes,)`` cost vector (a lane-uniform result broadcast).
-    """
-    with np.errstate(all="ignore"):
-        costs = kernel(*args, np.ones(lanes, dtype=bool))
-    return np.broadcast_to(np.asarray(costs, dtype=float), (lanes,))
-
-
-#: Lanes per grid-kernel launch.  A memory bound, not a tuning knob: every
-#: IR value of the kernel is one ``(lanes,)`` array, and the stacked params
-#: rows are ``(lanes, width)``, so a scheduler step with more grid
-#: evaluations than this runs as several launches.  A request whose grid
-#: alone exceeds the bound still runs as one launch.
-MAX_LAUNCH_LANES = 2048
-
-
-class GpuSimEvaluator:
-    """Persistent SIMT state of the grid kernel, shared by ``gpu-sim`` and
-    ``lane``.
-
-    The lane program is built once per binding.  The allocation-level
-    columns and per-lane counter offsets of a grid region are pure layout
-    work — they depend only on the kernel and the level tables, not on the
-    trial being evaluated — so they are derived once per region and reused
-    across every ``run()`` / ``run_batch()`` call of the owning instance.
-    """
-
-    def __init__(self, program: Callable[[], LaneProgram]):
-        #: Returns the binding's lane program, building it on first use.
-        self._program = program
-        self._regions: Dict[str, tuple] = {}
-
-    def _region(self, prepared) -> tuple:
-        cached = self._regions.get(prepared.control_name)
-        if cached is None:
-            indices = np.arange(prepared.grid_size)
-            columns = [
-                np.asarray(levels, dtype=float)[(indices // stride) % len(levels)]
-                for levels, stride in zip(prepared.levels, prepared.strides)
-            ]
-            counter_lanes = indices.astype(np.float64) * prepared.counter_stride
-            cached = (self._program().functions[prepared.kernel_name], columns, counter_lanes)
-            self._regions[prepared.control_name] = cached
-        return cached
-
-    def evaluate_batch(self, compiled, requests) -> List[np.ndarray]:
-        """Every grid evaluation of one scheduler step, as few launches.
-
-        Requests of one region stack (request x grid point) on the lane
-        axis, up to :data:`MAX_LAUNCH_LANES` lanes per launch; each
-        request's cost vector is its slice of the launch's costs.
-        """
-        costs: List[Optional[np.ndarray]] = [None] * len(requests)
-        groups: Dict[str, List[int]] = {}
-        for index, request in enumerate(requests):
-            groups.setdefault(request.prepared.control_name, []).append(index)
-        for indices in groups.values():
-            grid_size = requests[indices[0]].prepared.grid_size
-            step = max(MAX_LAUNCH_LANES // grid_size, 1)
-            for start in range(0, len(indices), step):
-                launch = indices[start : start + step]
-                vector = self._launch([requests[i] for i in launch])
-                for k, index in enumerate(launch):
-                    costs[index] = vector[k * grid_size : (k + 1) * grid_size]
-        return costs
-
-    def _launch(self, requests) -> np.ndarray:
-        prepared = requests[0].prepared
-        kernel, columns, counter_lanes = self._region(prepared)
-        grid_size, n = prepared.grid_size, len(requests)
-        if n == 1:
-            # Zero-copy: the params row broadcast read-only, true inputs and
-            # PRNG key lane-uniform.
-            params = np.asarray(requests[0].params, dtype=float)
-            args = [(np.broadcast_to(params, (grid_size, params.size)), 0)]
-            args += [float(v) for v in requests[0].true_input] + columns
-            args.append(float(requests[0].key))
-        else:
-            params = np.asarray([r.params for r in requests], dtype=float)
-            true_inputs = np.asarray([r.true_input for r in requests], dtype=float)
-            args = [(np.repeat(params, grid_size, axis=0), 0)]
-            args += list(np.repeat(true_inputs.T, grid_size, axis=1))
-            args += [np.tile(column, n) for column in columns]
-            args.append(np.repeat(np.asarray([r.key for r in requests], dtype=float), grid_size))
-        bases = np.asarray([r.counter_base for r in requests], dtype=float)
-        args.append((bases[:, None] + counter_lanes).ravel())
-        return launch_grid_kernel(kernel, args, grid_size * n)
-
-
-# ---------------------------------------------------------------------------
 # Engine registration (see repro.driver.engines)
 # ---------------------------------------------------------------------------
 
 from ..driver.engines import EngineCapabilities, EngineInstance, register_engine  # noqa: E402
 
 
-class _GpuSimInstance(_LaneInstance):
-    """A gpu-sim binding: the lane binding's lazily built program and grid
-    evaluator, with every model run through the shared scheduler (a model
-    without a grid-search controller runs whole compiled)."""
+class _GpuSimInstance(_LaneProgramInstance):
+    """A gpu-sim binding: every model runs through the shared scheduler,
+    grid evaluations on the lane program's grid kernel (a model without a
+    grid-search controller runs whole compiled)."""
 
     def execute_batch(self, elements, **options):
         drive_elements(self.model, elements, self._evaluator.evaluate_batch)

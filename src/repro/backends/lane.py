@@ -6,13 +6,14 @@ per-thread state (§3.6, Figure 6).  The structured codegen output is
 re-emitted so that every IR value is an ``(n_lanes,)`` numpy array (see
 :class:`repro.backends.pycodegen.LanePythonCodeGenerator`).  A model with a
 grid-search controller runs through the shared scheduler
-(:func:`~repro.backends.grid_driver.drive_elements`) with ``gpu-sim``'s
-grid evaluator: one lane per (element, grid point), every grid evaluation
-of a scheduler step in one bounded kernel launch.  A controller-free model
-runs whole: ``run_batch`` elements become lanes and one pass of the lane
-``run_model`` advances the whole batch.  Per-operation cost is paid once per
-*kernel call* instead of once per lane, which is where the 10-100x over the
-scalar compiled engine comes from on wide batches.
+(:func:`~repro.backends.grid_driver.drive_elements`) with the grid-kernel
+evaluator it shares with ``gpu-sim`` (:class:`GridKernelEvaluator`): one
+lane per (element, grid point), every grid evaluation of a scheduler step
+in bounded kernel launches.  A controller-free model runs whole:
+``run_batch`` elements become lanes and one pass of the lane ``run_model``
+advances the whole batch.  Per-operation cost is paid once per *kernel
+call* instead of once per lane, which is where the 10-100x over the scalar
+compiled engine comes from on wide batches.
 
 Execution model
 ---------------
@@ -35,10 +36,11 @@ Execution model
   through the scalar compiled program (:func:`_per_lane`), recorded in
   ``lane_fallbacks`` — correctness never depends on lane-lowerability.
 
-The module has two halves: the ``LANE_NAMESPACE`` runtime helpers that the
-generated lane source links against, and the ``lane`` execution engine.
-With ``workers=N`` the controller-free sweep's stacked lanes are split into
-contiguous chunks run on the persistent
+The module has three parts: the ``LANE_NAMESPACE`` runtime helpers that
+the generated lane source links against, the grid kernel that ``lane`` and
+``gpu-sim`` run grid-search evaluations on, and the ``lane`` execution
+engine.  With ``workers=N`` the controller-free sweep's stacked lanes are
+split into contiguous chunks run on the persistent
 :class:`~repro.backends.workerpool.WorkerPool` that ``mcpu`` also uses; a
 worker that dies mid-batch raises :class:`~repro.errors.WorkerLost` and the
 next call restarts the pool.
@@ -66,9 +68,9 @@ from .workerpool import WorkerPool
 # definitions in :mod:`repro.backends.runtime`; the array paths reproduce
 # them bit-for-bit — the fuzz oracle's lane leg compares buffers and PRNG
 # counters against the scalar compiled engine.  Every caller of a lane
-# program (``_run_stacked``, the pool worker, ``gpu_sim``) runs it under
-# ``np.errstate(all="ignore")``: both arms of a branch are evaluated, so
-# inactive lanes may divide by zero or overflow by design.
+# program (``_run_stacked``, the pool worker, :func:`launch_grid_kernel`)
+# runs it under ``np.errstate(all="ignore")``: both arms of a branch are
+# evaluated, so inactive lanes may divide by zero or overflow by design.
 
 
 def _bmask(m, c) -> Tuple[np.ndarray, np.ndarray]:
@@ -250,8 +252,8 @@ def _per_lane(scalar_fn, args, is_ptr, m):
     uses, so results stay bitwise identical.  Pointer
     args are ``(buffer, offset)`` with 2-D lane buffers; each lane's row is
     extracted to a plain list (the scalar calling convention), mutated in
-    place, and written back unless the buffer is read-only (gpu-sim's
-    params row, broadcast across the grid).
+    place, and written back unless the buffer is read-only (a params row
+    broadcast across the lanes).
     """
     n = len(m)
     results: Dict[int, object] = {}
@@ -406,6 +408,98 @@ def compile_lane_program(module, scalar_function: Callable[[str], Callable]) -> 
 
 
 # ---------------------------------------------------------------------------
+# The grid kernel: grid-search evaluations on the lane axis (lane, gpu-sim)
+# ---------------------------------------------------------------------------
+
+
+def launch_grid_kernel(kernel: Callable, args: Sequence[object], lanes: int) -> np.ndarray:
+    """Run a lane-compiled kernel over ``lanes`` grid points at once.
+
+    ``args`` are the kernel's arguments: pointers as ``(2-D buffer, offset)``,
+    per-lane values as ``(lanes,)`` arrays, lane-uniform values as scalars.
+    Returns the ``(lanes,)`` cost vector (a lane-uniform result broadcast).
+    """
+    with np.errstate(all="ignore"):
+        costs = kernel(*args, np.ones(lanes, dtype=bool))
+    return np.broadcast_to(np.asarray(costs, dtype=float), (lanes,))
+
+
+#: Lanes per grid-kernel launch.  A memory bound, not a tuning knob: every
+#: IR value of the kernel is one ``(lanes,)`` array, and the stacked params
+#: rows are ``(lanes, width)``, so a scheduler step with more grid
+#: evaluations than this runs as several launches.  A request whose grid
+#: alone exceeds the bound still runs as one launch.
+MAX_LAUNCH_LANES = 2048
+
+
+class GridKernelEvaluator:
+    """The batch grid evaluator of ``lane`` and ``gpu-sim`` (see
+    :func:`~repro.backends.grid_driver.drive_elements`): one lane per
+    (element, grid point), each with its own PRNG key and counter.  A grid
+    region's level columns and per-lane counter offsets are pure layout,
+    derived once per region and reused by every call of the binding.
+    """
+
+    def __init__(self, program: Callable[[], LaneProgram]):
+        #: Returns the binding's lane program, building it on first use.
+        self._program = program
+        self._regions: Dict[str, tuple] = {}
+
+    def _region(self, prepared) -> tuple:
+        """The region's kernel, requests per launch, and its level columns
+        and per-lane counter offsets laid out over a full launch."""
+        cached = self._regions.get(prepared.control_name)
+        if cached is None:
+            per_launch = max(MAX_LAUNCH_LANES // prepared.grid_size, 1)
+            indices = np.tile(np.arange(prepared.grid_size), per_launch)
+            columns = [
+                np.asarray(levels, dtype=float)[(indices // stride) % len(levels)]
+                for levels, stride in zip(prepared.levels, prepared.strides)
+            ]
+            counter_lanes = indices.astype(np.float64) * prepared.counter_stride
+            kernel = self._program().functions[prepared.kernel_name]
+            cached = (kernel, per_launch, columns, counter_lanes)
+            self._regions[prepared.control_name] = cached
+        return cached
+
+    def evaluate_batch(self, compiled, requests) -> List[np.ndarray]:
+        """Every grid evaluation of one scheduler step, as few launches.
+
+        Requests of one region stack (request x grid point) on the lane
+        axis, up to :data:`MAX_LAUNCH_LANES` lanes per launch; each
+        request's cost vector is its slice of the launch's costs.
+        """
+        costs: List[Optional[np.ndarray]] = [None] * len(requests)
+        groups: Dict[str, List[int]] = {}
+        for index, request in enumerate(requests):
+            groups.setdefault(request.prepared.control_name, []).append(index)
+        for indices in groups.values():
+            grid_size = requests[indices[0]].prepared.grid_size
+            per_launch = self._region(requests[indices[0]].prepared)[1]
+            for start in range(0, len(indices), per_launch):
+                launch = indices[start : start + per_launch]
+                vector = self._launch([requests[i] for i in launch])
+                for k, index in enumerate(launch):
+                    costs[index] = vector[k * grid_size : (k + 1) * grid_size]
+        return costs
+
+    def _launch(self, requests) -> np.ndarray:
+        """Each request's params row, true inputs and PRNG key repeated over
+        its grid points, the level columns and every lane's counter offset
+        (added to its request's base) sliced from the region's layout."""
+        prepared = requests[0].prepared
+        kernel, _, columns, counter_lanes = self._region(prepared)
+        lanes = prepared.grid_size * len(requests)
+        params = np.asarray([r.params for r in requests], dtype=float)
+        rows = [(*r.true_input, r.key, r.counter_base) for r in requests]
+        values = np.repeat(np.asarray(rows, dtype=float).T, prepared.grid_size, axis=1)
+        args: List[object] = [(np.repeat(params, prepared.grid_size, axis=0), 0), *values[:-2]]
+        args += [column[:lanes] for column in columns]
+        args += [values[-2], values[-1] + counter_lanes[:lanes]]
+        return launch_grid_kernel(kernel, args, lanes)
+
+
+# ---------------------------------------------------------------------------
 # Worker-side machinery for lane-chunk execution (persistent process pool)
 # ---------------------------------------------------------------------------
 
@@ -457,18 +551,36 @@ from ..driver.engines import EngineCapabilities, EngineInstance, register_engine
 _BUFFER_KEYS = ("params", "state", "prev", "cur", "inputs", "results", "monitor")
 
 
-class _LaneInstance(EngineInstance):
-    """A lane binding: lazily lane-compiles the model, stacks batches."""
+class _LaneProgramInstance(EngineInstance):
+    """A binding that lazily lane-compiles the model, with the grid-kernel
+    evaluator over that program (the part ``lane`` and ``gpu-sim`` share)."""
 
     def __init__(self, engine_name: str, model):
-        from .gpu_sim import GpuSimEvaluator  # gpu_sim imports this module
-
         super().__init__(engine_name, model)
         self._program: Optional[LaneProgram] = None
         #: Functions emitted as per-lane scalar-dispatch wrappers (lane
         #: lowering gaps: an intrinsic outside ``LANE_INTRINSICS``, a cast).
         self.lane_fallbacks: List[str] = []
         self.lane_fallback_reasons: Dict[str, str] = {}
+        self._evaluator = GridKernelEvaluator(self._ensure_program)
+
+    def _ensure_program(self) -> LaneProgram:
+        if self._program is None:
+            self._program = compile_lane_program(self.model.module, self.model.function)
+            self.lane_fallbacks = list(self._program.fallbacks)
+            self.lane_fallback_reasons = dict(self._program.fallback_reasons)
+        return self._program
+
+    def execute(self, buffers, num_trials, **options):
+        self.execute_batch([(buffers, num_trials)], **options)
+
+
+class _LaneInstance(_LaneProgramInstance):
+    """A lane binding: grid-search models on the grid kernel, every other
+    model as one stacked sweep of the lane ``run_model``."""
+
+    def __init__(self, engine_name: str, model):
+        super().__init__(engine_name, model)
         #: Trials folded onto the lane axis so far (see :meth:`_fold_trials`).
         self.trials_folded = 0
         #: Trials of RNG models folded speculatively with extrapolated PRNG
@@ -479,17 +591,6 @@ class _LaneInstance(EngineInstance):
         #: re-run as sequential masked trial loops.
         self.rng_fold_fallbacks = 0
         self._pool: Optional[WorkerPool] = None
-        #: Grid-search models run the ``gpu-sim`` grid kernel (see
-        #: :meth:`execute_batch`).
-        self._evaluator = GpuSimEvaluator(self._ensure_program)
-
-    # -- lane compilation ------------------------------------------------
-    def _ensure_program(self) -> LaneProgram:
-        if self._program is None:
-            self._program = compile_lane_program(self.model.module, self.model.function)
-            self.lane_fallbacks = list(self._program.fallbacks)
-            self.lane_fallback_reasons = dict(self._program.fallback_reasons)
-        return self._program
 
     # -- buffer stacking -------------------------------------------------
     def _stack(self, elements) -> Dict[str, np.ndarray]:
@@ -594,9 +695,6 @@ class _LaneInstance(EngineInstance):
             buffers[key][:] = last[key]
 
     # -- execution -------------------------------------------------------
-    def execute(self, buffers, num_trials, **options):
-        self.execute_batch([(buffers, num_trials)], **options)
-
     def execute_batch(self, elements, **options):
         if not elements:
             return
@@ -779,7 +877,7 @@ class LaneEngine:
                 "structured codegen re-emitted as numpy array programs over a "
                 "lane axis under divergence masks: run_batch elements are lanes, "
                 "or (element, grid point) pairs on grid-search models "
-                "through gpu-sim's grid kernel (DISTILL-GPU's per-thread mapping); "
+                "through the grid kernel gpu-sim shares (DISTILL-GPU's per-thread mapping); "
                 "controller-free models agree with the scalar compiled engine to "
                 "the final ulp of numpy's transcendental kernels"
             ),

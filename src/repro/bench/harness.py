@@ -578,11 +578,11 @@ def empirical_attention_curve(
 
     This is the "grid" series of Figure 2: the model's evaluation kernel is
     executed ``samples_per_level`` times for every candidate level (through
-    the ``gpu-sim`` engine's lane-compiled grid kernel, i.e. exactly what
-    running the model would do), and the mean cost per level is reported.
+    the lane-compiled grid kernel of the ``lane`` and ``gpu-sim`` engines,
+    i.e. exactly what running the model would do), and the mean cost per
+    level is reported.
     """
-    from ..backends.gpu_sim import launch_grid_kernel
-    from ..backends.lane import compile_lane_program
+    from ..backends.lane import compile_lane_program, launch_grid_kernel
 
     info = compiled.grid_searches[0]
     kernel = compile_lane_program(compiled.module, compiled.function).functions[

@@ -20,7 +20,8 @@ shrunk fuzz reproducers.
   counters; a mismatch in the state buffer is annotated with both sides'
   final counters.
 
-The one documented tolerance is :data:`LANE_RTOL`, used only by the lane leg.
+The one documented tolerance is :data:`LANE_RTOL`, used only by the lane leg
+on controller-free models.
 """
 
 from __future__ import annotations

@@ -22,9 +22,11 @@ For one model the oracle runs a matrix of *legs* and demands agreement:
   the semantic baseline; compiled outputs and pass counts must match it to
   the suite-wide tolerance (``rtol=1e-9``, ``atol=1e-12``; engines share one
   IR module so only this leg is toleranced, everything else is bitwise).
-* **lane conformance** (``--lane``) — a small ``run_batch`` (one lane per
-  element, distinct seeds) on the vectorised lane engine must reproduce the
-  scalar ``compiled`` engine's per-element buffers within :data:`LANE_RTOL`.
+* **lane conformance** (``--lane``) — a small ``run_batch`` (distinct
+  seeds) on the vectorised lane engine must reproduce the scalar
+  ``compiled`` engine's per-element buffers: within :data:`LANE_RTOL` on a
+  controller-free model, bitwise on a model with a grid-search controller
+  (the stacked grid-kernel launch).
 * **sanitizer** (``--sanitizer``) and **incremental** (``--incremental``)
   legs — see :func:`_sanitizer_leg` and :func:`_incremental_leg`.
 
@@ -122,7 +124,8 @@ class OracleConfig:
     #: Execute a small ``run_batch`` (one lane per batch element, distinct
     #: seeds) on the lane engine and demand per-element result/monitor/state
     #: buffers equal to running the same elements on the scalar ``compiled``
-    #: engine within :data:`LANE_RTOL`.  Off by default (the nightly campaign
+    #: engine (within :data:`LANE_RTOL` unless the model has a grid-search
+    #: controller, then bitwise).  Off by default (the nightly campaign
     #: and ``python -m repro.fuzz --lane`` enable it).
     check_lane: bool = False
 
@@ -238,9 +241,11 @@ def _lane_leg(
     """The batched-lane differential: ``run_batch`` lane vs scalar compiled.
 
     Allocates :data:`LANE_LEG_BATCH` elements with consecutive seeds and
-    executes them as one batch on both engines (every element is one lane of
-    the lane engine's array program); per element the raw buffers must agree
-    under :func:`_lane_buffers_equal`.
+    executes them as one batch on both engines; per element the raw buffers
+    must agree.  A controller-free model runs as one lane per element and
+    agrees under :func:`_lane_buffers_equal`; a model with a grid-search
+    controller runs every scheduler step's grid evaluations as one stacked
+    launch of the grid kernel ``gpu-sim`` shares, and must agree bitwise.
     """
     verdict.legs += 1
     seeds = [run_seed + i for i in range(LANE_LEG_BATCH)]
@@ -261,7 +266,7 @@ def _lane_leg(
         observe(batch_buffers, "lane"),
         (BASELINE_ENGINE, "lane"),
         cached,
-        equal=_lane_buffers_equal,
+        equal=buffers_equal if cached.grid_searches else _lane_buffers_equal,
     )
     if mismatch is None:
         return []

@@ -3,7 +3,7 @@
 Both engines run a model with a grid-search controller through the shared
 scheduler (``backends/grid_driver.drive_elements``) and put every grid
 evaluation of a scheduler step on the lane axis of one kernel launch, one
-lane per (element, grid point), at most ``gpu_sim.MAX_LAUNCH_LANES`` lanes
+lane per (element, grid point), at most ``lane.MAX_LAUNCH_LANES`` lanes
 per launch.  The claim under test is bitwise agreement with the scalar
 ``compiled`` engine (``rtol`` 0): results, monitor and state buffers,
 final PRNG counters included, while elements with different inputs and
@@ -13,7 +13,7 @@ different ``num_trials`` leave the lockstep at different steps.
 import numpy as np
 import pytest
 
-from repro.backends import gpu_sim
+from repro.backends import lane
 from repro.core.distill import compile_composition
 from repro.fuzz import generate_model_spec
 from repro.fuzz.compare import buffers_equal, final_rng_counters
@@ -69,20 +69,20 @@ def test_wide_batch_spans_several_launches(monkeypatch):
     """A predator_prey_m step of 40 elements x 64 grid points exceeds one
     launch's lane bound: it splits into bounded launches, still bitwise."""
     launches = []
-    launch = gpu_sim.launch_grid_kernel
+    launch = lane.launch_grid_kernel
 
     def counting(kernel, args, lanes):
         launches.append(lanes)
         return launch(kernel, args, lanes)
 
-    monkeypatch.setattr(gpu_sim, "launch_grid_kernel", counting)
+    monkeypatch.setattr(lane, "launch_grid_kernel", counting)
     compiled = compile_composition(pp.build_predator_prey("m"), pipeline="default<O2>")
     try:
         grid_size = compiled.grid_searches[0].grid_size
         n = 40
-        assert n * grid_size > gpu_sim.MAX_LAUNCH_LANES
+        assert n * grid_size > lane.MAX_LAUNCH_LANES
         assert_engines_bitwise(compiled, pp_batch(n))
-        assert max(launches) == gpu_sim.MAX_LAUNCH_LANES
+        assert max(launches) == lane.MAX_LAUNCH_LANES
     finally:
         compiled.close_engines()
 

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.backends.gpu_sim import GpuOccupancyModel, launch_grid_kernel
+from repro.backends.gpu_sim import GpuOccupancyModel
 from repro.backends.grid_driver import candidate_events_from_costs, replay_selection
 from repro.backends.interp import Interpreter
-from repro.backends.lane import LANE_INTRINSICS, compile_lane_program
+from repro.backends.lane import LANE_INTRINSICS, compile_lane_program, launch_grid_kernel
 from repro.backends.pycodegen import PythonCodeGenerator, compile_module_to_python
 from repro.cogframe import CounterRNG, ReferenceRunner, sanitize
 from repro.core.distill import compile_composition
