@@ -1,19 +1,26 @@
 """The Python scheduler of the per-node, mcpu and gpu-sim engines (and of
-``lane`` on grid-search models); they differ only in what executes a node.
-The driver below owns the trial/pass loop: each pass it evaluates every
-node's activation condition against the start-of-pass
-:class:`~repro.cogframe.conditions.SchedulerState` and calls the node's
-compiled ``node_<name>`` function, then swaps the double buffers and
-records monitors and results.  ``per-node`` (Figure 5b) runs every node that
-way, grid-search controllers included.  ``mcpu``, ``gpu-sim`` and ``lane``
-follow the strategy the paper describes for parallel execution (section
-3.6): everything *except* the grid-search evaluations runs through the same
-compiled code as the serial engine; the evaluations themselves — one
-independent kernel invocation per grid point, each with its own replicated
-PRNG state — are dispatched to a pool of workers or to the data-parallel
-grid kernel.  Those engines plug in a *batch* evaluator that receives whole
-lists of :class:`GridRequest` objects at once; the driver performs the
-reservoir-sampling reduction.
+``lane`` on grid-search models); they differ only in what runs a
+grid-search controller.  :func:`drive_elements` runs a batch of elements in
+one lockstep loop (trials, then passes, then elements): each pass runs
+every live element's active nodes through their compiled ``node_<name>``
+functions, hands every grid evaluation of the pass to the engine's batch
+evaluator in one call, then selects the winners, swaps the double buffers
+and records monitors and results.  ``per-node`` (Figure 5b) has no
+evaluator and calls a controller's compiled node like any other.  ``mcpu``,
+``gpu-sim`` and ``lane`` follow the paper's parallel strategy (section
+3.6): everything *except* the grid-search evaluations runs through the
+serial engine's compiled code; the evaluations — one independent kernel
+invocation per grid point, each with its own replicated PRNG state — go to
+a pool of workers or to the data-parallel grid kernel.
+
+The schedule: no registered condition reads the trial index, and only
+:class:`~repro.cogframe.conditions.ThresholdCrossed` reads outputs.  So
+when no condition reads outputs, the cached :class:`GridDriverPlan` (which
+also holds every layout fact the loop needs; an incremental recompile
+retires it) derives the active nodes of every pass up to termination once
+per model; otherwise the conditions are evaluated per element per pass
+against a start-of-pass :class:`~repro.cogframe.conditions.SchedulerState`
+holding copies of only the outputs they read.
 
 Serial-equivalence contract
 ---------------------------
@@ -33,22 +40,17 @@ entries before them*.  Entries above the prefix minimum can never interact
 with the serial scan (they are neither new minima nor ties), so replaying
 the reservoir over the candidate events alone reproduces the serial scan —
 same winner, same number of uniform draws, same final counter — while
-shipping only a handful of floats per chunk.  Full cost arrays (as produced
-by the ``gpu-sim`` grid kernel) are reduced to candidate events with a
-NumPy prefix-minimum before selection, so every engine funnels through the
-same replay code.
-
-All layout facts the hot loop needs (row-major strides of the level tables,
-state/output slot offsets, compiled node and helper functions) are
-precomputed once per compiled model in a cached :class:`GridDriverPlan`
-instead of being re-derived on every ``run()`` call.  An incremental
-recompile retires the plan with the model's engine bindings.
+shipping only a handful of floats per chunk.  Full cost arrays (the grid
+kernel's) are selected a controller's ``(requests, grid_size)`` block at a
+time (:func:`select_block`): a row whose scan makes no draw takes its first
+argmin, every other row goes through the same replay.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -222,14 +224,45 @@ def select_best(costs: np.ndarray, state_buf: List[float], rng_offset: int) -> i
     return index
 
 
+def select_block(
+    costs: np.ndarray, state_bufs: Sequence[List[float]], rng_offset: int, control_name: str
+) -> List[Tuple[int, float]]:
+    """:func:`select_from_events` for each row of a ``(requests, grid_size)``
+    cost block, row ``r`` drawing from ``state_bufs[r]``.  A row without NaN
+    in which no cost equals the prefix minimum before it makes no draw, so
+    its winner is its first argmin; only the other rows are replayed."""
+    before = np.full(costs.shape, np.inf)
+    np.minimum.accumulate(costs[:, :-1], axis=1, out=before[:, 1:])
+    replay = np.flatnonzero(((costs == before) | np.isnan(costs)).any(axis=1))
+    best = costs.argmin(axis=1)
+    picks = list(zip(best.tolist(), costs[np.arange(len(costs)), best].tolist()))
+    for row in replay.tolist():
+        picks[row] = select_from_events(
+            candidate_events_from_costs(costs[row]), state_bufs[row], rng_offset, control_name
+        )
+    return picks
+
+
 # ---------------------------------------------------------------------------
 # The cached per-model driver plan
 # ---------------------------------------------------------------------------
 
 
+def _watched_nodes(condition: cond.Condition) -> Set[str]:
+    """The nodes whose outputs ``condition`` reads (the compiler refuses
+    condition types outside the registry)."""
+    if isinstance(condition, cond.ThresholdCrossed):
+        return {condition.node}
+    if isinstance(condition, (cond.All, cond.Any)):
+        return set().union(*map(_watched_nodes, condition.conditions))
+    if isinstance(condition, cond.Not):
+        return _watched_nodes(condition.condition)
+    return set()
+
+
 class GridDriverPlan:
-    """Layout facts and compiled callables the trial loop needs, derived
-    once per compiled model."""
+    """Layout facts, compiled callables and the schedule the trial loop
+    needs, derived once per compiled model."""
 
     def __init__(self, compiled):
         layout = compiled.layout
@@ -241,12 +274,11 @@ class GridDriverPlan:
 
         self.layout = layout
         self.composition = composition
-        self.node_fns = {
-            name: compiled.function(f"node_{name}") for name in layout.execution_order
-        }
+        self.order = layout.execution_order
+        self.node_fns = {name: compiled.function(f"node_{name}") for name in self.order}
         self.controls = [
             name
-            for name in layout.execution_order
+            for name in self.order
             if isinstance(composition.mechanisms[name], GridSearchControlMechanism)
         ]
         grid_infos = {g.control_name: g for g in compiled.grid_searches}
@@ -259,9 +291,7 @@ class GridDriverPlan:
         }
         self.rng_offsets = {name: layout.rng_offsets[name] for name in self.controls}
         self.out_offsets = layout.output_offsets
-        self.count_offsets = {
-            name: state_slot(layout.count_field(name)) for name in layout.execution_order
-        }
+        self.count_offsets = {name: state_slot(layout.count_field(name)) for name in self.order}
         self.cost_offsets = {
             name: state_slot(layout.state_field(name, "last_best_cost"))
             for name in self.controls
@@ -270,6 +300,40 @@ class GridDriverPlan:
             name: state_slot(layout.state_field(name, "eval_epoch")) for name in self.controls
         }
         self.record_size = layout.result_record_size()
+        conditions = [composition.termination, *composition.conditions.values()]
+        #: Output slices of the nodes some condition reads.
+        self.watched = {
+            name: self.out_offsets[name]
+            for name in sorted(set().union(*map(_watched_nodes, conditions)))
+        }
+        #: The active nodes of each pass up to termination, unless a
+        #: condition reads outputs.
+        self.schedule: Optional[List[Tuple[str, ...]]] = None
+        if not self.watched:
+            counts = dict.fromkeys(self.order, 0)
+            passes = (self.advance(p, counts, []) for p in range(layout.max_passes))
+            self.schedule = list(itertools.takewhile(lambda active: active is not None, passes))
+
+    def advance(
+        self, pass_index: int, counts: Dict[str, int], prev_buf: List[float]
+    ) -> Optional[Tuple[str, ...]]:
+        """The nodes that run on a pass, added to ``counts``; ``None`` when
+        the trial terminates before it.  Every condition sees the
+        start-of-pass snapshot, as in the compiled ``run_pass``."""
+        if self.schedule is not None:
+            return self.schedule[pass_index] if pass_index < len(self.schedule) else None
+        state = cond.SchedulerState(
+            pass_index=pass_index,
+            call_counts=dict(counts),
+            outputs={name: np.array(prev_buf[o : o + s]) for name, (o, s) in self.watched.items()},
+        )
+        if pass_index > 0 and self.composition.termination.is_satisfied(state):
+            return None
+        conditions = self.composition.conditions
+        active = tuple(name for name in self.order if conditions[name].is_satisfied(state))
+        for name in active:
+            counts[name] += 1
+        return active
 
 
 def grid_driver_plan(compiled) -> GridDriverPlan:
@@ -282,7 +346,7 @@ def grid_driver_plan(compiled) -> GridDriverPlan:
 
 
 # ---------------------------------------------------------------------------
-# Requests and element programs
+# Requests and the lockstep driver
 # ---------------------------------------------------------------------------
 
 
@@ -301,127 +365,22 @@ class GridRequest:
 BatchGridEvaluator = Callable[[object, List[GridRequest]], List[object]]
 
 
-def _coerce_events(result) -> CandidateEvents:
-    if isinstance(result, CandidateEvents):
-        return result
-    return candidate_events_from_costs(np.asarray(result, dtype=float))
+class _Element:
+    """One element in one trial: its buffers reset for the trial and as the
+    node functions take them, the trial's call counts and passes run."""
 
+    __slots__ = ("buffers", "state", "prev", "cur", "args", "counts", "passes")
 
-def _element_program(
-    plan: GridDriverPlan, buffers: Dict[str, object], num_trials: int, offload: bool
-):
-    """Generator running one element's trial loop.
-
-    Every active node runs its compiled ``node_<name>`` function, except
-    that with ``offload`` a grid-search controller's evaluation is yielded
-    as a :class:`GridRequest` instead; the generator receives the
-    evaluation results via ``send`` and performs the selection itself.
-    Trials stay strictly sequential within an element because PRNG counters
-    carry across trials; batching happens across *elements* (see
-    :func:`drive_elements`).
-    """
-    layout = plan.layout
-    composition = plan.composition
-    params_buf: List[float] = buffers["params"]
-    state_buf: List[float] = buffers["state"]
-    prev_buf: List[float] = buffers["prev"]
-    cur_buf: List[float] = buffers["cur"]
-    params, state, prev, cur = (params_buf, 0), (state_buf, 0), (prev_buf, 0), (cur_buf, 0)
-    order = layout.execution_order
-    conditions = composition.conditions
-    node_fns = plan.node_fns
-    count_offsets = plan.count_offsets
-    epoch_offsets = plan.epoch_offsets
-    out_offsets = plan.out_offsets
-    offloaded = plan.prepared if offload else {}
-
-    for trial in range(num_trials):
-        for offset, values in layout.state_reset_entries:
-            state_buf[offset : offset + len(values)] = values
-        for i in range(len(prev_buf)):
-            prev_buf[i] = 0.0
-            cur_buf[i] = 0.0
-        row = trial % buffers["rows"]
-        ext = (buffers["inputs"], row * layout.input_size)
-
-        call_counts = {name: 0 for name in order}
-        passes_run = 0
-        for pass_idx in range(layout.max_passes):
-            # Every condition of the pass sees this start-of-pass snapshot,
-            # as in the reference runner and the compiled ``run_pass``.
-            scheduler_state = cond.SchedulerState(
-                pass_index=pass_idx,
-                trial_index=trial,
-                call_counts=dict(call_counts),
-                outputs={
-                    name: np.array(prev_buf[o : o + s]) for name, (o, s) in out_offsets.items()
-                },
-            )
-            if pass_idx > 0 and composition.termination.is_satisfied(scheduler_state):
-                break
-
-            epoch = trial * layout.max_passes + pass_idx
-            requests: List[GridRequest] = []
-            for name in order:
-                if not conditions[name].is_satisfied(scheduler_state):
-                    continue
-                if name in epoch_offsets:
-                    state_buf[epoch_offsets[name]] = float(epoch)
-                prepared = offloaded.get(name)
-                if prepared is None:
-                    node_fns[name](params, state, prev, cur, ext)
-                    state_buf[count_offsets[name]] += 1.0
-                    call_counts[name] += 1
-                    continue
-                true_input = [0.0] * prepared.input_size
-                plan.input_helpers[name](params, state, prev, cur, ext, (true_input, 0))
-                requests.append(
-                    GridRequest(
-                        prepared=prepared,
-                        params=params_buf,
-                        true_input=true_input,
-                        key=int(state_buf[plan.rng_offsets[name]]),
-                        counter_base=epoch * prepared.grid_size * prepared.counter_stride,
-                    )
-                )
-
-            if requests:
-                results = yield requests
-                for request, result in zip(requests, results):
-                    prepared = request.prepared
-                    name = prepared.control_name
-                    best, best_cost = select_from_events(
-                        _coerce_events(result), state_buf, plan.rng_offsets[name], name
-                    )
-                    out_offset, out_size = out_offsets[name]
-                    cur_buf[out_offset : out_offset + out_size] = allocation_for_index(
-                        prepared.levels, best, prepared.strides
-                    )
-                    state_buf[plan.cost_offsets[name]] = best_cost
-                    state_buf[count_offsets[name]] += 1.0
-                    call_counts[name] += 1
-
-            # Double-buffer swap, monitor recording.
-            prev_buf[:] = cur_buf
-            if layout.monitor_size:
-                record = epoch * layout.monitor_size
-                for node_name, (offset, size) in layout.monitor_layout.items():
-                    o, _ = out_offsets[node_name]
-                    buffers["monitor"][record + offset : record + offset + size] = prev_buf[
-                        o : o + size
-                    ]
-            passes_run = pass_idx + 1
-
-        base = trial * plan.record_size
-        for node_name, (offset, size) in layout.result_layout.items():
-            o, _ = out_offsets[node_name]
-            buffers["results"][base + offset : base + offset + size] = prev_buf[o : o + size]
-        buffers["results"][base + layout.result_size] = float(passes_run)
-
-
-# ---------------------------------------------------------------------------
-# Drivers
-# ---------------------------------------------------------------------------
+    def __init__(self, plan: GridDriverPlan, buffers: Dict[str, object], trial: int):
+        self.buffers = buffers
+        self.state, self.prev, self.cur = buffers["state"], buffers["prev"], buffers["cur"]
+        for offset, values in plan.layout.state_reset_entries:
+            self.state[offset : offset + len(values)] = values
+        self.prev[:] = self.cur[:] = [0.0] * len(self.prev)
+        ext = (buffers["inputs"], trial % buffers["rows"] * plan.layout.input_size)
+        self.args = ((buffers["params"], 0), (self.state, 0), (self.prev, 0), (self.cur, 0), ext)
+        self.counts = dict.fromkeys(plan.order, 0)
+        self.passes = 0
 
 
 def drive_elements(
@@ -432,48 +391,109 @@ def drive_elements(
     """Run several independent ``(buffers, num_trials)`` elements.
 
     Without ``batch_evaluator`` every node runs its compiled node function
-    (the ``per-node`` engine).  With one, grid-search evaluations go to the
-    evaluator; a model without a grid-search controller then has nothing to
-    offload and runs its whole compiled ``run_model`` instead.
-
-    Elements run in lockstep: each executes its trial loop exactly as a
-    standalone ``run()`` would (elements own separate buffers, so results
-    are bitwise identical to looped runs); whenever several elements have
-    grid evaluations pending at the same time, the whole batch of requests
-    goes to the engine in one call — one pool ``map`` instead of one per
-    element.
+    (the ``per-node`` engine).  With one, the grid-search evaluations of
+    each pass go to the evaluator in one call; a model without a
+    grid-search controller then has nothing to offload and runs its whole
+    compiled ``run_model`` instead.  Elements own separate buffers and run
+    their trials in order (PRNG counters carry across trials), so results
+    are bitwise identical to looped runs.
     """
     plan = grid_driver_plan(compiled)
-    offload = batch_evaluator is not None
-    if offload and not plan.controls:
+    if batch_evaluator is not None and not plan.controls:
         for buffers, num_trials in elements:
             compiled._run_whole_compiled(buffers, num_trials)
         return
+    layout = plan.layout
+    offloaded = plan.prepared if batch_evaluator is not None else {}
+    node_fns, count_offsets, epoch_offsets = plan.node_fns, plan.count_offsets, plan.epoch_offsets
 
-    pending: List[Tuple[object, List[GridRequest]]] = []
-    for buffers, num_trials in elements:
-        program = _element_program(plan, buffers, num_trials, offload)
-        try:
-            pending.append((program, next(program)))
-        except StopIteration:
-            pass  # element finished without offloading an evaluation
-    while pending:
-        batch: List[GridRequest] = []
-        for _, requests in pending:
-            batch.extend(requests)
-        results = batch_evaluator(compiled, batch)
-        if len(results) != len(batch):
-            raise EngineError(
-                f"batch grid evaluator returned {len(results)} results for "
-                f"{len(batch)} requests"
+    for trial in range(max((num_trials for _, num_trials in elements), default=0)):
+        live = [_Element(plan, buffers, trial) for buffers, n in elements if n > trial]
+        trial_elements = live
+        for pass_index in range(layout.max_passes):
+            epoch = trial * layout.max_passes + pass_index
+            running: List[_Element] = []
+            requests: List[Tuple[GridRequest, _Element]] = []
+            for element in live:
+                active = plan.advance(pass_index, element.counts, element.prev)
+                if active is None:
+                    continue
+                running.append(element)
+                state_buf = element.state
+                for name in active:
+                    if name in epoch_offsets:
+                        state_buf[epoch_offsets[name]] = float(epoch)
+                    prepared = offloaded.get(name)
+                    if prepared is None:
+                        node_fns[name](*element.args)
+                        state_buf[count_offsets[name]] += 1.0
+                        continue
+                    true_input = [0.0] * prepared.input_size
+                    plan.input_helpers[name](*element.args, (true_input, 0))
+                    request = GridRequest(
+                        prepared,
+                        element.buffers["params"],
+                        true_input,
+                        key=int(state_buf[plan.rng_offsets[name]]),
+                        counter_base=epoch * prepared.grid_size * prepared.counter_stride,
+                    )
+                    requests.append((request, element))
+            live = running
+            if not live:
+                break
+            if requests:
+                evaluations = batch_evaluator(compiled, [request for request, _ in requests])
+                _apply_selections(plan, requests, evaluations)
+            for element in live:
+                # Double-buffer swap, monitor recording.
+                element.prev[:] = element.cur
+                element.passes += 1
+                record = epoch * layout.monitor_size
+                for node_name, (offset, size) in layout.monitor_layout.items():
+                    o = plan.out_offsets[node_name][0]
+                    element.buffers["monitor"][record + offset : record + offset + size] = (
+                        element.prev[o : o + size]
+                    )
+
+        base = trial * plan.record_size
+        for element in trial_elements:
+            results = element.buffers["results"]
+            for node_name, (offset, size) in layout.result_layout.items():
+                o = plan.out_offsets[node_name][0]
+                results[base + offset : base + offset + size] = element.prev[o : o + size]
+            results[base + layout.result_size] = float(element.passes)
+
+
+def _apply_selections(
+    plan: GridDriverPlan, requests: List[Tuple[GridRequest, _Element]], results: List[object]
+) -> None:
+    """Select each request's winner, a controller's cost rows as one block
+    (an evaluator returns one kind of result per controller), and write it
+    to its element: allocation to the output, best cost and count to the
+    state."""
+    if len(results) != len(requests):
+        raise EngineError(
+            f"batch grid evaluator returned {len(results)} results for "
+            f"{len(requests)} requests"
+        )
+    groups: Dict[str, List[int]] = {}
+    for index, (request, _) in enumerate(requests):
+        groups.setdefault(request.prepared.control_name, []).append(index)
+    for name, rows in groups.items():
+        rng_offset, states = plan.rng_offsets[name], [requests[i][1].state for i in rows]
+        if isinstance(results[rows[0]], CandidateEvents):
+            picks = [
+                select_from_events(results[i], state, rng_offset, name)
+                for i, state in zip(rows, states)
+            ]
+        else:
+            costs = np.array([results[i] for i in rows], dtype=float)
+            picks = select_block(costs, states, rng_offset, name)
+        out_offset, out_size = plan.out_offsets[name]
+        for i, (best, best_cost) in zip(rows, picks):
+            prepared, element = requests[i][0].prepared, requests[i][1]
+            element.cur[out_offset : out_offset + out_size] = allocation_for_index(
+                prepared.levels, best, prepared.strides
             )
-        cursor = 0
-        advanced: List[Tuple[object, List[GridRequest]]] = []
-        for program, requests in pending:
-            chunk = results[cursor : cursor + len(requests)]
-            cursor += len(requests)
-            try:
-                advanced.append((program, program.send(chunk)))
-            except StopIteration:
-                pass
-        pending = advanced
+            element.state[plan.cost_offsets[name]] = best_cost
+            element.state[plan.count_offsets[name]] += 1.0

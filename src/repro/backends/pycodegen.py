@@ -1799,7 +1799,10 @@ class CompiledEngine:
 
 class _PerNodeInstance(EngineInstance):
     def execute(self, buffers, num_trials, **options):
-        drive_elements(self.model, [(buffers, num_trials)])
+        self.execute_batch([(buffers, num_trials)], **options)
+
+    def execute_batch(self, elements, **options):
+        drive_elements(self.model, elements)
 
 
 @register_engine

@@ -25,7 +25,7 @@ import pickle
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -190,28 +190,44 @@ class CompiledModel:
         return self.artifacts.grid_searches
 
     # -- buffers ---------------------------------------------------------------------
-    def allocate_buffers(self, inputs: Sequence, num_trials: int, seed: int):
+    def allocate_buffers(
+        self,
+        inputs: Sequence,
+        num_trials: Optional[int],
+        seed: int,
+        flattened: Optional[Dict[int, Tuple[List[float], int]]] = None,
+    ):
+        """Fresh buffers for ``num_trials`` trials of ``inputs`` (``None``: one
+        per input row).  ``flattened`` memoises the normalised, flattened
+        inputs by object identity across the elements of one batch; every
+        buffer set still gets its own ``inputs`` list."""
         layout = self.layout
-        input_sets = normalize_inputs(self.composition, inputs)
-        rows = len(input_sets)
-        flat_inputs: List[float] = []
-        for entry in input_sets:
-            row = [0.0] * max(layout.input_size, 1)
-            for name, (offset, size) in layout.input_layout.items():
-                values = np.asarray(entry[name], dtype=float).ravel()
-                row[offset : offset + size] = [float(v) for v in values]
-            flat_inputs.extend(row)
-        buffers = {
+        memo = flattened.get(id(inputs)) if flattened is not None else None
+        if memo is None:
+            input_sets = normalize_inputs(self.composition, inputs)
+            flat_inputs: List[float] = []
+            for entry in input_sets:
+                row = [0.0] * max(layout.input_size, 1)
+                for name, (offset, size) in layout.input_layout.items():
+                    values = np.asarray(entry[name], dtype=float).ravel()
+                    row[offset : offset + size] = [float(v) for v in values]
+                flat_inputs.extend(row)
+            memo = (flat_inputs or [0.0], len(input_sets))
+            if flattened is not None:
+                flattened[id(inputs)] = memo
+        flat_inputs, rows = memo
+        if num_trials is None:
+            num_trials = rows
+        return {
             "params": layout.allocate_params(),
             "state": layout.allocate_state(seed),
             "prev": layout.allocate_outputs(),
             "cur": layout.allocate_outputs(),
-            "inputs": flat_inputs if flat_inputs else [0.0],
+            "inputs": list(flat_inputs),
             "results": [0.0] * max(num_trials * layout.result_record_size(), 1),
             "monitor": [0.0] * max(num_trials * layout.monitor_record_size(), 1),
             "rows": rows,
         }
-        return buffers
 
     def _collect_results(self, buffers, num_trials: int, engine: str) -> RunResults:
         """Wrap the filled ``results``/``monitor`` buffers as a :class:`RunResults`.

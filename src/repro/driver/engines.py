@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from typing import Protocol, runtime_checkable
 
-from ..cogframe.runner import RunResults, normalize_inputs
+from ..cogframe.runner import RunResults
 from ..errors import EngineError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -102,10 +102,10 @@ class EngineInstance:
             )
 
         elements = []
+        flattened: Dict[int, Tuple[List[float], int]] = {}
         for inputs, trials, element_seed in zip(inputs_batch, trials_list, seeds):
-            if trials is None:
-                trials = len(normalize_inputs(model.composition, inputs))
-            elements.append((model.allocate_buffers(inputs, trials, element_seed), trials))
+            buffers = model.allocate_buffers(inputs, trials, element_seed, flattened)
+            elements.append((buffers, buffers["rows"] if trials is None else trials))
 
         start = time.perf_counter()
         self.execute_batch(elements, **options)

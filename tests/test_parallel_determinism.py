@@ -37,10 +37,11 @@ from repro.cogframe import (
     SimulationStep,
 )
 from repro.cogframe.functions import Linear, LinearCombination
+from repro.core import distill
 from repro.core.distill import compile_composition
 from repro.driver.session import Session
 from repro.errors import EngineError
-from repro.models import predator_prey
+from repro.models import MODEL_REGISTRY, predator_prey
 
 
 def build_tie_grid_model(levels, weights=None, scale=1.0, offset=0.0, passes=2):
@@ -191,7 +192,9 @@ class TestNaNHardening:
 
 
 class TestRunBatch:
-    @pytest.mark.parametrize("engine", ["compiled", "ir-interp", "gpu-sim", "mcpu"])
+    @pytest.mark.parametrize(
+        "engine", ["compiled", "ir-interp", "per-node", "gpu-sim", "mcpu", "lane"]
+    )
     def test_run_batch_equals_looped_run(self, engine):
         compiled = compile_composition(
             predator_prey.build_predator_prey("s"), pipeline="default<O2>"
@@ -213,6 +216,54 @@ class TestRunBatch:
                         np.testing.assert_array_equal(st.outputs[node], et.outputs[node])
         finally:
             compiled.close_engines()
+
+    def test_per_node_run_batch_with_threshold_termination(self):
+        """multitasking ends a trial when ``ThresholdCrossed`` holds, so the
+        elements of one batch leave the lockstep at different passes; each
+        stays bitwise equal to a looped ``compiled`` run."""
+        entry = MODEL_REGISTRY["multitasking"]
+        compiled = compile_composition(entry.build(), pipeline="default<O2>")
+        inputs, trials, seeds = entry.inputs(), [1, 3, 2, 5], [0, 1, 2, 3]
+        try:
+            batched = compiled.engine_instance("per-node").run_batch(
+                [inputs] * len(trials), num_trials=trials, seed=seeds
+            )
+            passes = set()
+            for element, num_trials, seed in zip(batched, trials, seeds):
+                looped = compiled.run(inputs, num_trials=num_trials, seed=seed)
+                assert len(element.trials) == num_trials
+                for single, batch_trial in zip(looped.trials, element.trials):
+                    assert single.passes == batch_trial.passes
+                    passes.add(single.passes)
+                    for node in single.outputs:
+                        np.testing.assert_array_equal(
+                            single.outputs[node], batch_trial.outputs[node]
+                        )
+                    for node, steps in single.monitored.items():
+                        np.testing.assert_array_equal(steps, batch_trial.monitored[node])
+            assert len(passes) > 1
+        finally:
+            compiled.close_engines()
+
+    def test_run_batch_normalizes_each_inputs_object_once(self, monkeypatch):
+        """``[inputs] * n`` is normalised and flattened once, also for
+        ``num_trials=None``; each element still gets its own inputs list
+        and the same buffers a lone allocation would."""
+        compiled = compile_composition(plateau_model(), pipeline="default<O2>")
+        calls = []
+        normalize = distill.normalize_inputs
+        monkeypatch.setattr(
+            distill,
+            "normalize_inputs",
+            lambda composition, inputs: calls.append(1) or normalize(composition, inputs),
+        )
+        results = compiled.engine_instance("compiled").run_batch([INPUTS] * 3, seed=[0, 1, 2])
+        assert len(calls) == 1 and [len(r.trials) for r in results] == [1, 1, 1]
+        flattened = {}
+        shared = [compiled.allocate_buffers(INPUTS, None, seed, flattened) for seed in (0, 1)]
+        assert shared[0]["inputs"] is not shared[1]["inputs"]
+        for seed, buffers in zip((0, 1), shared):
+            assert buffers == compiled.allocate_buffers(INPUTS, 1, seed)
 
     def test_run_batch_per_element_trials_and_seeds(self):
         compiled = compile_composition(plateau_model(), pipeline="default<O2>")
