@@ -226,6 +226,63 @@ def _lstore(buf: np.ndarray, off, value, m) -> None:
         buf[m, int(off)] = value
 
 
+def _divergent(off) -> bool:
+    return isinstance(off, np.ndarray) and bool(off.ndim)
+
+
+def _block_start(buf: np.ndarray, off, count: int) -> int:
+    """A lane-uniform block offset, checked against ``buf``'s row width."""
+    start = int(off)
+    if start < 0 or start + count > buf.shape[1]:
+        raise IndexError(
+            f"lane block [{start}, {start + count}) outside [0, {buf.shape[1]})"
+        )
+    return start
+
+
+def _block_indices(buf: np.ndarray, off, count: int, rows: np.ndarray) -> np.ndarray:
+    """``(len(rows), count)`` slot indices of the block at ``off`` in each
+    of the lanes ``rows`` (``off`` lane-uniform or per lane)."""
+    if _divergent(off):
+        starts = off[rows].astype(np.int64)
+    else:
+        starts = np.full(len(rows), int(off), dtype=np.int64)
+    if starts.size and (int(starts.min()) < 0 or int(starts.max()) + count > buf.shape[1]):
+        raise IndexError(
+            f"lane block of {count} slots outside [0, {buf.shape[1]}) "
+            f"(starts {int(starts.min())}..{int(starts.max())})"
+        )
+    return starts[:, None] + _arange(count)
+
+
+def _lcopy(dbuf, doff, sbuf, soff, count: int, m) -> None:
+    """``memcpy`` of ``count`` slots in each active lane; offsets may
+    diverge per lane.  The source block is gathered in full before the
+    destination is written (``memmove`` semantics)."""
+    if _divergent(doff) or _divergent(soff):
+        rows = np.nonzero(m)[0]
+        values = sbuf[rows[:, None], _block_indices(sbuf, soff, count, rows)]
+        dbuf[rows[:, None], _block_indices(dbuf, doff, count, rows)] = values
+        return
+    d = _block_start(dbuf, doff, count)
+    s = _block_start(sbuf, soff, count)
+    # Mask indexing on the right copies, so overlap is safe.
+    dbuf[m, d : d + count] = sbuf[m, s : s + count]
+
+
+def _lset(dbuf, doff, value, count: int, m) -> None:
+    """``memset``: write ``value`` (lane-uniform or per lane) to ``count``
+    slots in each active lane; the offset may diverge per lane."""
+    if isinstance(value, np.ndarray) and value.ndim:
+        value = value[m][:, None]
+    if _divergent(doff):
+        rows = np.nonzero(m)[0]
+        dbuf[rows[:, None], _block_indices(dbuf, doff, count, rows)] = value
+        return
+    d = _block_start(dbuf, doff, count)
+    dbuf[m, d : d + count] = value
+
+
 def _lrng_u(buf, off, buf1, off1, m) -> np.ndarray:
     """``rng_uniform``: draw per lane, advance counters of active lanes."""
     keys = _lload(buf, off, m)
@@ -358,6 +415,8 @@ LANE_NAMESPACE: Dict[str, object] = {
     "_lstore": _lstore,
     "_lrng_u": _lrng_u,
     "_lrng_n": _lrng_n,
+    "_lcopy": _lcopy,
+    "_lset": _lset,
     "_per_lane": _per_lane,
     "_lane_intrinsics": LANE_INTRINSICS,
 }

@@ -368,6 +368,31 @@ def rng_normal_ptr(state: Pointer) -> float:
     return value
 
 
+def _block_range(ptr: Pointer, count: int) -> Tuple[list, int, int]:
+    buffer, offset = ptr
+    end = offset + count
+    if offset < 0 or end > len(buffer):
+        raise IndexError(
+            f"block of {count} slots at offset {offset} outside a "
+            f"{len(buffer)}-slot buffer"
+        )
+    return buffer, offset, end
+
+
+def memcpy_ptr(dst: Pointer, src: Pointer, count: int) -> None:
+    """``memcpy`` intrinsic: copy ``count`` slots; the source slice is taken
+    in full before the destination is written (``memmove`` semantics)."""
+    src_buffer, src_start, src_end = _block_range(src, count)
+    dst_buffer, dst_start, dst_end = _block_range(dst, count)
+    dst_buffer[dst_start:dst_end] = src_buffer[src_start:src_end]
+
+
+def memset_ptr(dst: Pointer, value: float, count: int) -> None:
+    """``memset`` intrinsic: write ``value`` to ``count`` slots."""
+    buffer, start, end = _block_range(dst, count)
+    buffer[start:end] = [value] * count
+
+
 #: Dispatch table used by the interpreter, constant folding, generated code
 #: and the lane helpers.  Keys are intrinsic names as they appear in
 #: :data:`repro.ir.instructions.INTRINSICS`.  ``tanh``, ``fabs`` and
@@ -389,6 +414,8 @@ INTRINSIC_IMPLS = {
     "copysign": math.copysign,
     "rng_uniform": rng_uniform_ptr,
     "rng_normal": rng_normal_ptr,
+    "memcpy": memcpy_ptr,
+    "memset": memset_ptr,
 }
 
 

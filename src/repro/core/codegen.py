@@ -71,7 +71,9 @@ from .structs import StaticLayout
 #: ``noinline``; an incremental recompile relies on that call boundary.
 #: Version 4 emits ``run_pass`` alone: version 3 added a second,
 #: control-skipping pass function to compositions with a control mechanism.
-IRGEN_VERSION = 4
+#: Version 5 moves the trial driver's buffer zeroing, swap and records with
+#: the ``memset``/``memcpy`` intrinsics instead of one store per slot.
+IRGEN_VERSION = 5
 
 
 @dataclass
@@ -198,11 +200,10 @@ class ModelCodeGenerator:
     ``only`` selects *selective* generation for incremental recompiles
     (see :mod:`repro.core.patch`): node bodies are emitted only for the
     named mechanisms, every other mechanism contributes just a
-    ``node_<name>`` declaration (same type, no blocks), and the pass
-    functions — which call every node — are always regenerated; the trial
-    drivers are left out with ``generate(drivers=False)``.  The resulting
-    *patch module* links against the unchanged functions of a previous
-    compile at lowering time.
+    ``node_<name>`` declaration (same type, no blocks), and the pass and
+    trial driver functions are always regenerated.  The resulting *patch
+    module* links against the unchanged functions of a previous compile at
+    lowering time.
     """
 
     def __init__(
@@ -223,10 +224,8 @@ class ModelCodeGenerator:
         self.grid_searches: List[GridSearchInfo] = []
 
     # -- entry point ---------------------------------------------------------------
-    def generate(self, drivers: bool = True) -> CompiledArtifacts:
-        """Emit the module.  ``drivers=False`` leaves out ``run_trial`` and
-        ``run_model`` — an incremental recompile whose :func:`driver_key`
-        did not move keeps the live ones."""
+    def generate(self) -> CompiledArtifacts:
+        """Emit the module."""
         for name in self.layout.execution_order:
             mech = self.composition.mechanisms[name]
             if self.only is not None and name not in self.only:
@@ -237,9 +236,8 @@ class ModelCodeGenerator:
             else:
                 emit_node_function(self.module, self.layout, self.composition, self.info, mech)
         self._emit_run_pass()
-        if drivers:
-            self._emit_run_trial()
-            self._emit_run_model()
+        self._emit_run_trial()
+        self._emit_run_model()
         return CompiledArtifacts(self.module, self.layout, self.grid_searches)
 
     def _declare_node(self, name: str) -> None:
@@ -569,9 +567,11 @@ class ModelCodeGenerator:
                 slot_index = self._slot_gep(b, state_ptr, offset + i)
                 b.store(b.f64(float(value)), slot_index)
         # Zero the double buffers.
-        for buffer_ptr in (prev_ptr, cur_ptr):
-            for slot in range(layout.output_struct.slot_count()):
-                b.store(b.f64(0.0), self._slot_gep(b, buffer_ptr, slot))
+        slots = layout.output_struct.slot_count()
+        prev_slots = self._slot_gep(b, prev_ptr, 0)
+        cur_slots = self._slot_gep(b, cur_ptr, 0)
+        b.memset(prev_slots, b.f64(0.0), slots)
+        b.memset(cur_slots, b.f64(0.0), slots)
         b.br(pass_header)
 
         # -- pass loop header: termination check -------------------------------------------
@@ -594,19 +594,15 @@ class ModelCodeGenerator:
             [params_ptr, state_ptr, prev_ptr, cur_ptr, ext_ptr, pass_idx, trial_idx],
         )
         # cur -> prev (double-buffer swap by copy).
-        for slot in range(layout.output_struct.slot_count()):
-            value = b.load(self._slot_gep(b, cur_ptr, slot))
-            b.store(value, self._slot_gep(b, prev_ptr, slot))
+        b.memcpy(prev_slots, cur_slots, slots)
         # Monitor recording (end-of-pass values).
         if layout.monitor_size:
             record = b.add(b.mul(trial_idx, b.i64(layout.max_passes)), pass_idx)
             record_base = b.mul(record, b.i64(layout.monitor_size))
             for node_name, (offset, size) in layout.monitor_layout.items():
                 out_offset, _ = layout.output_offsets[node_name]
-                for i in range(size):
-                    value = b.load(self._slot_gep(b, prev_ptr, out_offset + i))
-                    slot_ptr = b.gep(monitor_ptr, [b.add(record_base, b.i64(offset + i))])
-                    b.store(value, slot_ptr)
+                dst = b.gep(monitor_ptr, [b.add(record_base, b.i64(offset))])
+                b.memcpy(dst, self._slot_gep(b, prev_ptr, out_offset), size)
         next_pass = b.add(pass_idx, b.i64(1))
         pass_idx.add_incoming(next_pass, pass_body)
         b.br(pass_header)
@@ -617,9 +613,8 @@ class ModelCodeGenerator:
         record_base = b.mul(trial_idx, b.i64(record_size))
         for node_name, (offset, size) in layout.result_layout.items():
             out_offset, _ = layout.output_offsets[node_name]
-            for i in range(size):
-                value = b.load(self._slot_gep(b, prev_ptr, out_offset + i))
-                b.store(value, b.gep(results_ptr, [b.add(record_base, b.i64(offset + i))]))
+            dst = b.gep(results_ptr, [b.add(record_base, b.i64(offset))])
+            b.memcpy(dst, self._slot_gep(b, prev_ptr, out_offset), size)
         b.store(
             b.sitofp(pass_idx),
             b.gep(results_ptr, [b.add(record_base, b.i64(layout.result_size))]),
@@ -711,39 +706,6 @@ class ModelCodeGenerator:
         if struct.field_type(index).is_scalar:
             return field_ptr
         return b.gep(field_ptr, [b.i64(0), b.i64(element)])
-
-
-#: The trial drivers: everything above the ``noinline`` pass function.
-DRIVER_FUNCTIONS = ("run_trial", "run_model")
-
-
-def driver_key(composition: Composition, layout: StaticLayout) -> tuple:
-    """Everything ``run_trial`` and ``run_model`` are generated from.
-
-    Equal keys mean identical drivers, so an incremental recompile compares
-    keys instead of regenerating and fingerprinting the trial driver (the
-    largest function of a big model: one store per output slot).  Keep this
-    in step with :meth:`ModelCodeGenerator._emit_run_trial` and
-    :meth:`ModelCodeGenerator._emit_run_model`.
-    """
-    from ..driver.session import _condition_key
-    from ..ir.fingerprint import type_signature
-
-    return (
-        type_signature(layout.params_struct),
-        type_signature(layout.state_struct),
-        type_signature(layout.output_struct),
-        # repr keeps -0.0 apart from 0.0, as the baked constants are.
-        tuple((offset, tuple(map(repr, values))) for offset, values in layout.state_reset_entries),
-        layout.max_passes,
-        layout.input_size,
-        layout.result_size,
-        layout.monitor_size,
-        tuple(layout.output_offsets.items()),
-        tuple(layout.result_layout.items()),
-        tuple(layout.monitor_layout.items()),
-        _condition_key(composition.termination),
-    )
 
 
 def generate_model_ir(

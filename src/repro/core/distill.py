@@ -37,7 +37,7 @@ from ..driver.engines import get_engine
 from ..driver.pipeline import resolve_pipeline
 from ..ir.module import Module
 from ..passes.pass_manager import PassManager
-from .codegen import CompiledArtifacts, driver_key, generate_model_ir
+from .codegen import CompiledArtifacts, generate_model_ir
 from .structs import StaticLayout, build_layout
 
 #: Layout version of model entries in the artifact store; bump it when their
@@ -138,10 +138,6 @@ class CompiledModel:
         #: functions against these to classify an edit as param-buffer-only
         #: (identical IR) versus requiring a re-lower.
         self.function_fingerprints: Dict[str, str] = {}
-        #: :func:`repro.core.codegen.driver_key` of the compiled drivers: an
-        #: incremental recompile regenerates ``run_trial``/``run_model`` only
-        #: when an edit moves it.
-        self.driver_key: Optional[tuple] = None
         self._compiled = compiled_functions
         self._engine_instances: Dict[str, object] = {}
         self._engine_lock = threading.Lock()
@@ -617,7 +613,6 @@ def compile_composition(
     model.source = source
     model.unit_fingerprints = unit_fps
     model.function_fingerprints = function_fps
-    model.driver_key = driver_key(composition, layout)
 
     if store is not None:
         store.put(
@@ -695,5 +690,4 @@ def _model_from_store_entry(
     model.source = entry["source"]
     model.unit_fingerprints = dict(entry["unit_fingerprints"])
     model.function_fingerprints = dict(entry["function_fingerprints"])
-    model.driver_key = driver_key(composition, artifacts.layout)
     return model

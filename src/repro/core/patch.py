@@ -15,9 +15,9 @@ after a model edit instead of recompiling from scratch:
    :class:`~repro.core.codegen.ModelCodeGenerator` in selective mode
    (``only=changed``): full bodies for the edited mechanisms and the pass
    function, bare ``node_<name>`` declarations for everything else.  The
-   trial drivers (``run_trial``/``run_model``) are regenerated only when
-   their :func:`~repro.core.codegen.driver_key` moved (state reset values,
-   termination condition, buffer maps); otherwise the live ones stay;
+   trial drivers (``run_trial``/``run_model``) are always regenerated:
+   their block-memory intrinsics keep them O(nodes), so regenerating and
+   fingerprinting them is cheap;
 4. the regenerated functions are fingerprinted against the previous
    compile.  When none changed, the edit is param-buffer-only (plain
    parameters load from the params buffer, so the IR is bit-identical and
@@ -27,7 +27,8 @@ after a model edit instead of recompiling from scratch:
    functions are ``alwaysinline`` and the pass function is ``noinline``
    (see :mod:`repro.core.codegen`), so a node edit scopes to
    ``node_<name>`` and ``run_pass``; every other regenerated function is
-   turned back into a declaration.  Unchanged functions are never
+   turned back into a declaration (the drivers, unless a state reset
+   value or the termination condition moved).  Unchanged functions are never
    re-optimized.  A live compile without that call
    boundary (a scope function that is ``noinline`` in the patch module is
    not ``noinline`` in the live one) falls back to a full compile;
@@ -57,7 +58,7 @@ from typing import Dict, Iterable, Optional, Set
 from ..cogframe.composition import Composition
 from ..cogframe.mechanisms import GridSearchControlMechanism
 from ..cogframe.sanitize import sanitize
-from .codegen import DRIVER_FUNCTIONS, ModelCodeGenerator, driver_key
+from .codegen import ModelCodeGenerator
 from .structs import StaticLayout, build_layout
 
 __all__ = ["recompile_model"]
@@ -317,7 +318,6 @@ def _adopt(model, fresh) -> None:
     model.source = fresh.source
     model.unit_fingerprints = fresh.unit_fingerprints
     model.function_fingerprints = fresh.function_fingerprints
-    model.driver_key = fresh.driver_key
     model._compiled = fresh._compiled
 
 
@@ -403,12 +403,8 @@ def recompile_model(
             model, new_composition, store, started, "layout incompatible"
         )
 
-    # The trial drivers are regenerated only when their inputs moved; the
-    # live ones otherwise stay, relinked to the new pass function below.
-    new_driver_key = driver_key(new_composition, layout)
-    drivers = new_driver_key != model.driver_key
     generator = ModelCodeGenerator(new_composition, info, layout, only=changed_set)
-    patch_artifacts = generator.generate(drivers=drivers)
+    patch_artifacts = generator.generate()
     patch_module = patch_artifacts.module
 
     new_fps = {
@@ -426,7 +422,6 @@ def recompile_model(
         # default values — and the parallel engines' grid metadata — move.
         _swap_metadata(model, new_composition, info, layout)
         _merge_grid_searches(model, generator.grid_searches)
-        model.driver_key = new_driver_key
         _invalidate_engines(model)
         elapsed = time.perf_counter() - started
         stats.recompile_seconds += elapsed
@@ -457,10 +452,8 @@ def recompile_model(
         patch_module, [fn.name for fn in patch_module.defined_functions() if fn.name not in scope]
     )
     # Live functions outside the scope whose lowered code calls into it
-    # (drivers left out of the patch module call the pass function).
+    # (unchanged drivers call the pass function).
     live_callers = _transitive_callers(callers, scope) - scope
-    if not drivers:
-        live_callers.update(DRIVER_FUNCTIONS)
 
     flags = model.flags or {}
     analysis_manager = AnalysisManager(enabled=bool(flags.get("analysis_cache", True)))
@@ -491,7 +484,6 @@ def recompile_model(
         {lowerer._py_name(fn): name for name, fn in grafted.items()},
     )
     model.function_fingerprints.update(new_fps)
-    model.driver_key = new_driver_key
     _swap_metadata(model, new_composition, info, layout)
     _merge_grid_searches(model, generator.grid_searches)
     # The stored source and unit keys describe the original full compile;

@@ -252,6 +252,15 @@ class IRBuilder:
     def rng_normal(self, state_ptr: Value, name: str = "") -> Value:
         return self.intrinsic("rng_normal", [state_ptr], name)
 
+    def memcpy(self, dst: Value, src: Value, count: int) -> Value:
+        """Copy ``count`` f64 slots from ``src`` to ``dst`` (``memmove``
+        semantics: overlapping ranges are fine)."""
+        return self.intrinsic("memcpy", [dst, src, self.i64(count)])
+
+    def memset(self, dst: Value, value: Value, count: int) -> Value:
+        """Write ``value`` to ``count`` f64 slots starting at ``dst``."""
+        return self.intrinsic("memset", [dst, value, self.i64(count)])
+
     # -- higher level helpers -----------------------------------------------------------
     def logistic(self, x: Value, gain: Value, bias: Value, name: str = "") -> Value:
         """Emit ``1 / (1 + exp(-gain * (x - bias)))``."""

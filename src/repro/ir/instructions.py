@@ -4,9 +4,10 @@ The instruction set is a close analogue of the LLVM instructions that Distill
 generates for cognitive models: integer and floating point arithmetic,
 comparisons, ``select``, ``phi``, branches, calls, stack allocation
 (``alloca``), ``load``/``store`` and ``getelementptr`` flattened to slot
-offsets.  Mathematical intrinsics (``exp``, ``log``, ``tanh`` ...) and the
-counter-based PRNG primitives appear as calls to declared functions, exactly
-as LLVM models ``llvm.exp.f64`` and friends.
+offsets.  Mathematical intrinsics (``exp``, ``log``, ``tanh`` ...), the
+counter-based PRNG primitives and the block-memory intrinsics (``memcpy``,
+``memset``) appear as calls to declared functions, exactly as LLVM models
+``llvm.exp.f64`` and ``llvm.memcpy`` and friends.
 
 Each instruction is itself a :class:`~repro.ir.values.Value` – the SSA value
 it defines.  Operands are tracked through use lists so passes can rewrite
@@ -73,7 +74,17 @@ MATH_INTRINSICS = (
 #: (key, counter) and return a double; they advance the counter in place.
 PRNG_INTRINSICS = ("rng_uniform", "rng_normal")
 
-INTRINSICS = MATH_INTRINSICS + PRNG_INTRINSICS
+#: Block-memory intrinsics, the analogues of ``llvm.memcpy``/``llvm.memset``:
+#: ``memcpy(f64* dst, f64* src, i64 count)`` and
+#: ``memset(f64* dst, f64 value, i64 count)``.  ``count`` is in f64 slots and
+#: must be a non-negative ``i64`` constant (the verifier checks), so no
+#: lowering needs a dynamic-length path.  ``memcpy`` reads the whole source
+#: range before it writes the destination (``memmove`` semantics), so every
+#: engine agrees on overlapping ranges.  Both write memory: they are not
+#: ``MATH_INTRINSICS``, so CSE, DCE and LICM leave them alone.
+MEMORY_INTRINSICS = ("memcpy", "memset")
+
+INTRINSICS = MATH_INTRINSICS + PRNG_INTRINSICS + MEMORY_INTRINSICS
 
 #: Opcodes that may write memory or otherwise have observable side effects.
 SIDE_EFFECT_OPCODES = frozenset({"store", "call", "ret", "br", "condbr"})

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Optional
 
 from .instructions import INTRINSICS, Instruction, Phi
-from .types import F64, FunctionType, IRType, PointerType, StructType
+from .types import F64, I64, VOID, FunctionType, IRType, PointerType, StructType
 from .values import Argument
 
 
@@ -215,7 +215,7 @@ class Module:
         return self.functions[name]
 
     def declare_intrinsic(self, intrinsic: str) -> Function:
-        """Get-or-create the declaration for a math/PRNG intrinsic."""
+        """Get-or-create the declaration for a math/PRNG/memory intrinsic."""
         if intrinsic not in INTRINSICS:
             raise ValueError(f"unknown intrinsic {intrinsic!r}")
         name = f"repro.{intrinsic}"
@@ -225,6 +225,10 @@ class Module:
             ftype = FunctionType(F64, [F64, F64])
         elif intrinsic in ("rng_uniform", "rng_normal"):
             ftype = FunctionType(F64, [PointerType(F64)])
+        elif intrinsic == "memcpy":
+            ftype = FunctionType(VOID, [PointerType(F64), PointerType(F64), I64])
+        elif intrinsic == "memset":
+            ftype = FunctionType(VOID, [PointerType(F64), F64, I64])
         else:
             ftype = FunctionType(F64, [F64])
         fn = Function(name, ftype, self)

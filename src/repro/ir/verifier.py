@@ -23,6 +23,7 @@ from .cfg import predecessor_map, reachable_blocks
 from .diagnostics import Diagnostic, dedupe
 from .instructions import (
     GEP,
+    MEMORY_INTRINSICS,
     Alloca,
     BinaryOp,
     Branch,
@@ -39,6 +40,7 @@ from .instructions import (
     Store,
 )
 from .module import BasicBlock, Function, Module
+from .types import I64
 from .values import Argument, Constant, UndefValue
 
 
@@ -323,6 +325,15 @@ def _verify_instruction_types(out: _Reporter, block: BasicBlock,
                 err(
                     f"call to @{instr.callee.name}: argument {i} has type "
                     f"{arg.type}, expected {expected}"
+                )
+        if instr.callee.intrinsic_name in MEMORY_INTRINSICS and len(instr.args) == 3:
+            count = instr.args[2]
+            if not (
+                isinstance(count, Constant) and count.type == I64 and int(count.value) >= 0
+            ):
+                err(
+                    f"{instr.callee.intrinsic_name} count must be a non-negative "
+                    f"i64 constant, got {count.ref()}"
                 )
     elif isinstance(instr, Cast):
         src, dst = instr.value.type, instr.type

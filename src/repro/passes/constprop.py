@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from ..backends import runtime
 from ..ir.instructions import (
+    MATH_INTRINSICS,
     BinaryOp,
     Call,
     Cast,
@@ -68,9 +69,11 @@ def fold_instruction(instr) -> Constant | None:
             return Constant(instr.type, value)
     elif isinstance(instr, Call) and instr.callee.intrinsic_name:
         name = instr.callee.intrinsic_name
-        impl = runtime.INTRINSIC_IMPLS.get(name)
-        if impl is None or name in ("rng_uniform", "rng_normal"):
+        # Only the pure math intrinsics fold: the PRNG draws and the block
+        # memory intrinsics write memory.
+        if name not in MATH_INTRINSICS:
             return None
+        impl = runtime.INTRINSIC_IMPLS[name]
         if all(isinstance(a, Constant) for a in instr.args):
             return Constant(instr.type, impl(*[float(a.value) for a in instr.args]))
     return None

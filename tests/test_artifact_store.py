@@ -558,3 +558,37 @@ class TestLazyModule:
         finally:
             cold.close_engines()
             hit.close_engines()
+
+
+class TestBlockIntrinsicsRoundTrip:
+    """The trial driver's ``memset``/``memcpy`` calls survive the wire
+    format and a store reload."""
+
+    @staticmethod
+    def block_calls(module):
+        return sorted(
+            (fn.name, instr.callee.intrinsic_name, instr.args[2].value)
+            for fn in module.defined_functions()
+            for instr in fn.instructions()
+            if instr.opcode == "call" and instr.callee.intrinsic_name in ("memcpy", "memset")
+        )
+
+    def test_encode_decode_and_store_reload(self, tmp_path):
+        spec = generate_model_spec(GRID_SPEC_SEED)
+        cold, hit = cold_and_hit(tmp_path / "store", spec)
+        try:
+            calls = self.block_calls(cold.module)
+            assert {name for _, name, _ in calls} == {"memcpy", "memset"}
+            decoded = serialize.decode_module(serialize.encode_module(cold.module))
+            for module in (decoded, hit.module):
+                assert self.block_calls(module) == calls
+                for fn in cold.module.defined_functions():
+                    assert function_fingerprint(module.get_function(fn.name)) == (
+                        function_fingerprint(fn)
+                    ), fn.name
+            for engine in ("compiled", "ir-interp", "lane"):
+                args = (spec.inputs, spec.num_trials, spec.run_seed, engine)
+                assert buffers_equal(raw_buffers(cold, *args), raw_buffers(hit, *args)) is None
+        finally:
+            cold.close_engines()
+            hit.close_engines()

@@ -510,51 +510,65 @@ class TestStoreEntryWithoutCallBoundary:
             cold.close_engines()
 
 
-class TestDriverKey:
-    """``driver_key`` decides whether an edit regenerates ``run_trial`` and
-    ``run_model``, so it must move exactly when their generated IR does."""
+class TestDriverRegeneration:
+    """Every recompile regenerates ``run_trial`` and ``run_model`` and
+    compares their fingerprints: an edit to a state reset value or to the
+    termination condition re-lowers them, a node edit keeps the live ones."""
 
     @staticmethod
-    def edits(spec):
-        """Value edits from the fuzz perturbation, an integrator initial
-        value (a trial-start state reset) and the termination condition."""
+    def edited(spec, edit):
+        composition = spec.build()
+        edit(composition)
+        return composition
+
+    @staticmethod
+    def reset_initializer(composition):
+        mech = next(
+            m for m in composition.mechanisms.values() if "initializer" in m.function.params
+        )
+        mech.function.params["initializer"] = 0.5
+
+    @staticmethod
+    def stop_early(composition):
         from repro.cogframe import conditions as cond
+
+        composition.termination = cond.AfterNPasses(composition.max_passes - 1)
+
+    @staticmethod
+    def assert_matches_cold(model, spec, edited):
+        cold = compile_composition(edited, pipeline="default<O2>", store=False)
+        try:
+            for engine in ENGINES:
+                a = raw_buffers(model, spec.inputs, spec.num_trials, spec.run_seed, engine)
+                b = raw_buffers(cold, spec.inputs, spec.num_trials, spec.run_seed, engine)
+                assert buffers_equal(a, b) is None, engine
+        finally:
+            model.close_engines()
+            cold.close_engines()
+
+    @pytest.mark.parametrize("edit", ["reset_initializer", "stop_early"])
+    def test_driver_edit_relowers_the_drivers(self, edit):
+        spec = generate_model_spec(0)
+        edit = getattr(self, edit)
+        model = compile_composition(spec.build(), pipeline="default<O2>", store=False)
+        live = model.function("run_trial")
+        report = model.recompile(composition=self.edited(spec, edit), changed=set())
+        assert report["mode"] == "patched"
+        assert report["relowered"] == ["run_trial"]
+        assert report["optimized"] == ["run_model", "run_trial"]
+        assert model.function("run_trial") is not live
+        self.assert_matches_cold(model, spec, self.edited(spec, edit))
+
+    def test_node_edit_keeps_the_live_drivers(self):
         from repro.fuzz.gen import perturb_spec
 
-        for edit_seed in range(6):
-            perturbed = perturb_spec(spec, edit_seed)
-            if perturbed is not None:
-                yield perturbed[0].build()
-        composition = spec.build()
-        for mech in composition.mechanisms.values():
-            if "initializer" in mech.function.params:
-                mech.function.params["initializer"] = 0.5
-                yield composition
-                break
-        composition = spec.build()
-        composition.termination = cond.AfterNPasses(composition.max_passes - 1)
-        yield composition
-
-    def test_moves_exactly_when_the_drivers_do(self):
-        from repro.cogframe.sanitize import sanitize
-        from repro.core.codegen import DRIVER_FUNCTIONS, driver_key, generate_model_ir
-        from repro.core.structs import build_layout
-        from repro.ir.fingerprint import function_fingerprint
-
-        def key_and_fingerprints(composition):
-            info = sanitize(composition, seed=0)
-            layout = build_layout(composition, info)
-            module = generate_model_ir(composition, info, layout).module
-            fps = [function_fingerprint(module.get_function(name)) for name in DRIVER_FUNCTIONS]
-            return driver_key(composition, layout), fps
-
-        moved = kept = 0
-        for model_seed in range(8):
-            spec = generate_model_spec(model_seed)
-            key, fps = key_and_fingerprints(spec.build())
-            for n, edited in enumerate(self.edits(spec)):
-                edited_key, edited_fps = key_and_fingerprints(edited)
-                assert (edited_key == key) == (edited_fps == fps), (model_seed, n)
-                moved += edited_key != key
-                kept += edited_key == key
-        assert moved and kept, (moved, kept)
+        spec = generate_model_spec(0)
+        edited_spec, _ = perturb_spec(spec, 0)
+        model = compile_composition(spec.build(), pipeline="default<O2>", store=False)
+        drivers = {name: model.function(name) for name in ("run_trial", "run_model")}
+        report = model.recompile(composition=edited_spec.build())
+        assert report["mode"] == "patched"
+        assert not set(drivers) & set(report["relowered"] + report["optimized"])
+        for name, callable_ in drivers.items():
+            assert model.function(name) is callable_, name
+        self.assert_matches_cold(model, spec, edited_spec.build())

@@ -7,11 +7,13 @@ import pytest
 from repro.ir import (
     F64,
     I64,
+    VOID,
     Branch,
     Constant,
     FunctionType,
     IRBuilder,
     Module,
+    PointerType,
     Return,
     VerificationError,
     const_float,
@@ -103,6 +105,27 @@ class TestBuilderAndVerifier:
         b = IRBuilder(block)
         with pytest.raises(TypeError, match="expected 2"):
             b.call(callee, [caller.args[0]])
+
+    @staticmethod
+    def block_function(intrinsic, count):
+        """``f(buf, n)``: one ``memcpy``/``memset`` of ``buf`` with count
+        ``count`` (``"arg"``: the argument ``n``)."""
+        m = Module("t")
+        fn = m.add_function("f", FunctionType(VOID, [PointerType(F64), I64]), ["buf", "n"])
+        b = IRBuilder(fn.append_block("entry"))
+        buf, n = fn.args
+        second = buf if intrinsic == "memcpy" else b.f64(0.0)
+        b.intrinsic(intrinsic, [buf, second, n if count == "arg" else b.i64(count)])
+        b.ret()
+        return m
+
+    @pytest.mark.parametrize("intrinsic", ["memcpy", "memset"])
+    def test_block_intrinsic_count_must_be_a_nonnegative_constant(self, intrinsic):
+        verify_module(self.block_function(intrinsic, 0))
+        verify_module(self.block_function(intrinsic, 3))
+        for count in ("arg", -1):
+            with pytest.raises(VerificationError, match=f"{intrinsic} count must be"):
+                verify_module(self.block_function(intrinsic, count))
 
     def test_duplicate_function_name_rejected(self):
         m = Module("t")

@@ -214,6 +214,26 @@ class TestLaneConformance:
         finally:
             compiled.close_engines()
 
+    def test_controller_free_run_batch_lowers_every_function(self):
+        """The trial driver's ``memset``/``memcpy`` have a lane lowering, so
+        a controller-free model runs without per-lane fallbacks, mixed
+        trial counts included."""
+        from repro.models import necker
+
+        compiled = compile_composition(necker.build_necker_cube_s(passes=60))
+        try:
+            scalar = compiled.engine_instance("compiled")
+            lane = compiled.engine_instance("lane")
+            batch = [necker.default_inputs(3)] * 3
+            trials, seeds = [1, 3, 2], [0, 5, 9]
+            assert_batches_bitwise(
+                run_batch_outputs(scalar, batch, trials, seeds),
+                run_batch_outputs(lane, batch, trials, seeds),
+            )
+            assert lane.lane_fallbacks == []
+        finally:
+            compiled.close_engines()
+
     def test_single_run_matches_compiled(self):
         compiled = compile_composition(
             stroop.build_botvinick_stroop(noise=0.01), pipeline="default<O2>"

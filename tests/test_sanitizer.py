@@ -23,7 +23,7 @@ from repro.backends.pycodegen import PythonCodeGenerator
 from repro.core.distill import compile_composition
 from repro.errors import CompilationError
 from repro.fuzz.oracle import OracleConfig, buffers_equal, check_composition, raw_buffers
-from repro.ir import F64, I64, ArrayType, FunctionType, IRBuilder, Module
+from repro.ir import F64, I64, VOID, ArrayType, FunctionType, IRBuilder, Module, PointerType
 from repro.ir.diagnostics import DEFAULT_SEVERITY, at_or_above
 from repro.ir.verifier import verify_module
 from repro.lint import run_lint
@@ -103,6 +103,44 @@ def test_dynamic_out_of_bounds_traps_and_lint_agrees():
     # reports the load's init state instead.  The trap therefore pairs with
     # the dynamic-load note/warning rather than a gep-bounds error.
     assert run_lint(module)  # not silent
+
+
+def test_memcpy_past_its_buffer_traps_naming_the_instruction():
+    """A ``memcpy`` range is checked whole: one slot past the end of the
+    source buffer traps, and the message names the intrinsic and function."""
+    module = Module("seeded")
+    fn = module.add_function(
+        "copy", FunctionType(VOID, [PointerType(F64), I64]), ["buf", "src"]
+    )
+    b = IRBuilder(fn.append_block("entry"))
+    buf, src = fn.args
+    b.memcpy(buf, b.gep(buf, [src]), 4)
+    b.ret()
+    verify_module(module)
+    compiled = sanitized_compile(module)
+
+    buffer = [float(i) for i in range(8)]
+    compiled["copy"]((buffer, 0), 4)  # the last in-bounds source range
+    assert buffer == [4.0, 5.0, 6.0, 7.0, 4.0, 5.0, 6.0, 7.0]
+    with pytest.raises(
+        runtime.SanitizerTrap, match=r"out-of-bounds memcpy: 4-slot source range .*@copy"
+    ):
+        compiled["copy"]((buffer, 0), 5)
+    assert buffer == [4.0, 5.0, 6.0, 7.0, 4.0, 5.0, 6.0, 7.0]  # trapped before writing
+
+
+def test_memset_past_its_alloca_traps():
+    module = Module("seeded")
+    fn = module.add_function("fill", FunctionType(F64, []), [])
+    b = IRBuilder(fn.append_block("entry"))
+    arr = b.alloca(ArrayType(F64, 4), "arr")
+    b.memset(b.gep(arr, [b.i64(0), b.i64(1)]), b.f64(1.0), 4)
+    b.ret(b.load(b.gep(arr, [b.i64(0), b.i64(0)])))
+    verify_module(module)
+    with pytest.raises(
+        runtime.SanitizerTrap, match=r"out-of-bounds memset: 4-slot destination range"
+    ):
+        sanitized_compile(module)["fill"]()
 
 
 def test_zero_divisor_guard_emitted_for_statically_safe_division():

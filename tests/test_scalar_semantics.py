@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from repro.backends.interp import Interpreter
 from repro.backends.lane import compile_lane_program
 from repro.backends.pycodegen import PythonCodeGenerator
 from repro.fuzz.oracle import LANE_RTOL
-from repro.ir import F64, I32, I64, FunctionType, IRBuilder, Module
+from repro.ir import F64, I32, I64, VOID, ArrayType, FunctionType, IRBuilder, Module, PointerType
 from repro.ir.instructions import (
     FLOAT_BINOPS,
     INT_BINOPS,
@@ -271,3 +272,196 @@ def test_i64_overflow_agrees_across_engines():
         arrays = [np.array([a], dtype=np.int64) for a in args]
         with np.errstate(all="ignore"):
             assert int(lane(*arrays, np.ones(1, dtype=bool))[0]) == compiled(*args)
+
+
+# ---------------------------------------------------------------------------
+# Block memory intrinsics
+# ---------------------------------------------------------------------------
+
+#: A quiet NaN with a nonzero payload: a copy must keep every bit.
+NAN_PAYLOAD = struct.unpack("<d", struct.pack("<Q", 0x7FF8_0000_0000_0123))[0]
+
+#: The buffer every block case starts from: signed zeros, the NaN payload,
+#: infinities and distinct finite values.
+BLOCK_BUFFER = [-0.0, NAN_PAYLOAD, math.inf, -math.inf, 0.0] + [i + 0.25 for i in range(19)]
+
+#: ``(intrinsic, dst, src, count)``: overlapping copies in both directions
+#: on both sides of the per-slot expansion bound (4), count 0, 4, 5, 8
+#: and 9.
+BLOCK_CASES = [
+    ("memcpy", 1, 0, 3),
+    ("memcpy", 0, 1, 3),
+    ("memcpy", 3, 0, 12),
+    ("memcpy", 0, 3, 12),
+    ("memcpy", 5, 5, 9),
+    ("memcpy", 10, 0, 0),
+    ("memcpy", 12, 0, 4),
+    ("memcpy", 12, 0, 5),
+    ("memcpy", 12, 0, 8),
+    ("memcpy", 12, 0, 9),
+    ("memset", 4, None, 0),
+    ("memset", 4, None, 4),
+    ("memset", 4, None, 5),
+    ("memset", 4, None, 9),
+]
+
+#: ``memset`` values: both zeros (a ``+0.0`` fill has its own lowering) and
+#: the NaN payload.
+MEMSET_VALUES = (0.0, -0.0, NAN_PAYLOAD)
+
+#: The scalar lowering writes every NaN constant as ``float("nan")``, so a
+#: NaN payload baked into the IR loses its payload on ``compiled``
+#: (``PythonCodeGenerator._float_expr``, a FOUND line in CHANGES.md).
+NAN_CONSTANT_XFAIL = pytest.mark.xfail(
+    strict=True, reason="_float_expr drops the payload of a NaN constant"
+)
+
+
+def build_block_module(intrinsic, count, dst=None, src=None, value=None):
+    """``f(buf, dst, src, value)``: one ``memcpy``/``memset`` of ``count``
+    slots of ``buf``.  An offset or value given here is baked in as a
+    constant; ``None`` reads the argument."""
+    module = Module(f"block_{intrinsic}")
+    fn = module.add_function(
+        "f",
+        FunctionType(VOID, [PointerType(F64), I64, I64, F64]),
+        ["buf", "dst", "src", "value"],
+    )
+    b = IRBuilder(fn.append_block("entry"))
+    buf, dst_arg, src_arg, value_arg = fn.args
+
+    def at(offset, arg):
+        return b.gep(buf, [arg if offset is None else b.i64(offset)])
+
+    if intrinsic == "memcpy":
+        b.memcpy(at(dst, dst_arg), at(src, src_arg), count)
+    else:
+        b.memset(at(dst, dst_arg), value_arg if value is None else b.f64(value), count)
+    b.ret()
+    verify_module(module)
+    return module
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def _block_cases():
+    for intrinsic, dst, src, count in BLOCK_CASES:
+        values = MEMSET_VALUES if intrinsic == "memset" else (0.0,)
+        for value, baked in itertools.product(values, (False, True)):
+            case = f"{intrinsic}-{dst}-{src}-{count}-{value!r}-{'const' if baked else 'arg'}"
+            marks = NAN_CONSTANT_XFAIL if baked and value is NAN_PAYLOAD and count else ()
+            yield pytest.param(intrinsic, dst, src, count, value, baked, id=case, marks=marks)
+
+
+@pytest.mark.parametrize("intrinsic, dst, src, count, value, baked", list(_block_cases()))
+def test_block_intrinsics_agree_bitwise(intrinsic, dst, src, count, value, baked):
+    """``memcpy``/``memset`` give the same bits on every engine, with the
+    offsets as constants (folded pointers) or as arguments (run-time
+    offsets), and the source read in full before the destination is
+    written."""
+    if baked:
+        module = build_block_module(intrinsic, count, dst, src if src is not None else 0, value)
+    else:
+        module = build_block_module(intrinsic, count)
+    args = (dst, src if src is not None else 0, value)
+    expected = list(BLOCK_BUFFER)
+    if intrinsic == "memcpy":
+        expected[dst : dst + count] = BLOCK_BUFFER[src : src + count]
+    else:
+        expected[dst : dst + count] = [value] * count
+
+    compiled = PythonCodeGenerator(module).compile()["f"]
+    outcomes = {}
+    for engine, call in (
+        ("ir-interp", lambda ptr: Interpreter(module).call("f", [ptr, *args])),
+        ("compiled", lambda ptr: compiled(ptr, *args)),
+        ("sanitize", lambda ptr: PythonCodeGenerator(module, sanitize=True).compile()["f"](ptr, *args)),
+    ):
+        buffer = list(BLOCK_BUFFER)
+        call((buffer, 0))
+        outcomes[engine] = buffer
+    program = compile_lane_program(module, lambda name: compiled)
+    assert program.fallbacks == []
+    lanes = np.array([BLOCK_BUFFER] * 2)
+    program.functions["f"]((lanes, 0), *args, np.ones(2, dtype=bool))
+    outcomes["lane"] = lanes[0]
+    outcomes["lane (second lane)"] = lanes[1]
+    for engine, buffer in outcomes.items():
+        assert bits(buffer) == bits(expected), engine
+
+
+#: ``(intrinsic, dst, src, count)`` ranges outside the 24-slot
+#: :data:`BLOCK_BUFFER`: a destination or source past its end, and a
+#: negative start, in the slice form (more than 4 slots).
+OUT_OF_RANGE_CASES = [
+    ("memcpy", 20, 0, 5),
+    ("memcpy", 0, 20, 5),
+    ("memcpy", -2, 0, 5),
+    ("memcpy", 0, -2, 9),
+    ("memset", 21, None, 5),
+    ("memset", -1, None, 9),
+]
+
+
+@pytest.mark.parametrize("baked", [False, True], ids=["arg", "const"])
+@pytest.mark.parametrize("intrinsic, dst, src, count", OUT_OF_RANGE_CASES)
+def test_block_intrinsic_out_of_range_raises(intrinsic, dst, src, count, baked):
+    """A range outside its buffer raises ``IndexError`` on ``compiled`` as
+    on ``ir-interp``, and neither resizes nor writes the buffer."""
+    src = 0 if src is None else src
+    if baked:
+        module = build_block_module(intrinsic, count, dst, src, 1.5)
+    else:
+        module = build_block_module(intrinsic, count)
+    args = (dst, src, 1.5)
+    compiled = PythonCodeGenerator(module).compile()["f"]
+    for engine, call in (
+        ("ir-interp", lambda ptr: Interpreter(module).call("f", [ptr, *args])),
+        ("compiled", lambda ptr: compiled(ptr, *args)),
+    ):
+        buffer = list(BLOCK_BUFFER)
+        with pytest.raises(IndexError):
+            call((buffer, 0))
+        assert bits(buffer) == bits(BLOCK_BUFFER), engine
+
+
+def test_block_intrinsic_past_an_alloca_raises():
+    """A 5-slot ``memset`` at slot 1 of a 4-slot alloca raises on
+    ``compiled`` (the whole frame is that alloca) as on ``ir-interp``."""
+    module = Module("block_alloca")
+    fn = module.add_function("f", FunctionType(F64, []), [])
+    b = IRBuilder(fn.append_block("entry"))
+    arr = b.alloca(ArrayType(F64, 4), "arr")
+    b.memset(b.gep(arr, [b.i64(0), b.i64(1)]), b.f64(1.0), 5)
+    b.ret(b.load(b.gep(arr, [b.i64(0), b.i64(0)])))
+    verify_module(module)
+    with pytest.raises(IndexError):
+        Interpreter(module).call("f", [])
+    with pytest.raises(IndexError):
+        PythonCodeGenerator(module).compile()["f"]()
+
+
+@pytest.mark.parametrize("intrinsic", ["memcpy", "memset"])
+def test_lane_block_intrinsics_with_divergent_offsets_under_a_partial_mask(intrinsic):
+    """Per-lane offsets and values: every active lane matches the scalar
+    program on its own row, and inactive lanes (here with out-of-range
+    offsets) are not touched."""
+    module = build_block_module(intrinsic, 9)
+    compiled = PythonCodeGenerator(module).compile()["f"]
+    program = compile_lane_program(module, lambda name: compiled)
+    assert program.fallbacks == []
+    dsts = np.array([0, 100, 3, 12, 9])
+    srcs = np.array([5, -7, 0, 1, 9])
+    values = np.array([-0.0, 1.0, NAN_PAYLOAD, 2.5, math.inf])
+    mask = np.array([True, False, True, True, True])
+    rows = np.array([BLOCK_BUFFER[i:] + BLOCK_BUFFER[:i] for i in range(len(mask))])
+    expected = rows.copy()
+    for lane in np.nonzero(mask)[0]:
+        row = expected[lane].tolist()
+        compiled((row, 0), int(dsts[lane]), int(srcs[lane]), float(values[lane]))
+        expected[lane] = row
+    with np.errstate(all="ignore"):
+        program.functions["f"]((rows, 0), dsts, srcs, values, mask)
+    assert rows.tobytes() == expected.tobytes()
