@@ -419,6 +419,7 @@ LANE_NAMESPACE: Dict[str, object] = {
     "_lset": _lset,
     "_per_lane": _per_lane,
     "_lane_intrinsics": LANE_INTRINSICS,
+    "_f64": runtime.float_from_bits,
 }
 
 
@@ -570,9 +571,11 @@ def _lane_worker_init(payload) -> None:
     from .pycodegen import PythonCodeGenerator
 
     global _WORKER_RUN
-    lane_source, scalar_source, scalar_links, module_name, run_py_name = payload
+    lane_source, scalar_sources, scalar_links, module_name, run_py_name = payload
     scalar_ns = PythonCodeGenerator.exec_namespace()
-    exec(compile(scalar_source, f"<distill:{module_name}>", "exec"), scalar_ns)
+    # The entry set first: the lazily lowered rest links against its callables.
+    for source in scalar_sources:
+        exec(compile(source, f"<distill:{module_name}>", "exec"), scalar_ns)
     namespace: Dict[str, object] = dict(LANE_NAMESPACE)
     namespace["math"] = math
     for lane_sym, scalar_py_name in scalar_links.items():
@@ -888,9 +891,14 @@ class _LaneInstance(_LaneProgramInstance):
         if self._pool is None or self._pool.workers != workers:
             self.close()
             program = self._program
+            # The scalar source of every linked fallback: the entry set's,
+            # plus the rest's once a link outside it lowered the rest.
+            scalar_sources = tuple(
+                source for source in (self.model.source, self.model.rest_source) if source
+            )
             payload = (
                 program.source,
-                self.model.source,
+                scalar_sources,
                 program.scalar_links,
                 self.model.module.name,
                 program.py_names["run_model"],

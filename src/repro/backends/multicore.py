@@ -115,11 +115,16 @@ class MulticoreGridEvaluator:
         chunk_multiplier: int = 4,
         start_method: Optional[str] = None,
     ):
-        from .pycodegen import PythonCodeGenerator
+        from .pycodegen import PythonCodeGenerator, reachable_functions
 
         self.chunk_multiplier = chunk_multiplier
-        # Worker kernels are regenerated from the IR.
-        source = PythonCodeGenerator(compiled.module).generate_source()
+        # Worker kernels are regenerated from the IR: the eval kernels and
+        # what they call, not the drivers.
+        module = compiled.module
+        kernels = [info.kernel_name for info in compiled.grid_searches]
+        source = PythonCodeGenerator(
+            module, functions=reachable_functions(module, *kernels)
+        ).generate_source()
         kernel_sources = {
             info.kernel_name: (source, f"ir_{info.kernel_name}".replace(".", "_"))
             for info in compiled.grid_searches

@@ -81,7 +81,7 @@ from . import runtime
 #: Version of the Python lowering.  Artifact-store keys include it so cached
 #: compiled sources are invalidated whenever the emitter's output changes
 #: (bump on any change that alters generated source or its runtime contract).
-CODEGEN_VERSION = 7
+CODEGEN_VERSION = 8
 
 
 #: Operands are always simple names or constants, so ``fdiv`` tests the
@@ -180,7 +180,7 @@ _BLOCK_EXPAND_MAX = 4
 #: Finite float constants shorter than this stay literals: a ``LOAD_CONST``
 #: is cheaper than a closure-cell load, so pooling only pays for long
 #: mantissas (source-size + compile-time win) and non-finite values (which
-#: would otherwise be a ``float("nan")`` call per use).
+#: are built by a call: ``float("inf")``, or ``_f64(bits)`` for a NaN).
 _POOL_MIN_REPR = 6
 
 
@@ -1209,8 +1209,27 @@ class _LaneFunction(_StructuredFunction):
         return captures + [f"{brk} = {brk} | {mask}"]
 
 
+def reachable_functions(module: Module, *roots: str) -> List[Function]:
+    """The defined functions of ``module`` reachable through calls from the
+    functions named in ``roots`` (themselves included), in module order."""
+    seen = set(roots)
+    work = [module.functions[root] for root in seen]
+    while work:
+        for instr in work.pop().instructions():
+            if isinstance(instr, Call):
+                callee = instr.callee
+                if callee.name not in seen and not callee.is_declaration:
+                    seen.add(callee.name)
+                    work.append(callee)
+    return [fn for fn in module.defined_functions() if fn.name in seen]
+
+
 class PythonCodeGenerator:
-    """Translates every defined function of a module into Python source.
+    """Translates defined functions of a module into Python source.
+
+    ``functions`` selects the functions to lower (every defined function by
+    default); a call to any other function is a bare reference to its
+    Python name, resolved in the exec namespace (``extra_symbols``).
 
     Loops and conditionals are reconstructed from the dominator tree and
     loop info — served by ``analysis_manager`` when one is supplied, so a
@@ -1226,8 +1245,14 @@ class PythonCodeGenerator:
         prefix: str = "ir",
         analysis_manager=None,
         sanitize: bool = False,
+        functions: Optional[List[Function]] = None,
     ):
         self.module = module
+        self.functions = module.defined_functions() if functions is None else list(functions)
+        self._lowered_names = {fn.name for fn in self.functions}
+        #: IR name -> Python name of every function the generated source
+        #: calls without lowering it: the exec namespace must bind them.
+        self.links: Dict[str, str] = {}
         self.prefix = prefix
         self.sanitize = sanitize
         self.analysis_manager = analysis_manager
@@ -1239,8 +1264,10 @@ class PythonCodeGenerator:
         self._prelude_lines: List[str] = []
         self._aliases: Dict[str, str] = {}
         self._zero_tuples: Dict[int, str] = {}
-        #: The code object :meth:`exec_source` last compiled.
+        #: The code object :meth:`exec_source` last compiled, and the
+        #: namespace it ran in.
         self.code: Optional[CodeType] = None
+        self.namespace: Optional[Dict[str, object]] = None
 
     # -- analyses -----------------------------------------------------------------
     def _cfg_analyses(self, fn: Function) -> Tuple[DominatorTree, LoopInfo]:
@@ -1253,7 +1280,7 @@ class PythonCodeGenerator:
     # -- constant / helper pooling -------------------------------------------------
     def _count_float_uses(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}
-        for fn in self.module.defined_functions():
+        for fn in self.functions:
             for instr in fn.instructions():
                 for op in instr.operands:
                     if isinstance(op, Constant) and isinstance(op.value, float):
@@ -1264,7 +1291,8 @@ class PythonCodeGenerator:
     @staticmethod
     def _float_key(v: float) -> str:
         if math.isnan(v):
-            return "nan"
+            # Every NaN payload (and sign) is its own constant.
+            return f"nan:{runtime.float_bits(v):#x}"
         if math.isinf(v):
             return "inf" if v > 0 else "-inf"
         return repr(v)
@@ -1272,7 +1300,7 @@ class PythonCodeGenerator:
     def _float_expr(self, v: float) -> str:
         key = self._float_key(v)
         if math.isnan(v):
-            literal = 'float("nan")'
+            literal = f"_f64({runtime.float_bits(v):#x})"
         elif math.isinf(v):
             literal = 'float("inf")' if v > 0 else 'float("-inf")'
         else:
@@ -1353,7 +1381,7 @@ class PythonCodeGenerator:
 
     # -- source emission -------------------------------------------------------------
     def generate_source(self) -> str:
-        functions = self.module.defined_functions()
+        functions = self.functions
         sources = [self._emit_function(fn) for fn in functions]
         lines = [
             "# Generated by repro.backends.pycodegen — do not edit.",
@@ -1403,14 +1431,16 @@ class PythonCodeGenerator:
         """Compile and exec generated source; the callables by IR name.
 
         The compiled code object is kept in :attr:`code`, so the artifact
-        store can persist it and a store hit can skip ``compile()``.
+        store can persist it and a store hit can skip ``compile()``, and the
+        namespace it was linked in is kept in :attr:`namespace`.
         """
         self.code = compile(source, f"<distill:{self.module.name}>", "exec")
-        return exec_code(self.code, self.exec_namespace(extra_symbols), self.py_names())
+        self.namespace = self.exec_namespace(extra_symbols)
+        return exec_code(self.code, self.namespace, self.py_names())
 
     def py_names(self) -> Dict[str, str]:
-        """IR function name -> Python name, for every defined function."""
-        return {fn.name: self._py_name(fn) for fn in self.module.defined_functions()}
+        """IR function name -> Python name, for every lowered function."""
+        return {fn.name: self._py_name(fn) for fn in self.functions}
 
     @staticmethod
     def exec_namespace(extra_symbols: Optional[Dict[str, object]] = None) -> Dict[str, object]:
@@ -1427,6 +1457,7 @@ class PythonCodeGenerator:
             "_fptrunc": runtime.fptrunc,
             "_intrinsics": runtime.INTRINSIC_IMPLS,
             "_san_trap": runtime.sanitizer_trap,
+            "_f64": runtime.float_from_bits,
         }
         if extra_symbols:
             namespace.update(extra_symbols)
@@ -1562,6 +1593,8 @@ class PythonCodeGenerator:
                 bindings["m"] = self._alias(f"_m_{intrinsic}", f"math.{intrinsic}")
             return [f"{name} = " + fmt.format(**bindings)]
         target = self._py_name(callee)
+        if callee.name not in self._lowered_names:
+            self.links[callee.name] = target
         call = f"{target}({', '.join(arg_exprs)})"
         if instr.type.is_void:
             return [call]

@@ -178,6 +178,17 @@ def sanitizer_trap(message: str) -> None:
     raise SanitizerTrap(message)
 
 
+def float_bits(x: float) -> int:
+    """The IEEE-754 binary64 bit pattern of ``x`` (NaN payload and sign kept)."""
+    return struct.unpack("<Q", struct.pack("<d", x))[0]
+
+
+def float_from_bits(bits: int) -> float:
+    """The float with binary64 bit pattern ``bits`` (bound as ``_f64`` in
+    generated code, which rebuilds a NaN constant from its bits)."""
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
 # ---------------------------------------------------------------------------
 # Scalar operation semantics (DESIGN.md, "Scalar operation semantics")
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..backends.pycodegen import PythonCodeGenerator, exec_code
+from ..backends.pycodegen import PythonCodeGenerator, exec_code, reachable_functions
 from ..cogframe.composition import Composition
 from ..cogframe.runner import RunResults, TrialResult, normalize_inputs
 from ..cogframe.sanitize import SanitizationInfo, sanitize
@@ -43,6 +43,11 @@ from .structs import StaticLayout, build_layout
 #: Layout version of model entries in the artifact store; bump it when their
 #: fields change.  An entry of any other format reads as a miss.
 MODEL_ENTRY_FORMAT = 2
+
+#: The function the ``compiled`` engine calls.  A compile lowers the *entry
+#: set* (the defined functions reachable through calls from it); every other
+#: function lowers on first use (:meth:`CompiledModel.function`).
+ENTRY_FUNCTION = "run_model"
 
 
 @dataclass
@@ -125,9 +130,13 @@ class CompiledModel:
         #: (every path); a :class:`repro.Session` entry stored at another
         #: count no longer serves its key.
         self.edits = 0
-        #: The generated Python source of the compiled backend (stored so the
-        #: artifact store can replay it without re-lowering).
+        #: The generated Python source of the entry set (stored so the
+        #: artifact store can replay it without re-lowering).  ``None`` once
+        #: a patch has relinked the compiled callables.
         self.source: Optional[str] = None
+        #: The generated source of the functions lowered on first use
+        #: (:meth:`function`); it links against :attr:`source`'s callables.
+        self.rest_source: Optional[str] = None
         #: Per-function *compile unit* keys of the pre-optimization module
         #: (see :func:`repro.driver.artifacts.unit_fingerprints`); describes
         #: the original full compile and is what the optimize-artifact entry
@@ -139,6 +148,11 @@ class CompiledModel:
         #: (identical IR) versus requiring a re-lower.
         self.function_fingerprints: Dict[str, str] = {}
         self._compiled = compiled_functions
+        self._lower_lock = threading.Lock()
+        #: (exec namespace, {Python name: IR name}) of calls that
+        #: :meth:`exec_linked` bound to call-through stubs; lowering the
+        #: rest rebinds them to the lowered callables.
+        self._deferred_links: List[Tuple[Dict[str, object], Dict[str, str]]] = []
         self._engine_instances: Dict[str, object] = {}
         self._engine_lock = threading.Lock()
         #: The Python scheduler's :class:`~repro.backends.grid_driver.
@@ -178,8 +192,69 @@ class CompiledModel:
         return print_module(self.module)
 
     def function(self, name: str):
-        """The compiled Python callable for an IR function."""
-        return self._compiled[name]
+        """The compiled Python callable for an IR function.
+
+        A compile lowers only the entry set; the first lookup of any other
+        function lowers all of the rest (:meth:`lower_rest`).
+        """
+        compiled = self._compiled.get(name)
+        if compiled is None:
+            self.lower_rest()
+            compiled = self._compiled[name]
+        return compiled
+
+    def lower_rest(self) -> None:
+        """Lower every defined function not lowered yet, in one generator
+        pass over the optimized IR, linked against the lowered callables.
+
+        On a store hit this decodes the module; afterwards it is a no-op
+        until an incremental recompile drops functions it did not relower.
+        """
+        with self._lower_lock:
+            module = self.module
+            lowered = self._compiled
+            rest = [fn for fn in module.defined_functions() if fn.name not in lowered]
+            if not rest:
+                return
+            generator = PythonCodeGenerator(
+                module, sanitize=bool(self.flags.get("sanitize", False)), functions=rest
+            )
+            source = generator.generate_source()
+            lowered.update(self.exec_linked(generator, source))
+            self.rest_source = source
+            for namespace, names in self._deferred_links:
+                for py_name, name in names.items():
+                    namespace[py_name] = lowered[name]
+            self._deferred_links.clear()
+
+    def exec_linked(self, generator: PythonCodeGenerator, source: str) -> Dict[str, object]:
+        """Exec ``generator``'s ``source``, linking the calls it makes to
+        functions it does not define (``generator.links``) to this model's
+        callables; returns the new callables by IR name.
+
+        A function not lowered yet links to a call-through stub: its first
+        call lowers the rest, which rebinds the name in this namespace to
+        the lowered callable, so code linked now (an incremental
+        recompile's) pays for the rest on first use, as a compile does.
+        """
+        symbols: Dict[str, object] = {}
+        deferred: Dict[str, str] = {}
+        for name, py_name in generator.links.items():
+            callable_ = self._compiled.get(name)
+            if callable_ is None:
+                callable_ = self._call_through(name)
+                deferred[py_name] = name
+            symbols[py_name] = callable_
+        compiled = generator.exec_source(source, symbols)
+        if deferred:
+            self._deferred_links.append((generator.namespace, deferred))
+        return compiled
+
+    def _call_through(self, name: str):
+        def call_through(*args):
+            return self.function(name)(*args)
+
+        return call_through
 
     @property
     def grid_searches(self):
@@ -406,7 +481,7 @@ class CompiledModel:
         ]
 
     def _run_whole_compiled(self, buffers, num_trials: int) -> None:
-        run_model = self._compiled["run_model"]
+        run_model = self._compiled[ENTRY_FUNCTION]
         run_model(*self._model_args(buffers, num_trials))
 
 
@@ -424,7 +499,9 @@ def compile_composition(
     static data-structure conversion, IR generation for every node and the
     scheduler, the optimisation ``pipeline`` (a textual description such as
     ``"default<O2>,licm"`` or a prebuilt :class:`PassManager`) and lowering
-    to the execution engines.
+    to the execution engines.  Lowering covers the entry set, the functions
+    ``run_model`` reaches; every other function lowers on first use
+    (:meth:`CompiledModel.function`).
 
     ``store`` selects the content-addressed artifact store (see
     :mod:`repro.driver.artifacts`): ``None`` consults the
@@ -584,11 +661,13 @@ def compile_composition(
     # Lowering: the structured emitter reconstructs loops/conditionals from
     # the dominator-tree and loop-info analyses the pipeline already cached;
     # a function the relooper cannot express raises ``CompilationError``.
+    # Only the entry set lowers here; the rest lowers on first use.
     start = time.perf_counter()
     generator = PythonCodeGenerator(
         artifacts.module,
         analysis_manager=analysis_manager if analysis_manager.enabled else None,
         sanitize=bool((flags or {}).get("sanitize", False)),
+        functions=reachable_functions(artifacts.module, ENTRY_FUNCTION),
     )
     source = generator.generate_source()
     compiled_functions = generator.exec_source(source)

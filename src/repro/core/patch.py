@@ -32,13 +32,20 @@ after a model edit instead of recompiling from scratch:
    re-optimized.  A live compile without that call
    boundary (a scope function that is ``noinline`` in the patch module is
    not ``noinline`` in the live one) falls back to a full compile;
-5. the scoped functions are optimised with the model's own pipeline,
-   lowered with everything outside the scope *linked in* from the previous
-   compile (the compiled callables are injected into the exec namespace),
-   and grafted into the live module.  The live callers of a replaced
-   function — ``run_trial`` calling ``run_pass`` — are relinked without
-   re-lowering: their IR call sites are re-pointed by name, and the lowered
-   closures' shared cell (or module global) for the callee is swapped.
+5. the scoped functions are optimised with the model's own pipeline and
+   grafted into the live module.  Only the scope functions the ``compiled``
+   engine reaches from ``run_model`` are lowered, with everything outside
+   the scope *linked in* from the previous compile (the compiled callables
+   are injected into the exec namespace; a function not lowered yet is a
+   stub that lowers the rest of the module on its first call, see
+   :meth:`CompiledModel.exec_linked`).  The
+   other scope functions — ``node_<name>`` once it is inlined into
+   ``run_pass`` — leave the lowered set and re-lower on first use from the
+   grafted IR, as does any lowered function that calls one.  The live
+   callers of a replaced function — ``run_model`` calling ``run_pass`` —
+   are relinked without re-lowering: their IR call sites are re-pointed by
+   name, and the lowered closures' shared cell (or module global) for the
+   callee is swapped.
 
 The full-module compile remains the differential anchor: the fuzz oracle's
 incremental leg (``python -m repro.fuzz --incremental``) asserts that a
@@ -59,6 +66,7 @@ from ..cogframe.composition import Composition
 from ..cogframe.mechanisms import GridSearchControlMechanism
 from ..cogframe.sanitize import sanitize
 from .codegen import ModelCodeGenerator
+from .distill import ENTRY_FUNCTION
 from .structs import StaticLayout, build_layout
 
 __all__ = ["recompile_model"]
@@ -207,18 +215,50 @@ def _declare_only(module, names: Iterable[str]) -> None:
         fn.notify_mutation()
 
 
+def _reachable_scope(model, patch_module, scope: Set[str], live_callers: Set[str]) -> Set[str]:
+    """The scope functions reachable through calls from the entry function
+    once the patch is grafted.  The walk enters only scope functions and
+    their live callers: no other live function calls into the scope."""
+    from ..ir.instructions import Call
+
+    found: Set[str] = set()
+    seen = {ENTRY_FUNCTION}
+    work = [ENTRY_FUNCTION]
+    while work:
+        name = work.pop()
+        if name in scope:
+            found.add(name)
+            fn = patch_module.functions[name]
+        elif name in live_callers:
+            fn = model.module.functions[name]
+        else:
+            continue
+        for instr in fn.instructions():
+            if isinstance(instr, Call) and instr.callee.name not in seen:
+                seen.add(instr.callee.name)
+                work.append(instr.callee.name)
+    return found
+
+
 def _relink_callers(
-    model, live_callers: Iterable[str], replaced: Dict[str, object], py_names: Dict[str, str]
+    model,
+    live_callers: Iterable[str],
+    replaced: Dict[str, object],
+    lowered: Dict[str, object],
+    py_names: Dict[str, str],
 ) -> None:
     """Point live functions outside the patch at the replaced functions.
 
-    ``replaced`` maps names to the grafted IR functions and ``py_names``
-    maps their lowered Python names back to IR names.  IR call sites are
-    re-pointed by name.  Lowered code reaches a function defined in the
-    same compile through a closure cell of the generated module factory, and
-    a function that was only declared in its (patch) module through a global
-    of the exec namespace, seeded with the live callable; swapping a shared
-    cell or global relinks every caller of that compile at once.
+    ``replaced`` maps names to the grafted IR functions, ``lowered`` holds
+    the callables of the replaced functions that were relowered, and
+    ``py_names`` maps the replaced functions' Python names back to IR
+    names.  IR call sites of the live callers are re-pointed by name.  A replaced function that
+    was not relowered leaves the lowered set, and so does every lowered
+    function whose code calls one.  Lowered code reaches a function defined
+    in the same compile through a closure cell of the generated module
+    factory, and any other function through a global of the exec
+    namespace; swapping a shared cell or global relinks every caller of
+    that compile at once.
     """
     from ..ir.instructions import Call
 
@@ -226,14 +266,31 @@ def _relink_callers(
         for instr in model.module.functions[name].instructions():
             if isinstance(instr, Call) and instr.callee.name in replaced:
                 instr.callee = replaced[instr.callee.name]
-        lowered = model._compiled[name]
-        code = lowered.__code__
-        for var, cell in zip(code.co_freevars, lowered.__closure__ or ()):
-            if var in py_names:
-                cell.cell_contents = model._compiled[py_names[var]]
+    compiled = model._compiled
+    dropped = {py: name for py, name in py_names.items() if name not in lowered}
+    kept = {name: fn for name, fn in compiled.items() if name not in replaced}
+    while True:
+        stale = [
+            name
+            for name, fn in kept.items()
+            if not dropped.keys().isdisjoint(fn.__code__.co_freevars + fn.__code__.co_names)
+        ]
+        if not stale:
+            break
+        for name in stale:
+            dropped[kept.pop(name).__name__] = name
+    for name in dropped.values():
+        compiled.pop(name, None)
+    compiled.update(lowered)
+    relinked = {py: lowered[name] for py, name in py_names.items() if name in lowered}
+    for fn in kept.values():
+        code = fn.__code__
+        for var, cell in zip(code.co_freevars, fn.__closure__ or ()):
+            if var in relinked:
+                cell.cell_contents = relinked[var]
         for var in code.co_names:
-            if var in py_names and var in lowered.__globals__:
-                lowered.__globals__[var] = model._compiled[py_names[var]]
+            if var in relinked and var in fn.__globals__:
+                fn.__globals__[var] = relinked[var]
 
 
 def _graft_functions(old_module, patch_module) -> Dict[str, object]:
@@ -316,6 +373,8 @@ def _adopt(model, fresh) -> None:
     model.stats.artifact_patches = patches
     model.stats.recompile_seconds = recompile_seconds
     model.source = fresh.source
+    model.rest_source = fresh.rest_source
+    model._deferred_links = fresh._deferred_links
     model.unit_fingerprints = fresh.unit_fingerprints
     model.function_fingerprints = fresh.function_fingerprints
     model._compiled = fresh._compiled
@@ -459,28 +518,28 @@ def recompile_model(
     analysis_manager = AnalysisManager(enabled=bool(flags.get("analysis_cache", True)))
     model.pipeline.run(patch_module, analysis_manager)
 
+    # Lower the scope functions the engine reaches; the others re-lower on
+    # first use from the grafted IR.
+    entry = _reachable_scope(model, patch_module, scope, live_callers)
     lowerer = PythonCodeGenerator(
         patch_module,
         analysis_manager=analysis_manager if analysis_manager.enabled else None,
         sanitize=bool(flags.get("sanitize", False)),
+        functions=[fn for fn in patch_module.defined_functions() if fn.name in entry],
     )
-    # Everything outside the scope links in from the previous compile: the
-    # declarations resolve to the existing compiled callables through the
-    # exec namespace.
-    extra_symbols = {
-        lowerer._py_name(fn): model._compiled[fn.name]
-        for fn in patch_module.functions.values()
-        if fn.is_declaration and not fn.intrinsic_name
-    }
-    compiled = lowerer.compile(extra_symbols=extra_symbols)
+    # Everything outside the lowered functions links in from the previous
+    # compile: the calls resolve to the compiled callables (or, for a
+    # function not lowered yet, a stub lowering the rest on first call)
+    # through the exec namespace.
+    compiled = model.exec_linked(lowerer, lowerer.generate_source())
     analysis_manager.clear()
 
     grafted = _graft_functions(model.module, patch_module)
-    model._compiled.update(compiled)
     _relink_callers(
         model,
         sorted(live_callers),
         grafted,
+        compiled,
         {lowerer._py_name(fn): name for name, fn in grafted.items()},
     )
     model.function_fingerprints.update(new_fps)
@@ -489,6 +548,7 @@ def recompile_model(
     # The stored source and unit keys describe the original full compile;
     # a patched artifact is never written back to the store.
     model.source = None
+    model.rest_source = None
     _invalidate_engines(model)
 
     elapsed = time.perf_counter() - started

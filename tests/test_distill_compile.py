@@ -268,12 +268,17 @@ class TestPerformanceOrdering:
         trials = 10
         compiled = compile_composition(build(), pipeline="default<O2>")
 
-        start = time.perf_counter()
-        compiled.run(inputs, num_trials=trials, seed=0, engine="compiled")
-        whole = time.perf_counter() - start
+        def best_of_5(engine):
+            # One untimed run binds the engine (per-node's first run also
+            # lowers the functions outside the entry set).
+            compiled.run(inputs, num_trials=trials, seed=0, engine=engine)
+            times = []
+            for _ in range(5):
+                start = time.perf_counter()
+                compiled.run(inputs, num_trials=trials, seed=0, engine=engine)
+                times.append(time.perf_counter() - start)
+            return min(times)
 
-        start = time.perf_counter()
-        compiled.run(inputs, num_trials=trials, seed=0, engine="per-node")
-        per_node = time.perf_counter() - start
-
+        whole = best_of_5("compiled")
+        per_node = best_of_5("per-node")
         assert whole < per_node

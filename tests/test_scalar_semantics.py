@@ -309,14 +309,6 @@ BLOCK_CASES = [
 #: the NaN payload.
 MEMSET_VALUES = (0.0, -0.0, NAN_PAYLOAD)
 
-#: The scalar lowering writes every NaN constant as ``float("nan")``, so a
-#: NaN payload baked into the IR loses its payload on ``compiled``
-#: (``PythonCodeGenerator._float_expr``, a FOUND line in CHANGES.md).
-NAN_CONSTANT_XFAIL = pytest.mark.xfail(
-    strict=True, reason="_float_expr drops the payload of a NaN constant"
-)
-
-
 def build_block_module(intrinsic, count, dst=None, src=None, value=None):
     """``f(buf, dst, src, value)``: one ``memcpy``/``memset`` of ``count``
     slots of ``buf``.  An offset or value given here is baked in as a
@@ -351,8 +343,7 @@ def _block_cases():
         values = MEMSET_VALUES if intrinsic == "memset" else (0.0,)
         for value, baked in itertools.product(values, (False, True)):
             case = f"{intrinsic}-{dst}-{src}-{count}-{value!r}-{'const' if baked else 'arg'}"
-            marks = NAN_CONSTANT_XFAIL if baked and value is NAN_PAYLOAD and count else ()
-            yield pytest.param(intrinsic, dst, src, count, value, baked, id=case, marks=marks)
+            yield pytest.param(intrinsic, dst, src, count, value, baked, id=case)
 
 
 @pytest.mark.parametrize("intrinsic, dst, src, count, value, baked", list(_block_cases()))
@@ -425,6 +416,42 @@ def test_block_intrinsic_out_of_range_raises(intrinsic, dst, src, count, baked):
         with pytest.raises(IndexError):
             call((buffer, 0))
         assert bits(buffer) == bits(BLOCK_BUFFER), engine
+
+
+def test_nan_constants_keep_their_bits():
+    """Each NaN constant pools once per bit pattern (payload and sign) and
+    stores the same bits on every engine."""
+    nans = [
+        NAN_PAYLOAD,
+        struct.unpack("<d", struct.pack("<Q", 0xFFF8_0000_0000_0042))[0],
+        float("nan"),
+    ]
+    module = Module("nan_constants")
+    fn = module.add_function("f", FunctionType(VOID, [PointerType(F64)]), ["buf"])
+    b = IRBuilder(fn.append_block("entry"))
+    (buf,) = fn.args
+    stored = nans + nans
+    for slot, value in enumerate(stored):
+        b.store(b.f64(value), b.gep(buf, [b.i64(slot)]))
+    b.ret()
+    verify_module(module)
+    generator = PythonCodeGenerator(module)
+    assert generator.generate_source().count("_f64(") == len(nans)
+    compiled = generator.compile()["f"]
+    outcomes = {}
+    for engine, call in (
+        ("ir-interp", lambda ptr: Interpreter(module).call("f", [ptr])),
+        ("compiled", compiled),
+    ):
+        buffer = [0.0] * len(stored)
+        call((buffer, 0))
+        outcomes[engine] = buffer
+    program = compile_lane_program(module, lambda name: compiled)
+    lanes = np.zeros((2, len(stored)))
+    program.functions["f"]((lanes, 0), np.ones(2, dtype=bool))
+    outcomes["lane"] = lanes[1]
+    for engine, buffer in outcomes.items():
+        assert bits(buffer) == bits(stored), engine
 
 
 def test_block_intrinsic_past_an_alloca_raises():
