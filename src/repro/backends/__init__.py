@@ -9,8 +9,9 @@ pointers, counter-based PRNG intrinsics) defined in
 * :mod:`repro.backends.pycodegen` — translates optimised IR into flat Python
   source with no per-instruction dispatch; this is the "native execution"
   analogue in this reproduction.
-* :mod:`repro.backends.multicore` — partitions grid-search parallel regions
-  across processes/threads.
+* :mod:`repro.backends.multicore` — the ``mcpu`` engine: the grid-search
+  kernel of :mod:`repro.backends.lane`, each launch's lanes sharded across a
+  pool of worker processes.
 * :mod:`repro.backends.lane` — the lane code generator's runtime: numpy
   array programs over a lane axis (SIMT lanes), plus the ``lane`` engine
   that maps ``run_batch`` elements onto it.

@@ -11,7 +11,9 @@ evaluator and calls a controller's compiled node like any other.  ``mcpu``,
 3.6): everything *except* the grid-search evaluations runs through the
 serial engine's compiled code; the evaluations — one independent kernel
 invocation per grid point, each with its own replicated PRNG state — go to
-a pool of workers or to the data-parallel grid kernel.
+the data-parallel grid kernel they share
+(:class:`~repro.backends.lane.GridKernelEvaluator`), which ``mcpu`` shards
+over a pool of worker processes.
 
 The schedule: no registered condition reads the trial index, and only
 :class:`~repro.cogframe.conditions.ThresholdCrossed` reads outputs.  So
@@ -31,19 +33,20 @@ running minimum, draws one uniform from the controller's PRNG stream
 (``select index with probability 1/ties``).  Crucially this includes ties
 with *intermediate* minima that a later, lower cost then displaces — the
 draw still happened and advanced the counter.  A parallel engine therefore
-cannot reduce a chunk to its ``(best_index, best_cost, ties)`` triple: that
-loses the intermediate tie events and the replayed RNG stream diverges.
+cannot reduce a slice of the grid to its ``(best_index, best_cost, ties)``
+triple: that loses the intermediate tie events and the replayed RNG stream
+diverges.
 
-Instead, evaluators return :class:`CandidateEvents`: the ordered list of
-``(index, cost)`` pairs whose cost is <= the running prefix minimum *of the
-entries before them*.  Entries above the prefix minimum can never interact
-with the serial scan (they are neither new minima nor ties), so replaying
-the reservoir over the candidate events alone reproduces the serial scan —
-same winner, same number of uniform draws, same final counter — while
-shipping only a handful of floats per chunk.  Full cost arrays (the grid
-kernel's) are selected a controller's ``(requests, grid_size)`` block at a
-time (:func:`select_block`): a row whose scan makes no draw takes its first
-argmin, every other row goes through the same replay.
+Instead, every evaluator returns one full cost vector per request, and a
+controller's vectors are selected as one ``(requests, grid_size)`` block
+(:func:`select_block`).  A row whose scan makes no draw takes its first
+argmin.  Every other row is reduced to its :class:`CandidateEvents`: the
+ordered list of ``(index, cost)`` pairs whose cost is <= the running prefix
+minimum *of the entries before them*.  Entries above the prefix minimum can
+never interact with the serial scan (they are neither new minima nor ties),
+so replaying the reservoir over the candidate events alone reproduces the
+serial scan — same winner, same number of uniform draws, same final
+counter.
 """
 
 from __future__ import annotations
@@ -83,7 +86,8 @@ def allocation_for_index(
 
     ``strides`` are the precomputed row-major strides (:func:`grid_strides`);
     without them they are derived on the fly, which costs O(signals²) per
-    call — hot callers (the worker loops) must pass them in.
+    call — the driver, which calls it once per selected winner, passes
+    them in.
     """
     if strides is None:
         strides = grid_strides(levels)
@@ -361,8 +365,8 @@ class GridRequest:
     counter_base: int
 
 
-#: A batch evaluator: (compiled, [GridRequest, ...]) -> [CandidateEvents|costs, ...]
-BatchGridEvaluator = Callable[[object, List[GridRequest]], List[object]]
+#: A batch evaluator: (compiled, [GridRequest, ...]) -> one cost vector per request.
+BatchGridEvaluator = Callable[[object, List[GridRequest]], List[np.ndarray]]
 
 
 class _Element:
@@ -465,12 +469,11 @@ def drive_elements(
 
 
 def _apply_selections(
-    plan: GridDriverPlan, requests: List[Tuple[GridRequest, _Element]], results: List[object]
+    plan: GridDriverPlan, requests: List[Tuple[GridRequest, _Element]], results: List[np.ndarray]
 ) -> None:
-    """Select each request's winner, a controller's cost rows as one block
-    (an evaluator returns one kind of result per controller), and write it
-    to its element: allocation to the output, best cost and count to the
-    state."""
+    """Select each request's winner, a controller's cost vectors as one
+    block, and write it to its element: allocation to the output, best cost
+    and count to the state."""
     if len(results) != len(requests):
         raise EngineError(
             f"batch grid evaluator returned {len(results)} results for "
@@ -480,15 +483,9 @@ def _apply_selections(
     for index, (request, _) in enumerate(requests):
         groups.setdefault(request.prepared.control_name, []).append(index)
     for name, rows in groups.items():
-        rng_offset, states = plan.rng_offsets[name], [requests[i][1].state for i in rows]
-        if isinstance(results[rows[0]], CandidateEvents):
-            picks = [
-                select_from_events(results[i], state, rng_offset, name)
-                for i, state in zip(rows, states)
-            ]
-        else:
-            costs = np.array([results[i] for i in rows], dtype=float)
-            picks = select_block(costs, states, rng_offset, name)
+        costs = np.array([results[i] for i in rows], dtype=float)
+        states = [requests[i][1].state for i in rows]
+        picks = select_block(costs, states, plan.rng_offsets[name], name)
         out_offset, out_size = plan.out_offsets[name]
         for i, (best, best_cost) in zip(rows, picks):
             prepared, element = requests[i][0].prepared, requests[i][1]

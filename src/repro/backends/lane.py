@@ -37,19 +37,22 @@ Execution model
   ``lane_fallbacks`` — correctness never depends on lane-lowerability.
 
 The module has three parts: the ``LANE_NAMESPACE`` runtime helpers that
-the generated lane source links against, the grid kernel that ``lane`` and
-``gpu-sim`` run grid-search evaluations on, and the ``lane`` execution
-engine.  With ``workers=N`` the controller-free sweep's stacked lanes are
-split into contiguous chunks run on the persistent
-:class:`~repro.backends.workerpool.WorkerPool` that ``mcpu`` also uses; a
-worker that dies mid-batch raises :class:`~repro.errors.WorkerLost` and the
-next call restarts the pool.
+the generated lane source links against, the grid kernel that ``lane``,
+``gpu-sim`` and ``mcpu`` run grid-search evaluations on, and the ``lane``
+execution engine.  The engine base they share also owns a persistent
+:class:`~repro.backends.workerpool.WorkerPool` whose workers rebuild the
+lane program from source: with ``workers=N`` the ``lane`` engine splits a
+controller-free sweep's stacked lanes into contiguous chunks on it, and
+``mcpu`` splits each grid-kernel launch the same way.  A worker that dies
+mid-batch raises :class:`~repro.errors.WorkerLost` and the next call
+restarts the pool.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+import os
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,7 +71,7 @@ from .workerpool import WorkerPool
 # definitions in :mod:`repro.backends.runtime`; the array paths reproduce
 # them bit-for-bit — the fuzz oracle's lane leg compares buffers and PRNG
 # counters against the scalar compiled engine.  Every caller of a lane
-# program (``_run_stacked``, the pool worker, :func:`launch_grid_kernel`)
+# program (``_run_stacked``, the pool workers, :func:`launch_grid_kernel`)
 # runs it under ``np.errstate(all="ignore")``: both arms of a branch are
 # evaluated, so inactive lanes may divide by zero or overflow by design.
 
@@ -492,12 +495,28 @@ def launch_grid_kernel(kernel: Callable, args: Sequence[object], lanes: int) -> 
 MAX_LAUNCH_LANES = 2048
 
 
+class GridLaunch(NamedTuple):
+    """One grid-kernel launch: the lane kernel's IR name, its arguments as
+    :func:`launch_grid_kernel` takes them, and the lane count."""
+
+    kernel_name: str
+    args: List[object]
+    lanes: int
+
+
+#: Runs a scheduler step's launches; one ``(lanes,)`` cost vector each.
+LaunchRunner = Callable[[Iterable[GridLaunch]], List[np.ndarray]]
+
+
 class GridKernelEvaluator:
-    """The batch grid evaluator of ``lane`` and ``gpu-sim`` (see
+    """The batch grid evaluator of ``lane``, ``gpu-sim`` and ``mcpu`` (see
     :func:`~repro.backends.grid_driver.drive_elements`): one lane per
     (element, grid point), each with its own PRNG key and counter.  A grid
     region's level columns and per-lane counter offsets are pure layout,
-    derived once per region and reused by every call of the binding.
+    derived once per region and reused by every call of the binding.  The
+    engines differ only in the :data:`LaunchRunner` that runs a step's
+    launches: in process (:meth:`run_in_process`) or sharded over a worker
+    pool (``mcpu``).
     """
 
     def __init__(self, program: Callable[[], LaneProgram]):
@@ -506,8 +525,8 @@ class GridKernelEvaluator:
         self._regions: Dict[str, tuple] = {}
 
     def _region(self, prepared) -> tuple:
-        """The region's kernel, requests per launch, and its level columns
-        and per-lane counter offsets laid out over a full launch."""
+        """The region's requests per launch, and its level columns and
+        per-lane counter offsets laid out over a full launch."""
         cached = self._regions.get(prepared.control_name)
         if cached is None:
             per_launch = max(MAX_LAUNCH_LANES // prepared.grid_size, 1)
@@ -517,38 +536,51 @@ class GridKernelEvaluator:
                 for levels, stride in zip(prepared.levels, prepared.strides)
             ]
             counter_lanes = indices.astype(np.float64) * prepared.counter_stride
-            kernel = self._program().functions[prepared.kernel_name]
-            cached = (kernel, per_launch, columns, counter_lanes)
+            cached = (per_launch, columns, counter_lanes)
             self._regions[prepared.control_name] = cached
         return cached
 
-    def evaluate_batch(self, compiled, requests) -> List[np.ndarray]:
+    def run_in_process(self, launches: Iterable[GridLaunch]) -> List[np.ndarray]:
+        """Run each launch in this process, one after the other."""
+        functions = self._program().functions
+        return [
+            launch_grid_kernel(functions[name], args, lanes) for name, args, lanes in launches
+        ]
+
+    def evaluate_batch(
+        self, compiled, requests, run_launches: Optional[LaunchRunner] = None
+    ) -> List[np.ndarray]:
         """Every grid evaluation of one scheduler step, as few launches.
 
         Requests of one region stack (request x grid point) on the lane
         axis, up to :data:`MAX_LAUNCH_LANES` lanes per launch; each
-        request's cost vector is its slice of the launch's costs.
+        request's cost vector is its slice of the launch's costs.  The
+        launches reach ``run_launches`` (default :meth:`run_in_process`) as
+        a generator, so an in-process runner holds one launch's arguments
+        at a time.
         """
-        costs: List[Optional[np.ndarray]] = [None] * len(requests)
         groups: Dict[str, List[int]] = {}
         for index, request in enumerate(requests):
             groups.setdefault(request.prepared.control_name, []).append(index)
+        plan = []
         for indices in groups.values():
-            grid_size = requests[indices[0]].prepared.grid_size
-            per_launch = self._region(requests[indices[0]].prepared)[1]
-            for start in range(0, len(indices), per_launch):
-                launch = indices[start : start + per_launch]
-                vector = self._launch([requests[i] for i in launch])
-                for k, index in enumerate(launch):
-                    costs[index] = vector[k * grid_size : (k + 1) * grid_size]
+            per_launch = self._region(requests[indices[0]].prepared)[0]
+            plan += [indices[i : i + per_launch] for i in range(0, len(indices), per_launch)]
+        launches = (self._launch([requests[i] for i in launch]) for launch in plan)
+        vectors = (run_launches or self.run_in_process)(launches)
+        costs: List[Optional[np.ndarray]] = [None] * len(requests)
+        for launch, vector in zip(plan, vectors):
+            grid_size = requests[launch[0]].prepared.grid_size
+            for k, index in enumerate(launch):
+                costs[index] = vector[k * grid_size : (k + 1) * grid_size]
         return costs
 
-    def _launch(self, requests) -> np.ndarray:
+    def _launch(self, requests) -> GridLaunch:
         """Each request's params row, true inputs and PRNG key repeated over
         its grid points, the level columns and every lane's counter offset
         (added to its request's base) sliced from the region's layout."""
         prepared = requests[0].prepared
-        kernel, _, columns, counter_lanes = self._region(prepared)
+        _, columns, counter_lanes = self._region(prepared)
         lanes = prepared.grid_size * len(requests)
         params = np.asarray([r.params for r in requests], dtype=float)
         rows = [(*r.true_input, r.key, r.counter_base) for r in requests]
@@ -556,22 +588,23 @@ class GridKernelEvaluator:
         args: List[object] = [(np.repeat(params, prepared.grid_size, axis=0), 0), *values[:-2]]
         args += [column[:lanes] for column in columns]
         args += [values[-2], values[-1] + counter_lanes[:lanes]]
-        return launch_grid_kernel(kernel, args, lanes)
+        return GridLaunch(prepared.kernel_name, args, lanes)
 
 
 # ---------------------------------------------------------------------------
-# Worker-side machinery for lane-chunk execution (persistent process pool)
+# Worker-side machinery (persistent process pool of lane and mcpu)
 # ---------------------------------------------------------------------------
 
-_WORKER_RUN = None
+#: The rebuilt lane program's callables by IR name, in a pool worker.
+_WORKER_FUNCTIONS: Dict[str, Callable] = {}
 
 
 def _lane_worker_init(payload) -> None:
     """Rebuild the lane program (and its scalar fallbacks) in a worker."""
     from .pycodegen import PythonCodeGenerator
 
-    global _WORKER_RUN
-    lane_source, scalar_sources, scalar_links, module_name, run_py_name = payload
+    global _WORKER_FUNCTIONS
+    lane_source, scalar_sources, scalar_links, module_name, py_names = payload
     scalar_ns = PythonCodeGenerator.exec_namespace()
     # The entry set first: the lazily lowered rest links against its callables.
     for source in scalar_sources:
@@ -581,7 +614,7 @@ def _lane_worker_init(payload) -> None:
     for lane_sym, scalar_py_name in scalar_links.items():
         namespace[lane_sym] = scalar_ns[scalar_py_name]
     exec(compile(lane_source, f"<distill-lane:{module_name}>", "exec"), namespace)
-    _WORKER_RUN = namespace[run_py_name]
+    _WORKER_FUNCTIONS = {name: namespace[py_name] for name, py_name in py_names.items()}
 
 
 def _lane_worker_run(task):
@@ -589,7 +622,7 @@ def _lane_worker_run(task):
     params, state, prev, cur, inputs, results, monitor, trials, rows = task
     m = np.ones(len(trials), dtype=bool)
     with np.errstate(all="ignore"):
-        _WORKER_RUN(
+        _WORKER_FUNCTIONS["run_model"](
             (params, 0),
             (state, 0),
             (prev, 0),
@@ -615,7 +648,8 @@ _BUFFER_KEYS = ("params", "state", "prev", "cur", "inputs", "results", "monitor"
 
 class _LaneProgramInstance(EngineInstance):
     """A binding that lazily lane-compiles the model, with the grid-kernel
-    evaluator over that program (the part ``lane`` and ``gpu-sim`` share)."""
+    evaluator over that program and the persistent worker pool that
+    rebuilds it (the part ``lane``, ``gpu-sim`` and ``mcpu`` share)."""
 
     def __init__(self, engine_name: str, model):
         super().__init__(engine_name, model)
@@ -625,6 +659,7 @@ class _LaneProgramInstance(EngineInstance):
         self.lane_fallbacks: List[str] = []
         self.lane_fallback_reasons: Dict[str, str] = {}
         self._evaluator = GridKernelEvaluator(self._ensure_program)
+        self._pool: Optional[WorkerPool] = None
 
     def _ensure_program(self) -> LaneProgram:
         if self._program is None:
@@ -635,6 +670,63 @@ class _LaneProgramInstance(EngineInstance):
 
     def execute(self, buffers, num_trials, **options):
         self.execute_batch([(buffers, num_trials)], **options)
+
+    # -- worker pool -----------------------------------------------------
+    def _worker_payload(self) -> tuple:
+        """What :func:`_lane_worker_init` rebuilds the lane program from:
+        its source, the scalar source of every linked fallback (the entry
+        set's, plus the rest's once a link outside it lowered the rest) and
+        the link and name tables."""
+        program = self._ensure_program()
+        model = self.model
+        scalar_sources = tuple(source for source in (model.source, model.rest_source) if source)
+        if program.scalar_links and model.source is None:
+            # A patched model keeps no source: lower the whole module again.
+            from .pycodegen import PythonCodeGenerator
+
+            generator = PythonCodeGenerator(
+                model.module, sanitize=bool(model.flags.get("sanitize", False))
+            )
+            scalar_sources = (generator.generate_source(),)
+        return (
+            program.source,
+            scalar_sources,
+            program.scalar_links,
+            model.module.name,
+            program.py_names,
+        )
+
+    def _pool_for(self, workers: Optional[int], start_method: Optional[str] = None) -> WorkerPool:
+        """The persistent pool, restarted when ``workers`` or
+        ``start_method`` changes (``None`` keeps the running pool's; a new
+        pool defaults to one worker per CPU)."""
+        pool = self._pool
+        if (
+            pool is not None
+            and workers in (None, pool.workers)
+            and start_method in (None, pool.start_method)
+        ):
+            return pool
+        self.close()
+        self._pool = WorkerPool(
+            workers or max(os.cpu_count() or 1, 1),
+            _lane_worker_init,
+            (self._worker_payload(),),
+            start_method=start_method,
+        )
+        return self._pool
+
+    @property
+    def pool_starts(self) -> int:
+        """Worker-pool constructions so far (1 after any number of runs
+        with consistent options — the proof of pool reuse)."""
+        return self._pool.starts if self._pool is not None else 0
+
+    def close(self) -> None:
+        """Shut the worker pool down (a later pooled call restarts it)."""
+        if self._pool is not None:
+            self._pool.close()
+            self._pool = None
 
 
 class _LaneInstance(_LaneProgramInstance):
@@ -652,7 +744,6 @@ class _LaneInstance(_LaneProgramInstance):
         #: Elements whose counter extrapolation failed verification and were
         #: re-run as sequential masked trial loops.
         self.rng_fold_fallbacks = 0
-        self._pool: Optional[WorkerPool] = None
 
     # -- buffer stacking -------------------------------------------------
     def _stack(self, elements) -> Dict[str, np.ndarray]:
@@ -781,7 +872,7 @@ class _LaneInstance(_LaneProgramInstance):
         stacked = self._stack(elements)
         workers = options.get("workers")
         n_lanes = len(elements)
-        if workers and int(workers) > 1 and n_lanes >= 2 and self.model.source:
+        if workers and int(workers) > 1 and n_lanes >= 2:
             self._execute_pooled(stacked, int(workers))
         else:
             m = np.ones(n_lanes, dtype=bool)
@@ -880,31 +971,10 @@ class _LaneInstance(_LaneProgramInstance):
             self._run_stacked(fallbacks, options)
 
     # -- worker pool (lane chunks) ---------------------------------------
-    @property
-    def pool_starts(self) -> int:
-        """Worker-pool constructions for the current worker count."""
-        return self._pool.starts if self._pool is not None else 0
-
     def _execute_pooled(self, stacked, workers: int) -> None:
         n_lanes = len(stacked["num_trials"])
-        workers = min(workers, n_lanes)
-        if self._pool is None or self._pool.workers != workers:
-            self.close()
-            program = self._program
-            # The scalar source of every linked fallback: the entry set's,
-            # plus the rest's once a link outside it lowered the rest.
-            scalar_sources = tuple(
-                source for source in (self.model.source, self.model.rest_source) if source
-            )
-            payload = (
-                program.source,
-                scalar_sources,
-                program.scalar_links,
-                self.model.module.name,
-                program.py_names["run_model"],
-            )
-            self._pool = WorkerPool(workers, _lane_worker_init, (payload,))
-        chunk = (n_lanes + workers - 1) // workers
+        pool = self._pool_for(min(workers, n_lanes))
+        chunk = (n_lanes + pool.workers - 1) // pool.workers
         spans = [
             (start, min(start + chunk, n_lanes))
             for start in range(0, n_lanes, chunk)
@@ -917,18 +987,13 @@ class _LaneInstance(_LaneProgramInstance):
             for start, stop in spans
         ]
         for (start, stop), (state, prev, cur, results, monitor) in zip(
-            spans, self._pool.map(_lane_worker_run, tasks)
+            spans, pool.map(_lane_worker_run, tasks)
         ):
             stacked["state"][start:stop] = state
             stacked["prev"][start:stop] = prev
             stacked["cur"][start:stop] = cur
             stacked["results"][start:stop] = results
             stacked["monitor"][start:stop] = monitor
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
 
 
 @register_engine

@@ -356,8 +356,8 @@ class CompiledModel:
           stand-in baseline);
         * ``"per-node"``   — compiled nodes, Python scheduling
           (CPython-DISTILL-per-node, Figure 5b);
-        * ``"mcpu"``       — grid-search evaluations partitioned over worker
-          processes (DISTILL-mCPU, Figure 5c);
+        * ``"mcpu"``       — gpu-sim's grid kernel, each launch's lanes split
+          across worker processes (DISTILL-mCPU, Figure 5c);
         * ``"gpu-sim"``    — data-parallel SIMT simulation of the evaluation
           kernel (DISTILL-GPU, Figures 5c and 6).
 
@@ -367,7 +367,7 @@ class CompiledModel:
 
         Engine bindings are memoized per model (:meth:`engine_instance`), so
         consecutive ``run`` calls reuse persistent engine state — notably the
-        mcpu worker pool and the gpu-sim lane program.
+        mcpu worker pool and the lane program gpu-sim and mcpu run.
         """
         instance = self.engine_instance(engine)
         options: Dict[str, object] = {}

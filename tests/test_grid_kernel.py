@@ -1,10 +1,12 @@
-"""Grid-search models on the shared SIMT grid kernel: ``lane`` and ``gpu-sim``.
+"""Grid-search models on the shared SIMT grid kernel: ``lane``, ``gpu-sim``
+and ``mcpu``.
 
-Both engines run a model with a grid-search controller through the shared
+The engines run a model with a grid-search controller through the shared
 scheduler (``backends/grid_driver.drive_elements``) and put every grid
 evaluation of a scheduler step on the lane axis of one kernel launch, one
 lane per (element, grid point), at most ``lane.MAX_LAUNCH_LANES`` lanes
-per launch.  The claim under test is bitwise agreement with the scalar
+per launch (``mcpu`` splits each launch's lanes over two pool workers).
+The claim under test is bitwise agreement with the scalar
 ``compiled`` engine (``rtol`` 0): results, monitor and state buffers,
 final PRNG counters included, while elements with different inputs and
 different ``num_trials`` leave the lockstep at different steps.
@@ -19,7 +21,8 @@ from repro.fuzz import generate_model_spec
 from repro.fuzz.compare import buffers_equal, final_rng_counters
 from repro.models import predator_prey as pp
 
-ENGINES = ("lane", "gpu-sim")
+ENGINES = ("lane", "gpu-sim", "mcpu")
+OPTIONS = {"mcpu": {"workers": 2}}
 
 
 def batch_buffers(compiled, engine, batch):
@@ -28,7 +31,7 @@ def batch_buffers(compiled, engine, batch):
         (compiled.allocate_buffers(inputs, trials, seed), trials)
         for inputs, trials, seed in batch
     ]
-    compiled.engine_instance(engine).execute_batch(elements)
+    compiled.engine_instance(engine).execute_batch(elements, **OPTIONS.get(engine, {}))
     return [
         tuple(list(buffers[name]) for name in ("results", "monitor", "state"))
         for buffers, _ in elements

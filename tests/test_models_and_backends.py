@@ -262,10 +262,15 @@ class TestGpuSimulator:
             np.testing.assert_array_equal(costs, expected, err_msg=op)
         assert math.isnan(compile_module_to_python(module)["pow"](400.0, 400.0))
 
-    def test_unsupported_intrinsic_falls_back_per_lane(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "engine, options", [("gpu-sim", {}), ("mcpu", {"workers": 2})], ids=["gpu-sim", "mcpu"]
+    )
+    def test_unsupported_intrinsic_falls_back_per_lane(self, monkeypatch, engine, options):
         """Without a lane lowering for ``sqrt`` (used by the predator-prey
-        eval kernel) gpu-sim runs those functions per grid point through the
-        scalar program, reports them, and stays bitwise equal to compiled."""
+        eval kernel) the grid kernel runs those functions per grid point
+        through the scalar program, reports them, and stays bitwise equal to
+        compiled.  On ``mcpu`` the pool workers link those fallbacks from
+        the shipped entry-set and rest sources."""
         monkeypatch.delitem(LANE_INTRINSICS, "sqrt")
         compiled = compile_composition(
             predator_prey.build_predator_prey("s"), pipeline="default<O2>"
@@ -274,13 +279,16 @@ class TestGpuSimulator:
             inputs = predator_prey.default_inputs(1)
             mismatch = buffers_equal(
                 raw_buffers(compiled, inputs, 2, 0, "compiled"),
-                raw_buffers(compiled, inputs, 2, 0, "gpu-sim"),
+                raw_buffers(compiled, inputs, 2, 0, engine, **options),
             )
             assert mismatch is None, mismatch
-            gpu = compiled.engine_instance("gpu-sim")
-            assert gpu.lane_fallbacks, "expected per-lane fallbacks without sqrt"
-            for name in gpu.lane_fallbacks:
-                assert "sqrt" in gpu.lane_fallback_reasons[name]
+            instance = compiled.engine_instance(engine)
+            assert instance.lane_fallbacks, "expected per-lane fallbacks without sqrt"
+            for name in instance.lane_fallbacks:
+                assert "sqrt" in instance.lane_fallback_reasons[name]
+            if engine == "mcpu":
+                assert compiled.rest_source is not None
+                assert instance.pool_starts == 1
         finally:
             compiled.close_engines()
 

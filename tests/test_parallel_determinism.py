@@ -22,11 +22,10 @@ import pytest
 from repro.backends.grid_driver import (
     CandidateEvents,
     candidate_events_from_costs,
-    drive_elements,
     grid_strides,
     replay_selection,
 )
-from repro.backends.multicore import MulticoreGridEvaluator
+from repro.backends.workerpool import WorkerPool
 from repro.cogframe import (
     AfterNPasses,
     Composition,
@@ -128,16 +127,26 @@ class TestTieDeterminism:
         # 3 trials x 2 passes x (8 grid points - 1) ties.
         assert state[offset + 1] == 3 * 2 * 7
 
-    def test_mcpu_chunks_smaller_than_ties(self):
-        """Force one grid point per chunk so every tie crosses a chunk edge."""
+    def test_mcpu_chunks_smaller_than_ties(self, monkeypatch):
+        """Two workers split each 8-lane launch into two 4-lane slices, so
+        the all-tie run crosses a worker-slice edge on every scan."""
+        maps = []
+        pool_map = WorkerPool.map
+
+        def recording(pool, fn, tasks):
+            maps.append([lanes for _, _, lanes in tasks])
+            return pool_map(pool, fn, tasks)
+
+        monkeypatch.setattr(WorkerPool, "map", recording)
         compiled = compile_composition(all_tie_model(), pipeline="default<O2>")
         try:
             reference = execute_raw(compiled, "compiled", INPUTS, 2)
-            buffers = compiled.allocate_buffers(INPUTS, 2, 0)
-            with MulticoreGridEvaluator(compiled, workers=2, chunk_multiplier=8) as ev:
-                drive_elements(compiled, [(buffers, 2)], ev.evaluate_batch)
-            assert list(buffers["results"]) == reference[0]
-            assert list(buffers["state"]) == reference[2]
+            candidate = execute_raw(compiled, "mcpu", INPUTS, 2, workers=2)
+            # One map per scheduler step (2 trials x 2 passes), one launch
+            # of the 8 grid points each, sharded in two.
+            assert maps == [[4, 4]] * 4
+            assert candidate[0] == reference[0]
+            assert candidate[2] == reference[2]
         finally:
             compiled.close_engines()
 
